@@ -8,6 +8,7 @@ single claim by id).  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -118,12 +119,9 @@ def _emit_report(report, args):
 def _load_suite(args):
     claims = verify.load_claims(args.file)
     if args.seed is not None:
-        claims = [verify.Claim(
-            id=c.id, metric=c.metric, quantity=c.quantity, target=c.target,
-            tolerance=c.tolerance, tolerance_kind=c.tolerance_kind,
-            samples=verify.SamplePlan(count=c.samples.count,
-                                      margin=c.samples.margin, seed=args.seed),
-            parameters=c.parameters, reference=c.reference) for c in claims]
+        claims = [dataclasses.replace(
+            c, samples=dataclasses.replace(c.samples, seed=args.seed))
+            for c in claims]
     return claims
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,6 @@ class Box(Domain):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
 
-    @property
-    def bounding_box(self):
-        return np.stack([self.lower, self.upper], axis=1)
-
     def margin(self, x):
         x = np.asarray(x, dtype=float)
         return float(np.min(np.minimum(x - self.lower, self.upper - x)))
@@ -48,12 +44,6 @@ class Box(Domain):
 class Ball(Domain):
     dimension: int
     radius: float = 1.0
-
-    @property
-    def bounding_box(self):
-        r = self.radius
-        return np.stack([-r * np.ones(self.dimension),
-                         r * np.ones(self.dimension)], axis=1)
 
     def margin(self, x):
         return float(self.radius - np.linalg.norm(np.asarray(x, dtype=float)))
@@ -72,13 +62,6 @@ class DiskCylinder(Domain):
     dimension: int
     radius: float = 1.0
     extent: float = 1.0  # sampling half-width of the free coordinates
-
-    @property
-    def bounding_box(self):
-        lo = np.full(self.dimension, -self.extent)
-        hi = np.full(self.dimension, self.extent)
-        lo[:2], hi[:2] = -self.radius, self.radius
-        return np.stack([lo, hi], axis=1)
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)
@@ -101,10 +84,6 @@ class _ProductDomain(Domain):
     second: Domain
     n1: int
     n2: int
-
-    @property
-    def bounding_box(self):
-        return np.vstack([self.first.bounding_box, self.second.bounding_box])
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)

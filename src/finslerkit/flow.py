@@ -15,9 +15,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ResolutionError
-from .geometry import (TangentSample, fundamental_tensor, mean_cartan,
-                       mean_landsberg, riemann, spray, cartan_norm, _spray_jets)
-from .jets import value
+from .geometry import TangentSample, cartan_norm, local_geometry
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
 TRACE_NODES = 257
@@ -81,11 +79,6 @@ class TorsionTrace:
     dij_gap: float = 0.0           # max g-norm gap between DI and J
 
 
-def _spray_rhs(metric, x, y):
-    gvec, _, _ = _spray_jets(metric, x, y, 0)
-    return np.array([float(value(g)) for g in gvec])
-
-
 def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     """Integrate the spray ODE; stops with an exit flag at the chart boundary.
 
@@ -97,9 +90,10 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     n = metric.dimension
 
     def rhs(t, state):
-        if metric.domain.margin(state[:n]) <= 0.0:
+        if not metric.domain.margin(state[:n]) > 0.0:  # outside, or NaN
             return np.full(2 * n, np.nan)
-        return np.concatenate([state[n:], -2.0 * _spray_rhs(metric, state[:n], state[n:])])
+        lg = local_geometry(metric, TangentSample(state[:n], state[n:]), "G")
+        return np.concatenate([state[n:], -2.0 * lg.G])
 
     def boundary(t, state):
         return metric.domain.margin(state[:n])
@@ -159,7 +153,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
 
 def connection_along(metric, trace):
     """N^i_j(sigma, sigma-dot) at every trace node, shape (K, n, n)."""
-    return np.stack([spray(metric, trace.sample(k)).N
+    return np.stack([local_geometry(metric, trace.sample(k), "N").N
                      for k in range(len(trace.times))])
 
 
@@ -201,14 +195,13 @@ def torsion_trace(metric, trace, check_tol=1e-5):
     rops = np.empty((k_nodes, n, n))
     gs = np.empty((k_nodes, n, n))
     for k in range(k_nodes):
-        at = trace.sample(k)
-        gt = fundamental_tensor(metric, at)
-        I[k] = mean_cartan(metric, at).contravariant
-        J[k] = mean_landsberg(metric, at).contravariant
-        conns[k] = spray(metric, at).N
-        rops[k] = riemann(metric, at).R
-        gs[k] = gt.g
-        phi[k] = np.sqrt(max(I[k] @ gt.g @ I[k], 0.0))
+        lg = local_geometry(metric, trace.sample(k), "R")
+        I[k] = lg.g_inverse @ lg.I
+        J[k] = lg.g_inverse @ lg.J
+        conns[k] = lg.N
+        rops[k] = lg.R
+        gs[k] = lg.g
+        phi[k] = np.sqrt(max(I[k] @ lg.g @ I[k], 0.0))
     DI_numeric = covariant_derivative_along(metric, trace, I, connections=conns)
     DI = DI_numeric.copy()
     # pointwise route: D I = J along geodesics
@@ -240,13 +233,11 @@ def jacobi_propagate(metric, trace, V0, DV0, tol=1e-10):
 
     def rhs(t, state):
         x, y, v, w = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
-        at = TangentSample(x, y)
-        sp = spray(metric, at)
-        rop = riemann(metric, at).R
+        lg = local_geometry(metric, TangentSample(x, y), "R")
         return np.concatenate([
-            y, -2.0 * sp.G,
-            w - sp.N @ v,
-            -rop @ v - sp.N @ w,
+            y, -2.0 * lg.G,
+            w - lg.N @ v,
+            -lg.R @ v - lg.N @ w,
         ])
 
     sol = solve_ivp(rhs, (trace.times[0], trace.times[-1]),

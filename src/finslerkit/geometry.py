@@ -1,24 +1,51 @@
 """Pointwise Finsler geometry derived from a metric field.
 
-Everything here is a pure function of (metric, sample).  Derivatives come
-from jet arithmetic: the squared metric is evaluated once over jets seeded
-in the coordinate directions of the chart and the tangent space, and every
-tensor below (fundamental tensor, spray, Riemann operator, torsions,
-S-curvature) is read off by shifting jet coefficients.  The only covariant
-machinery materialized is the nonlinear connection N^i_j = dG^i/dy^j;
-contracted with the geodesic velocity it agrees with the connections the
-covariant formulas need, so Christoffel symbols never appear.
+Everything here is a pure function of (metric, sample).  `local_geometry`
+evaluates the squared metric once per tangent sample, as a jet, and every
+tensor at that sample is read off that one jet by shifting coefficients:
+the fundamental tensor g and its inverse, the spray G, the nonlinear
+connection N^i_j = dG^i/dy^j, the y-Hessian of G, the Riemann operator R,
+and the mean Cartan and Landsberg torsions I and J.  The public functions
+below are thin views on it.
+
+`need` names the most demanding quantity a caller will read; it fixes the
+seeding and the jet order of F^2:
+
+    need   seeded directions        order   readable
+    "g"    n tangent                2       F, g, g^-1
+    "I"    n tangent                3       ... and I
+    "G"    2n chart and tangent     2       F, g, g^-1, G
+    "N"    2n chart and tangent     3       ... and N, I
+    "R"    2n chart and tangent     4       ... and the y-Hessian of G, R, J
+
+Quantities that differentiate in y only are seeded in the tangent
+directions, which costs about half as much as seeding the whole phase
+space.  Each quantity is computed on first read, so a caller pays only for
+what it uses.
+
+A bundle passes one gate when it is built: F > 0 and a Cholesky
+factorization of g at the sample, or DegenerateMetricError.  Jet-valued
+g^-1 (applied to the right-hand sides of G and I) comes from that factor
+by a finite Neumann series: with g = g0 + dg and dg free of a value part,
+dg^k vanishes past the jet order, so g^-1 = sum_{k <= order}
+(-g0^-1 dg)^k g0^-1 exactly.  The only covariant
+machinery materialized is the nonlinear connection; contracted with the
+geodesic velocity it agrees with the connections the covariant formulas
+need, so Christoffel symbols never appear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .domains import Domain
-from .errors import DegenerateFlagError, DegenerateMetricError, DomainError
-from .jets import Jet, deriv, extract, jsqrt, seed, value
+from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
+                     OutOfOrderError, QuadratureToleranceError)
+from .jets import Jet, contract, deriv, hessian, partials, seed, value
 from .quadrature import ball_volume, integrate_on_sphere, sphere_rule
 
 #: Normalized Gram-determinant threshold below which a flag is degenerate.
@@ -98,7 +125,7 @@ class CartanNormResult:
     direction: np.ndarray
 
 
-# -- jet plumbing -----------------------------------------------------------
+# -- the local-geometry bundle ----------------------------------------------
 
 def _check_domain(metric, x):
     if not metric.domain.contains(x):
@@ -106,178 +133,207 @@ def _check_domain(metric, x):
 
 
 def _y_jets(metric, x, y, order):
-    """F^2 as a jet seeded in the n tangent coordinate directions."""
+    """F and F^2 as jets seeded in the n tangent coordinate directions."""
     n = metric.dimension
     yj = seed(y, list(np.eye(n)), order)
     f = metric.evaluate([float(c) for c in x], yj)
-    return f * f
+    return f, f * f
 
 
 def _phase_jets(metric, x, y, order):
-    """F^2 as a jet seeded in all 2n chart+tangent coordinate directions."""
+    """F and F^2 as jets seeded in the 2n chart and tangent coordinate
+    directions, chart directions first."""
     n = metric.dimension
     point = np.concatenate([x, y])
     js = seed(point, list(np.eye(2 * n)), order)
     f = metric.evaluate(js[:n], js[n:])
-    return f * f
+    return f, f * f
 
 
-def _spd_inverse(g, at):
-    try:
-        c = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise DegenerateMetricError(
-            "fundamental tensor not positive definite", x=at.x, y=at.y) from None
-    identity = np.eye(g.shape[0])
-    w = np.linalg.solve(c, identity)
-    return w.T @ w
+#: need -> (seeded in the chart directions too, jet order of F^2)
+_NEEDS = {"g": (False, 2), "I": (False, 3), "G": (True, 2), "N": (True, 3),
+         "R": (True, 4)}
 
 
-def jet_solve(a, b):
-    """Solve the linear system a @ z = b with jet-valued entries.
+def local_geometry(metric, at, need):
+    """The LocalGeometry of `metric` at `at`, able to give every quantity
+    up to `need` (see the module docstring)."""
+    _check_domain(metric, at.x)
+    phase, order = _NEEDS[need]
+    f, f2 = (_phase_jets if phase else _y_jets)(metric, at.x, at.y, order)
+    lg = LocalGeometry(at=at, f=f, f2=f2)
+    if not lg.F > 0.0:
+        raise DegenerateMetricError(f"F = {lg.F:.6g} is not positive",
+                                    x=at.x, y=at.y)
+    lg._cholesky  # raises DegenerateMetricError unless g is positive definite
+    return lg
 
-    `a` is an n x n nested list of jets (or floats), `b` a list of columns
-    (each a list of jets).  Gaussian elimination with value-part pivoting.
+
+@dataclass(frozen=True)
+class LocalGeometry:
+    """Tensors at one tangent sample, all read off one F^2 jet.
+
+    `f` and `f2` are the jets of F and F^2.  Jet-valued intermediates
+    (underscored) carry tensor indices as batch axes, derivative indices
+    last: partials(_G, x-directions)[i, j] = dG^i/dx^j.
     """
-    n = len(a)
-    a = [row[:] for row in a]
-    b = [col[:] for col in b]
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda r: abs(float(value(a[r][k]))))
-        if abs(float(value(a[pivot][k]))) == 0.0:
-            raise DegenerateMetricError("singular jet-valued matrix")
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            for col in b:
-                col[k], col[pivot] = col[pivot], col[k]
-        for r in range(k + 1, n):
-            factor = a[r][k] / a[k][k]
-            for c in range(k + 1, n):
-                a[r][c] = a[r][c] - factor * a[k][c]
-            for col in b:
-                col[r] = col[r] - factor * col[k]
-    columns = []
-    for col in b:
-        z = [None] * n
-        for r in range(n - 1, -1, -1):
-            acc = col[r]
-            for c in range(r + 1, n):
-                acc = acc - a[r][c] * z[c]
-            z[r] = acc / a[r][r]
-        columns.append(z)
-    return columns
 
+    at: TangentSample
+    f: Jet
+    f2: Jet
 
-def _g_jets(f2, n, order):
-    """Fundamental tensor entries as jets of the given order.
+    @property
+    def n(self):
+        return self.at.x.size
 
-    `f2` must be seeded in 2n phase-space directions (y-slots n..2n-1)
-    at order `order` + 2.
-    """
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        di = deriv(f2, n + i)
-        for j in range(i, n):
-            g[i][j] = deriv(di, n + j) * 0.5
-            g[j][i] = g[i][j]
-    return g
+    @property
+    def _y(self):
+        """The seeded directions of the tangent coordinates."""
+        return range(self.f2.ndir - self.n, self.f2.ndir)
 
+    @cached_property
+    def F(self):
+        return float(value(self.f))
 
-def _spray_jets(metric, x, y, order):
-    """Spray coefficients G^i as jets of `order` in the 2n phase directions.
+    @cached_property
+    def _g(self):
+        return hessian(self.f2, self._y) * 0.5
 
-    Also returns the fundamental-tensor jets (same order) for reuse.
-    Uses G^i = 1/4 g^{il} ( [F^2]_{x^k y^l} y^k - [F^2]_{x^l} ).
-    """
-    n = metric.dimension
-    f2 = _phase_jets(metric, x, y, order + 2)
-    g = _g_jets(f2, n, order)
-    point = np.concatenate([x, y])
-    js = seed(point, list(np.eye(2 * n)), order + 2)
-    yj = js[n:]
-    rhs = []
-    for l in range(n):
-        acc = None
-        for k in range(n):
-            term = deriv(deriv(f2, k), n + l) * yj[k]
-            acc = term if acc is None else acc + term
-        rhs.append((acc - deriv(f2, l)) * 0.25)
-    if float(value(g[0][0])) <= 0.0:
-        raise DegenerateMetricError("fundamental tensor not positive definite",
-                                    x=np.asarray(x), y=np.asarray(y))
-    (gvec,) = jet_solve(g, [rhs])
-    return gvec, g, f2
+    @cached_property
+    def g(self):
+        """g_ij = 1/2 d^2 F^2 / dy^i dy^j."""
+        return self._g.value
+
+    @cached_property
+    def _cholesky(self):
+        try:
+            return np.linalg.cholesky(self.g)
+        except np.linalg.LinAlgError:
+            raise DegenerateMetricError(
+                "fundamental tensor not positive definite",
+                x=self.at.x, y=self.at.y) from None
+
+    @cached_property
+    def g_inverse(self):
+        w = np.linalg.solve(self._cholesky, np.eye(self.n))
+        return w.T @ w
+
+    def _solve(self, b):
+        """g^-1 b for a jet b whose first batch axis is an upper index.
+
+        With g = g0 + dg, this is the Neumann series
+        sum_k (-g0^-1 dg)^k g0^-1 b in Horner form: `order` sweeps of
+        z <- g0^-1 (b - dg z), each of which fixes one more Taylor degree,
+        with g0^-1 applied through the Cholesky factor.
+        """
+        factor = (self._cholesky, True)
+
+        def value_solve(jet):
+            c = np.moveaxis(jet.coeffs, 1, 0)
+            z = cho_solve(factor, c.reshape(self.n, -1), check_finite=False)
+            return Jet(np.moveaxis(z.reshape(c.shape), 0, 1), jet.ndir, jet.order)
+
+        dg = self._g - self.g
+        z = value_solve(b)
+        for _ in range(min(dg.order, b.order)):
+            z = value_solve(b - contract("ij,j...->i...", dg, z))
+        return z
+
+    @cached_property
+    def _G(self):
+        """G^i = 1/4 g^{il} (F^2_{x^k y^l} y^k - F^2_{x^l})."""
+        n, f2 = self.n, self.f2
+        if f2.ndir == n:
+            raise OutOfOrderError("the spray needs a bundle seeded in the chart "
+                                  "directions too (need 'G', 'N' or 'R')")
+        f2_x = partials(f2, range(n))
+        f2_xy = partials(f2_x, self._y)
+        ys = seed(np.concatenate([self.at.x, self.at.y]), list(np.eye(2 * n)), f2.order)[n:]
+        y = Jet(np.stack([c.coeffs for c in ys], axis=-1), f2.ndir, f2.order)
+        rhs = (contract("k,kl->l", y, f2_xy) - f2_x) * 0.25
+        return self._solve(rhs)
+
+    @cached_property
+    def G(self):
+        return self._G.value
+
+    @cached_property
+    def N(self):
+        """N^i_j = dG^i/dy^j."""
+        return partials(self._G, self._y).value
+
+    @cached_property
+    def G_yy(self):
+        """d^2 G^i / dy^j dy^k, indexed [i, j, k]."""
+        return hessian(self._G, self._y).value
+
+    @cached_property
+    def R(self):
+        """R^i_k = 2 G^i_{x^k} - y^j G^i_{x^j y^k} + 2 G^j G^i_{y^j y^k}
+        - N^i_j N^j_k."""
+        G_x = partials(self._G, range(self.n))
+        G_xy = partials(G_x, self._y).value
+        return (2.0 * G_x.value
+                - np.einsum("j,ijk->ik", self.at.y, G_xy)
+                + 2.0 * np.einsum("j,ijk->ik", self.G, self.G_yy)
+                - self.N @ self.N)
+
+    @cached_property
+    def _I(self):
+        g_inv_dg = self._solve(partials(self._g, self._y))  # [l, k, i]
+        return Jet(0.5 * np.einsum("zlli->zi", g_inv_dg.coeffs),
+                   g_inv_dg.ndir, g_inv_dg.order)
+
+    @cached_property
+    def I(self):
+        """Mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i (covariant)."""
+        return self._I.value
+
+    @cached_property
+    def J(self):
+        """Mean Landsberg torsion J_i = y^m I_i,x^m - 2 G^m I_i,y^m - I_m N^m_i,
+        the y-contracted horizontal derivative of I (covariant)."""
+        I_x = partials(self._I, range(self.n)).value
+        I_y = partials(self._I, self._y).value
+        return I_x @ self.at.y - 2.0 * I_y @ self.G - self.I @ self.N
+
+    def conorm(self, covector):
+        """g-norm of a covector, sqrt(c_i g^{ij} c_j)."""
+        return float(np.sqrt(max(covector @ self.g_inverse @ covector, 0.0)))
 
 
 # -- operations -------------------------------------------------------------
 
 def fundamental_tensor(metric, at):
     """g_ij = 1/2 d^2 F^2 / dy^i dy^j with its inverse."""
-    _check_domain(metric, at.x)
-    n = metric.dimension
-    f2 = _y_jets(metric, at.x, at.y, 2)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            idx = [0] * n
-            idx[i] += 1
-            idx[j] += 1
-            g[i, j] = g[j, i] = 0.5 * extract(f2, idx)
-    g_inv = _spd_inverse(g, at)
-    return FundamentalTensor(g=g, g_inverse=g_inv, at=at)
+    lg = local_geometry(metric, at, "g")
+    return FundamentalTensor(g=lg.g, g_inverse=lg.g_inverse, at=at)
 
 
 def spray(metric, at):
     """Spray coefficients G^i and nonlinear connection N^i_j = dG^i/dy^j."""
-    _check_domain(metric, at.x)
-    n = metric.dimension
-    gvec, _, _ = _spray_jets(metric, at.x, at.y, 1)
-    G = np.array([float(value(gi)) for gi in gvec])
-    N = np.array([[float(value(deriv(gi, n + j))) for j in range(n)] for gi in gvec])
-    return SprayData(G=G, N=N, at=at)
+    lg = local_geometry(metric, at, "N")
+    return SprayData(G=lg.G, N=lg.N, at=at)
 
 
 def riemann(metric, at):
     """Riemann operator R^i_k from the spray, term by term."""
-    _check_domain(metric, at.x)
-    n = metric.dimension
-    y = at.y
-    gvec, gjets, _ = _spray_jets(metric, at.x, at.y, 2)
-    G = np.array([float(value(gi)) for gi in gvec])
-    dGdx = np.empty((n, n))
-    N = np.empty((n, n))
-    d2_xy = np.empty((n, n, n))
-    d2_yy = np.empty((n, n, n))
-    for i, gi in enumerate(gvec):
-        for j in range(n):
-            dj_x = deriv(gi, j)
-            dj_y = deriv(gi, n + j)
-            dGdx[i, j] = float(value(dj_x))
-            N[i, j] = float(value(dj_y))
-            for k in range(n):
-                d2_xy[i, j, k] = float(value(deriv(dj_x, n + k)))
-                d2_yy[i, j, k] = float(value(deriv(dj_y, n + k)))
-    R = (2.0 * dGdx
-         - np.einsum("j,ijk->ik", y, d2_xy)
-         + 2.0 * np.einsum("j,ijk->ik", G, d2_yy)
-         - N @ N)
-    g = np.array([[float(value(gjets[i][j])) for j in range(n)] for i in range(n)])
-    return RiemannOperator(R=R, R_lowered=g @ R, at=at)
+    lg = local_geometry(metric, at, "R")
+    return RiemannOperator(R=lg.R, R_lowered=lg.g @ lg.R, at=at)
 
 
 def flag_curvature(metric, at, u):
     """Flag curvature K(P, y) for the flag P = span{y, u}."""
     u = np.asarray(u, dtype=float)
-    gt = fundamental_tensor(metric, at)
-    y = at.y
-    gyy = gt.inner(y, y)
-    guu = gt.inner(u, u)
-    gyu = gt.inner(y, u)
+    lg = local_geometry(metric, at, "R")
+    g, y = lg.g, at.y
+    gyy = float(y @ g @ y)
+    guu = float(u @ g @ u)
+    gyu = float(y @ g @ u)
     gram = gyy * guu - gyu ** 2
     if gram <= FLAG_DEGENERACY_EPS * gyy * guu:
         raise DegenerateFlagError("flag pole and transverse vector are parallel")
-    R = riemann(metric, at).R
-    return float(u @ gt.g @ (R @ u)) / gram
+    return float(u @ g @ (lg.R @ u)) / gram
 
 
 def volume_density(metric, x, tol=None):
@@ -296,93 +352,27 @@ def volume_density(metric, x, tol=None):
 
 def distortion(metric, at, tol=None):
     """tau = ln( sqrt(det g) / sigma_F )."""
-    gt = fundamental_tensor(metric, at)
-    sign, logdet = np.linalg.slogdet(gt.g)
-    if sign <= 0:
-        raise DegenerateMetricError("non-positive determinant", x=at.x, y=at.y)
+    _, logdet = np.linalg.slogdet(fundamental_tensor(metric, at).g)
     return 0.5 * logdet - np.log(volume_density(metric, at.x, tol=tol))
 
 
 def mean_cartan(metric, at):
     """Mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i (no quadrature)."""
-    _check_domain(metric, at.x)
-    n = metric.dimension
-    f2 = _y_jets(metric, at.x, at.y, 3)
-    g = np.empty((n, n))
-    dg = np.empty((n, n, n))  # dg[j, k, i] = dg_jk/dy^i
-    for j in range(n):
-        for k in range(j, n):
-            idx = [0] * n
-            idx[j] += 1
-            idx[k] += 1
-            g[j, k] = g[k, j] = 0.5 * extract(f2, idx)
-            for i in range(n):
-                idx2 = idx.copy()
-                idx2[i] += 1
-                dg[j, k, i] = dg[k, j, i] = 0.5 * extract(f2, idx2)
-    g_inv = _spd_inverse(g, at)
-    covariant = 0.5 * np.einsum("jk,jki->i", g_inv, dg)
-    return TorsionVector(covariant=covariant, contravariant=g_inv @ covariant, at=at)
-
-
-def _identity_jets(n, ndir, order):
-    cols = []
-    for j in range(n):
-        col = [Jet.constant(1.0 if i == j else 0.0, ndir, order) for i in range(n)]
-        cols.append(col)
-    return cols
+    lg = local_geometry(metric, at, "I")
+    return TorsionVector(covariant=lg.I, contravariant=lg.g_inverse @ lg.I, at=at)
 
 
 def mean_landsberg(metric, at):
     """Mean Landsberg torsion J_i, the y-contracted horizontal derivative of I_i."""
-    _check_domain(metric, at.x)
+    lg = local_geometry(metric, at, "R")
+    return TorsionVector(covariant=lg.J, contravariant=lg.g_inverse @ lg.J, at=at)
+
+
+def _density_slope(metric, at, rule):
+    """y^m d ln(sigma_F)/dx^m on a sphere rule (points, weights, _)."""
     n = metric.dimension
-    x, y = at.x, at.y
-    gvec, gjets, f2 = _spray_jets(metric, x, y, 2)
-    G = np.array([float(value(gi)) for gi in gvec])
-    N = np.array([[float(value(deriv(gi, n + j))) for j in range(n)] for gi in gvec])
-    # g^{jk} as order-1 jets in all 2n phase directions
-    g1 = [[gjets[i][j].truncated(1) for j in range(n)] for i in range(n)]
-    ginv = jet_solve(g1, _identity_jets(n, 2 * n, 1))
-    # I_i as order-1 jets: 1/2 g^{jk} dg_jk/dy^i
-    i_jets = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            for k in range(n):
-                term = ginv[k][j] * deriv(gjets[j][k], n + i)
-                acc = term if acc is None else acc + term
-        i_jets.append(acc * 0.5)
-    i_cov = np.array([float(value(ij)) for ij in i_jets])
-    covariant = np.empty(n)
-    for i in range(n):
-        horiz = 0.0
-        for m in range(n):
-            horiz += y[m] * float(value(deriv(i_jets[i], m)))
-            horiz -= 2.0 * G[m] * float(value(deriv(i_jets[i], n + m)))
-        covariant[i] = horiz - float(i_cov @ N[:, i])
-    g = np.array([[float(value(gjets[i][j])) for j in range(n)] for i in range(n)])
-    g_inv = _spd_inverse(g, at)
-    return TorsionVector(covariant=covariant, contravariant=g_inv @ covariant, at=at)
-
-
-def s_curvature(metric, at, tol=None):
-    """S = dG^m/dy^m - y^m d ln(sigma_F)/dx^m.
-
-    The density term differentiates the quadrature integrand analytically:
-    with the F-ball volume (1/n) Int F^{-n} dOmega, the x-gradient of its
-    log is Int F_x F^{-(n+1)} dOmega / ((1/n) Int F^{-n} dOmega), which
-    avoids the finite-difference noise floor of differentiating
-    volume_density directly.
-    """
-    _check_domain(metric, at.x)
-    n = metric.dimension
-    x, y = at.x, at.y
-    sp = spray(metric, at)
-    trace_n = float(np.trace(sp.N))
-
-    points, weights, _ = sphere_rule(n)
-    xj = seed(x, list(np.eye(n)), 1)
+    points, weights, _ = rule
+    xj = seed(at.x, list(np.eye(n)), 1)
     fj = metric.evaluate(xj, list(points.T))
     if isinstance(fj, Jet):
         fvals = np.asarray(fj.value, dtype=float)
@@ -392,8 +382,31 @@ def s_curvature(metric, at, tol=None):
         fvals = np.asarray(fj, dtype=float)
         grad = np.zeros((n, fvals.size))
     denom = float(weights @ fvals ** (-n)) / n
-    numer = float(weights @ ((y @ grad) * fvals ** (-(n + 1))))
-    return trace_n - numer / denom
+    numer = float(weights @ ((at.y @ grad) * fvals ** (-(n + 1))))
+    return numer / denom
+
+
+def s_curvature(metric, at, tol=None):
+    """S = dG^m/dy^m - y^m d ln(sigma_F)/dx^m.
+
+    The density term differentiates the quadrature integrand analytically:
+    with the F-ball volume (1/n) Int F^{-n} dOmega, the x-gradient of its
+    log is Int F_x F^{-(n+1)} dOmega / ((1/n) Int F^{-n} dOmega), which
+    avoids the finite-difference noise floor of differentiating
+    volume_density directly.  With `tol` set, the result is compared with
+    the one on the level-1 (half) sphere rule, as integrate_on_sphere
+    does, and a gap above tol * max(1, |S|) raises QuadratureToleranceError.
+    """
+    slope = _density_slope(metric, at, sphere_rule(metric.dimension))
+    s = float(np.trace(local_geometry(metric, at, "N").N)) - slope
+    if tol is not None:
+        err = abs(_density_slope(metric, at, sphere_rule(metric.dimension, level=1))
+                  - slope)
+        if err > tol * max(1.0, abs(s)):
+            raise QuadratureToleranceError(
+                f"S-curvature quadrature error {err:.3e} above tolerance {tol:.3e}",
+                estimate=s, error=err)
+    return s
 
 
 def cartan_norm(metric, x, coarse=None, refine=True):
@@ -408,10 +421,8 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     x = np.asarray(x, dtype=float)
 
     def norm_at(direction):
-        at = TangentSample(x, direction)
-        tv = mean_cartan(metric, at)
-        g_inv = fundamental_tensor(metric, at).g_inverse
-        return tv.norm(g_inv) * float(metric.evaluate(x, direction))
+        lg = local_geometry(metric, TangentSample(x, direction), "I")
+        return lg.conorm(lg.I) * lg.F
 
     if coarse is None:
         coarse = 96 if n == 2 else 192

@@ -307,6 +307,46 @@ def value(x):
     return x.value if isinstance(x, Jet) else x
 
 
+# -- jet-valued tensors -------------------------------------------------------
+#
+# A tensor of jets is one Jet whose batch axes are the tensor indices.
+
+@lru_cache(maxsize=None)
+def _partials_table(ndir, order, directions):
+    tables = [_deriv_table(ndir, order, d) for d in directions]
+    return (np.stack([src for src, _ in tables], axis=1),
+            np.stack([fac for _, fac in tables], axis=1))
+
+
+def partials(jet, directions):
+    """Partials along the seeded coordinate axes `directions`, stacked along
+    a new trailing batch axis (one gather for `deriv` in each direction)."""
+    if jet.order < 1:
+        raise OutOfOrderError("cannot differentiate an order-0 jet")
+    src, fac = _partials_table(jet.ndir, jet.order, tuple(directions))
+    coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * len(jet.batch_shape))
+    return Jet(np.moveaxis(coeffs, 1, -1), jet.ndir, jet.order - 1)
+
+
+def hessian(jet, directions):
+    """h[..., i, j] = d^2 jet / dd_i dd_j along the seeded axes `directions`."""
+    return partials(partials(jet, directions), directions)
+
+
+def contract(subscripts, a, b):
+    """`np.einsum(subscripts, a, b)` over the batch axes of two jets, with
+    jet products: `contract("ij,jk->ik", a, b)` multiplies jet-valued
+    matrices."""
+    operands, out = subscripts.split("->")
+    sa, sb = operands.split(",")
+    a, b, order = a._coerce(b)
+    ia, ib, ic = _mul_table(a.ndir, order)
+    terms = np.einsum(f"Z{sa},Z{sb}->Z{out}", a.coeffs[ia], b.coeffs[ib])
+    coeffs = np.zeros((_num_coeffs(a.ndir, order),) + terms.shape[1:])
+    np.add.at(coeffs, ic, terms)
+    return Jet(coeffs, a.ndir, order)
+
+
 # -- lifted smooth primitives ----------------------------------------------
 
 def jsqrt(x):

@@ -20,9 +20,8 @@ import yaml
 
 from .errors import FinslerError, InvalidParameterError
 from .geometry import (TangentSample, flag_curvature, fundamental_tensor,
-                       mean_cartan, mean_landsberg, riemann, s_curvature,
-                       spray, _spray_jets)
-from .jets import deriv, extract, seed, value
+                       local_geometry, s_curvature)
+from .jets import extract, seed
 from .zoo import MetricSpec, build_metric
 from . import flow
 
@@ -151,23 +150,20 @@ def _eval_s_ratio(metric, at, rng, params):
 
 
 def _eval_mean_cartan(metric, at, rng, params):
-    tv = mean_cartan(metric, at)
-    gt = fundamental_tensor(metric, at)
-    return tv.norm(gt.g_inverse)
+    lg = local_geometry(metric, at, "I")
+    return lg.conorm(lg.I)
 
 
 def _eval_mean_landsberg(metric, at, rng, params):
-    lv = mean_landsberg(metric, at)
-    gt = fundamental_tensor(metric, at)
-    return lv.norm(gt.g_inverse)
+    lg = local_geometry(metric, at, "R")
+    return lg.conorm(lg.J)
 
 
 def _eval_cartan_orthogonality(metric, at, rng, params):
     """|I_i y^i| scaled by ||I||_g F; zero by homogeneity."""
-    tv = mean_cartan(metric, at)
-    gt = fundamental_tensor(metric, at)
-    scale = tv.norm(gt.g_inverse) * float(metric.evaluate(at.x, at.y))
-    return abs(tv.covariant @ at.y) / max(scale, 1e-30)
+    lg = local_geometry(metric, at, "I")
+    scale = lg.conorm(lg.I) * lg.F
+    return abs(lg.I @ at.y) / max(scale, 1e-30)
 
 
 def _eval_sskk1(metric, at, rng, params):
@@ -211,11 +207,11 @@ def _eval_det_identity(metric, at, rng, params):
 
 def _eval_spray_split(metric, at, rng, params):
     """Relative error of the product spray against the factor sprays."""
-    a1, a2, (x1, y1, g1), (x2, y2, g2), s, t, profile = _factor_data(metric, at)
+    a1, a2 = metric.extras["factors"]
     n1 = a1.dimension
-    G = spray(metric, at).G
-    G1 = spray(a1, TangentSample(x1, y1)).G
-    G2 = spray(a2, TangentSample(x2, y2)).G
+    G = local_geometry(metric, at, "G").G
+    G1 = local_geometry(a1, TangentSample(at.x[:n1], at.y[:n1]), "G").G
+    G2 = local_geometry(a2, TangentSample(at.x[n1:], at.y[n1:]), "G").G
     predicted = np.concatenate([G1, G2])
     scale = max(float(np.max(np.abs(predicted))), 1.0)
     return float(np.max(np.abs(G - predicted))) / scale
@@ -224,13 +220,12 @@ def _eval_spray_split(metric, at, rng, params):
 def _eval_riemann_annihilates_torsion(metric, at, rng, params):
     """max(||R(I)||, |g(R(I), I)|) scaled by ||R|| ||I||; zero for products
     whose factor curvatures annihilate the factor torsion components."""
-    rop = riemann(metric, at)
-    tv = mean_cartan(metric, at)
-    gt = fundamental_tensor(metric, at)
-    ri = rop.R @ tv.contravariant
-    scale = max(np.linalg.norm(rop.R) * max(tv.norm(gt.g_inverse), 1e-30), 1e-30)
-    ri_norm = np.sqrt(max(ri @ gt.g @ ri, 0.0))
-    pairing = abs(ri @ gt.g @ tv.contravariant)
+    lg = local_geometry(metric, at, "R")
+    torsion = lg.g_inverse @ lg.I
+    ri = lg.R @ torsion
+    scale = max(np.linalg.norm(lg.R) * max(lg.conorm(lg.I), 1e-30), 1e-30)
+    ri_norm = np.sqrt(max(ri @ lg.g @ ri, 0.0))
+    pairing = abs(ri @ lg.g @ torsion)
     return max(ri_norm, pairing) / scale
 
 
@@ -253,19 +248,11 @@ def _eval_berwald_quadratic(metric, at, rng, params):
     """Deviation of G from y-quadratic: finite difference, in a random
     direction, of the jet-exact y-Hessian of the spray."""
     h = params.get("step", 1e-4)
-    n = metric.dimension
-    d = rng.standard_normal(n)
+    d = rng.standard_normal(metric.dimension)
     d /= np.linalg.norm(d)
 
     def hessian(yv):
-        gvec, _, _ = _spray_jets(metric, at.x, yv, 2)
-        out = np.empty((n, n, n))
-        for i, gj in enumerate(gvec):
-            for j in range(n):
-                dj = deriv(gj, n + j)
-                for k in range(n):
-                    out[i, j, k] = float(value(deriv(dj, n + k)))
-        return out
+        return local_geometry(metric, TangentSample(at.x, yv), "R").G_yy
 
     diff = (hessian(at.y + h * d) - hessian(at.y - h * d)) / (2.0 * h)
     return float(np.max(np.abs(diff)))
@@ -304,7 +291,8 @@ def _eval_cartan_bound(metric, at, rng, params):
     b = float(beta_norm(at.x))
     bound = (metric.dimension + 1) / np.sqrt(2.0) * np.sqrt(1.0 - np.sqrt(1.0 - b * b))
     # ||I_y|| is (-1)-homogeneous in y; the bound applies at F-unit vectors
-    return float(metric.evaluate(at.x, at.y)) * _eval_mean_cartan(metric, at, rng, params) - bound
+    lg = local_geometry(metric, at, "I")
+    return lg.F * lg.conorm(lg.I) - bound
 
 
 def _eval_closed_one_form(metric, at, rng, params):

@@ -15,7 +15,7 @@ import yaml
 from .domains import Ball, Box, DiskCylinder, Domain, product_domain
 from .errors import ImplicitSolveError, InvalidParameterError, InvalidProfileError
 from .geometry import MetricField
-from .jets import Jet, deriv, extract, jsqrt, seed, value
+from .jets import Jet, deriv, extract, hessian, jsqrt, seed, value
 
 KINDS = ("euclidean", "minkowski", "riemannian", "randers", "funk_ball_shifted",
          "funk_implicit", "szabo_product", "szabo_epsilon", "incomplete_slab")
@@ -152,19 +152,17 @@ def make_riemannian(model="flat", dimension=2, matrix_field=None, domain=None):
     )
 
 
+def _half_hessian(qform, x, n):
+    """a_ij = 1/2 d^2 q / dy^i dy^j of a quadratic form q(x, y) at x."""
+    q = qform(x, seed(np.zeros(n), list(np.eye(n)), 2))
+    return 0.5 * hessian(q, range(n)).value
+
+
 def _check_spd(qform, dom, n, samples=50):
     rng = np.random.default_rng(7)
     for _ in range(samples):
         x = dom.sample_interior(rng)
-        yj = seed(np.zeros(n), list(np.eye(n)), 2)
-        q = qform(x, yj)
-        a = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                idx = [0] * n
-                idx[i] += 1
-                idx[j] += 1
-                a[i, j] = 0.5 * extract(q, idx)
+        a = _half_hessian(qform, x, n)
         if np.min(np.linalg.eigvalsh(a)) <= 0.0:
             raise InvalidParameterError(f"matrix field not positive definite at x={x}")
 
@@ -177,15 +175,7 @@ def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=No
     qform = base.extras["quadratic_form"]
 
     def beta_norm(x):
-        yj = seed(np.zeros(dimension), list(np.eye(dimension)), 2)
-        q = qform(list(np.asarray(x, float)), yj)
-        a = np.empty((dimension, dimension))
-        for i in range(dimension):
-            for j in range(dimension):
-                idx = [0] * dimension
-                idx[i] += 1
-                idx[j] += 1
-                a[i, j] = 0.5 * extract(q, idx)
+        a = _half_hessian(qform, list(np.asarray(x, float)), dimension)
         return float(np.sqrt(b @ np.linalg.solve(a, b)))
 
     rng = np.random.default_rng(11)

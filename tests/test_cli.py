@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from finslerkit import cli, zoo
+from finslerkit import cli, verify, zoo
 
 FUNK = "{kind: funk_ball_shifted, dimension: 2, parameters: {a: [0.3, 0.0]}}"
 MINK = "{kind: minkowski, dimension: 2}"
@@ -147,6 +147,20 @@ def test_suite_seed_override_is_deterministic(tmp_path, capsys):
             rec.pop("runtime", None)
         outputs.append(json.dumps(payload, sort_keys=True))
     assert outputs[0] == outputs[1]
+
+
+def test_seed_override_changes_only_the_sample_seed(tmp_path):
+    path = tmp_path / "claims.yaml"
+    path.write_text(CLAIMS_YAML)
+    args = cli.build_parser().parse_args(["suite", "--file", str(path),
+                                          "--seed", "7"])
+    original = verify.load_claims(str(path))
+    overridden = cli._load_suite(args)
+    assert len(overridden) == len(original)
+    for before, after in zip(original, overridden):
+        want = before.to_dict()
+        want["samples"]["seed"] = 7
+        assert after.to_dict() == want
 
 
 def test_claim_command_filters_by_id(tmp_path, capsys):

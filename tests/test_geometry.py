@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from finslerkit import geometry, zoo
-from finslerkit.errors import DegenerateFlagError
+from finslerkit import flow, geometry, zoo
+from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError,
+                               OutOfOrderError, QuadratureToleranceError)
 from finslerkit.geometry import (TangentSample, cartan_norm, distortion,
                                  flag_curvature, fundamental_tensor,
                                  mean_cartan, mean_landsberg, riemann,
                                  s_curvature, spray, volume_density)
-from finslerkit.jets import extract, seed
+from finslerkit.jets import extract, jsqrt, seed
 
 CONST_SPD = np.array([[2.0, 0.3], [0.3, 1.5]])
 
@@ -258,3 +259,94 @@ def test_cartan_norm_randers_monotone_and_bounded():
         values.append(cartan_norm(m, np.zeros(2)).value)
     assert all(np.diff(values) > -1e-12)
     assert all(v < bound for v in values)
+
+
+def test_local_geometry_agrees_across_needs_and_refuses_the_rest(szabo):
+    at = _sample(szabo, seed_=18)
+    full = geometry.local_geometry(szabo, at, "R")
+    for need, fields in (("g", ("F", "g", "g_inverse")), ("I", ("I",)),
+                         ("G", ("G",)), ("N", ("N", "I"))):
+        lg = geometry.local_geometry(szabo, at, need)
+        for name in fields:
+            want = np.asarray(getattr(full, name))
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.allclose(getattr(lg, name), want, rtol=0, atol=1e-12 * scale)
+    with pytest.raises(OutOfOrderError):
+        geometry.local_geometry(szabo, at, "I").G
+    with pytest.raises(OutOfOrderError):
+        geometry.local_geometry(szabo, at, "N").R
+
+
+def _sign_changing_metric():
+    """F = |y| + 1.5 y^1 + 0.1 x^1 y^2: negative where y points along -e1."""
+    return geometry.MetricField(
+        dimension=2, domain=zoo.Box(np.full(2, -1.0), np.full(2, 1.0)),
+        evaluate=lambda x, y: (jsqrt(y[0] * y[0] + y[1] * y[1]) + 1.5 * y[0]
+                               + 0.1 * x[0] * y[1]),
+        name="sign_changing")
+
+
+@pytest.mark.parametrize("operation", [
+    fundamental_tensor, spray, riemann, mean_cartan, mean_landsberg,
+    s_curvature,
+    lambda m, at: flow.integrate_geodesic(m, at.x, at.y, (0.0, 0.1), nodes=9),
+], ids=["fundamental_tensor", "spray", "riemann", "mean_cartan",
+        "mean_landsberg", "s_curvature", "integrate_geodesic"])
+def test_non_positive_F_is_a_degenerate_metric(operation):
+    m = _sign_changing_metric()
+    at = TangentSample(np.array([0.3, 0.1]), np.array([-1.0, 0.2]))
+    assert float(m.evaluate(at.x, at.y)) < 0.0
+    with pytest.raises(DegenerateMetricError):
+        operation(m, at)
+
+
+def test_s_curvature_honours_quadrature_tolerance(szabo):
+    at = _sample(szabo, seed_=16)
+    assert s_curvature(szabo, at, tol=1e-6) == s_curvature(szabo, at)
+    with pytest.raises(QuadratureToleranceError):
+        s_curvature(szabo, at, tol=1e-30)
+
+
+def test_one_f2_jet_per_sample(monkeypatch, funk_shifted):
+    """Each public tensor call, torsion-trace node and Jacobi right-hand
+    side evaluates F^2 once, through _y_jets or _phase_jets."""
+    calls = []
+    for name in ("_y_jets", "_phase_jets"):
+        original = getattr(geometry, name)
+
+        def counted(metric, x, y, order, original=original):
+            calls.append(order)
+            return original(metric, x, y, order)
+
+        monkeypatch.setattr(geometry, name, counted)
+    m = funk_shifted
+    at = _sample(m, seed_=17)
+    u = np.array([0.3, -1.0])
+    for operation in (fundamental_tensor, spray, riemann, mean_cartan,
+                      mean_landsberg, s_curvature, distortion,
+                      lambda m, at: flag_curvature(m, at, u)):
+        calls.clear()
+        operation(m, at)
+        assert len(calls) == 1
+    calls.clear()
+    cartan_norm(m, at.x, coarse=8, refine=False)
+    assert len(calls) == 8
+
+    trace = flow.integrate_geodesic(m, at.x, at.y, (0.0, 0.2), nodes=9)
+    calls.clear()
+    flow.torsion_trace(m, trace, check_tol=None)
+    assert len(calls) == len(trace.times)
+
+    rhs_calls = []
+    solve_ivp = flow.solve_ivp
+
+    def counted_solve_ivp(fun, *args, **kwargs):
+        def rhs(t, state):
+            rhs_calls.append(t)
+            return fun(t, state)
+        return solve_ivp(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counted_solve_ivp)
+    calls.clear()
+    flow.jacobi_propagate(m, trace, np.array([0.0, 1.0]), np.zeros(2), tol=1e-6)
+    assert rhs_calls and len(calls) == len(rhs_calls)
