@@ -58,6 +58,8 @@ class GeodesicTrace:
     speed_drift: float
     exit: bool = False
     exit_time: float = None
+    nfev: int = 0    # right-hand-side evaluations made by the ODE solver
+    steps: int = 0   # accepted solver steps
 
     @property
     def diff_matrix(self):
@@ -148,7 +150,8 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
                        for p, v in zip(positions, velocities)])
     drift = float(np.max(np.abs(speeds - speeds[0])))
     return GeodesicTrace(times=times, positions=positions, velocities=velocities,
-                         speed_drift=drift, exit=exited, exit_time=exit_time)
+                         speed_drift=drift, exit=exited, exit_time=exit_time,
+                         nfev=int(sol.nfev), steps=len(sol.t) - 1)
 
 
 def connection_along(metric, trace):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
@@ -226,12 +226,14 @@ class LocalGeometry:
         z <- g0^-1 (b - dg z), each of which fixes one more Taylor degree,
         with g0^-1 applied through the Cholesky factor.
         """
-        factor = (self._cholesky, True)
+        factor = self._cholesky
 
         def value_solve(jet):
-            c = np.moveaxis(jet.coeffs, 1, 0)
-            z = cho_solve(factor, c.reshape(self.n, -1), check_finite=False)
-            return Jet(np.moveaxis(z.reshape(c.shape), 0, 1), jet.ndir, jet.order)
+            c = jet.coeffs.swapaxes(0, 1)
+            z, info = dpotrs(factor, c.reshape(self.n, -1), lower=1)
+            if info != 0:
+                raise ValueError(f"dpotrs: illegal value in argument {-info}")
+            return Jet(z.reshape(c.shape).swapaxes(0, 1), jet.ndir, jet.order)
 
         dg = self._g - self.g
         z = value_solve(b)

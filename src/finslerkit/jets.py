@@ -11,6 +11,23 @@ index set of order p is a prefix of the index set of order q > p for the
 same number of directions.  Truncating a jet is a slice; that keeps mixed-
 order products cheap.  Coefficient arrays may carry trailing batch axes,
 which lets quadrature rules push whole node sets through one evaluation.
+
+A product of two jets gathers one term a[i] * b[j] per pair of multi-
+indices whose orders sum to at most the truncation order, and sums the
+terms that land on the same output index.  It takes one of three paths:
+
+    unbatched      the terms are summed by np.bincount;
+    same shape     operands whose coefficient arrays already have the same
+                   shape are used as they are, with no broadcasting;
+    broadcast      operands whose batch shapes really differ are gathered
+                   first and broadcast by the multiply.
+
+Batched terms are summed by np.add.reduceat over a product table sorted by
+output index (`_sorted_mul_table`), one contiguous segment per index, so
+no scatter-add is needed.  `contract` sums its terms the same way.  A
+plain float in +, -, * and / scales or shifts the coefficients directly,
+and a composition (sqrt, exp, log, pow, reciprocal) starts its Horner
+sweep by scaling, not by a product with a constant jet.
 """
 
 from __future__ import annotations
@@ -72,6 +89,18 @@ def _mul_table(ndir, order):
 
 
 @lru_cache(maxsize=None)
+def _sorted_mul_table(ndir, order):
+    """`_mul_table` stably sorted by output index: (ia, ib, starts), where
+    the terms of output index k are starts[k]:starts[k + 1]."""
+    ia, ib, ic = _mul_table(ndir, order)
+    perm = np.argsort(ic, kind="stable")
+    starts = np.searchsorted(ic[perm], np.arange(_num_coeffs(ndir, order)))
+    # the (0, alpha) term reaches every output index, so no segment is empty
+    assert np.all(np.diff(starts) > 0) and starts[-1] < len(ic)
+    return ia[perm], ib[perm], starts
+
+
+@lru_cache(maxsize=None)
 def _deriv_table(ndir, order, direction):
     """Gather indices/factors mapping an order-p jet to the (p-1)-jet of its
     partial derivative along seeded direction `direction`."""
@@ -87,12 +116,36 @@ def _deriv_table(ndir, order, direction):
     return src, fac
 
 
+#: Operands that scale or shift the coefficients without broadcasting.
+_SCALARS = (float, int, np.integer)
+
+
 def _batch_view(coeffs, batch):
     """Broadcast a coefficient array to a common trailing batch shape."""
+    if coeffs.shape[1:] == batch:
+        return coeffs
     n = coeffs.shape[0]
     pad = (1,) * (len(batch) - (coeffs.ndim - 1))
     return np.broadcast_to(coeffs.reshape((n,) + pad + coeffs.shape[1:]),
                            (n,) + batch)
+
+
+def _common_batch(ca, cb):
+    """Two coefficient arrays of one order, broadcast to a common batch
+    shape only when their shapes differ."""
+    if ca.shape == cb.shape:
+        return ca, cb
+    batch = np.broadcast_shapes(ca.shape[1:], cb.shape[1:])
+    return _batch_view(ca, batch), _batch_view(cb, batch)
+
+
+def _broadcast_terms(ca, cb, ia, ib):
+    """ca[ia] * cb[ib] for coefficient arrays whose batch shapes differ.
+    Each operand is gathered before the multiply broadcasts it, so a
+    smaller operand is never copied out to the common shape."""
+    nd = max(ca.ndim, cb.ndim)
+    pad = lambda c: c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:])
+    return pad(ca)[ia] * pad(cb)[ib]
 
 
 class Jet:
@@ -137,6 +190,8 @@ class Jet:
         """Align two jets to a common order; returns (a, b, order)."""
         if other.ndir != self.ndir:
             raise ValueError("jets seeded over different direction sets")
+        if other.order == self.order:
+            return self, other, self.order
         order = min(self.order, other.order)
         return self.truncated(order), other.truncated(order), order
 
@@ -145,12 +200,14 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b, order = self._coerce(other)
-            batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
-            return Jet(_batch_view(a.coeffs, batch) + _batch_view(b.coeffs, batch),
-                       self.ndir, order)
-        other = np.asarray(other, dtype=np.float64)
-        batch = np.broadcast_shapes(self.batch_shape, other.shape)
-        out = _batch_view(self.coeffs, batch).copy()
+            ca, cb = _common_batch(a.coeffs, b.coeffs)
+            return Jet(ca + cb, self.ndir, order)
+        if isinstance(other, _SCALARS):
+            out = self.coeffs.copy()
+        else:
+            other = np.asarray(other, dtype=np.float64)
+            batch = np.broadcast_shapes(self.batch_shape, other.shape)
+            out = _batch_view(self.coeffs, batch).copy()
         out[0] = out[0] + other
         return Jet(out, self.ndir, self.order)
 
@@ -160,35 +217,41 @@ class Jet:
         return Jet(-self.coeffs, self.ndir, self.order)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
+        return self + (-other if isinstance(other, (Jet,) + _SCALARS)
+                       else -np.asarray(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
+            if isinstance(other, _SCALARS):
+                return Jet(self.coeffs * other, self.ndir, self.order)
             other = np.asarray(other, dtype=np.float64)
             batch = np.broadcast_shapes(self.batch_shape, other.shape)
             return Jet(_batch_view(self.coeffs, batch) * other, self.ndir, self.order)
         a, b, order = self._coerce(other)
-        ia, ib, ic = _mul_table(self.ndir, order)
-        batch = np.broadcast_shapes(a.batch_shape, b.batch_shape)
-        ca = _batch_view(a.coeffs, batch)
-        cb = _batch_view(b.coeffs, batch)
-        prod = ca[ia] * cb[ib]
-        n = _num_coeffs(self.ndir, order)
-        if not batch:
-            out = np.bincount(ic, weights=prod, minlength=n)
+        ca, cb = a.coeffs, b.coeffs
+        if ca.ndim == 1 == cb.ndim:
+            ia, ib, ic = _mul_table(self.ndir, order)
+            out = np.bincount(ic, weights=ca[ia] * cb[ib],
+                              minlength=_num_coeffs(self.ndir, order))
+            return Jet(out, self.ndir, order)
+        ia, ib, starts = _sorted_mul_table(self.ndir, order)
+        if ca.shape == cb.shape:
+            terms = ca[ia]
+            terms *= cb[ib]  # in place: one gathered copy fewer alive at once
         else:
-            out = np.zeros((n,) + batch)
-            np.add.at(out, ic, prod)
-        return Jet(out, self.ndir, order)
+            terms = _broadcast_terms(ca, cb, ia, ib)
+        return Jet(np.add.reduceat(terms, starts, axis=0), self.ndir, order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
+        if isinstance(other, _SCALARS):
+            return Jet(self.coeffs / other, self.ndir, self.order)
         other = np.asarray(other, dtype=np.float64)
         batch = np.broadcast_shapes(self.batch_shape, other.shape)
         return Jet(_batch_view(self.coeffs, batch) / other, self.ndir, self.order)
@@ -216,10 +279,13 @@ class Jet:
 
     def _compose(self, series):
         """Evaluate sum_k series[k] * (self - value)^k by Horner."""
+        if self.order == 0:
+            return Jet.constant(series[0], self.ndir, 0)
         h = self.copy()
-        h.coeffs[0] = np.zeros(self.batch_shape)
-        result = Jet.constant(series[-1], self.ndir, self.order)
-        for k in range(len(series) - 2, -1, -1):
+        h.coeffs[0] = 0.0
+        # the first Horner step scales h: no product with a constant jet
+        result = h * series[-1] + series[-2]
+        for k in range(len(series) - 3, -1, -1):
             result = result * h + series[k]
         return result
 
@@ -302,6 +368,13 @@ def deriv(jet, direction):
     return Jet(coeffs, jet.ndir, jet.order - 1)
 
 
+def jwhere(mask, a, b):
+    """`np.where` for two jets: `mask` (over the batch axes) picks a's or b's
+    coefficients, node by node."""
+    a, b, order = a._coerce(b)
+    return Jet(np.where(mask, *_common_batch(a.coeffs, b.coeffs)), a.ndir, order)
+
+
 def value(x):
     """Scalar (value) part of a jet, or the input itself for plain numbers."""
     return x.value if isinstance(x, Jet) else x
@@ -325,7 +398,8 @@ def partials(jet, directions):
         raise OutOfOrderError("cannot differentiate an order-0 jet")
     src, fac = _partials_table(jet.ndir, jet.order, tuple(directions))
     coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * len(jet.batch_shape))
-    return Jet(np.moveaxis(coeffs, 1, -1), jet.ndir, jet.order - 1)
+    axes = (0,) + tuple(range(2, coeffs.ndim)) + (1,)
+    return Jet(coeffs.transpose(axes), jet.ndir, jet.order - 1)
 
 
 def hessian(jet, directions):
@@ -340,11 +414,9 @@ def contract(subscripts, a, b):
     operands, out = subscripts.split("->")
     sa, sb = operands.split(",")
     a, b, order = a._coerce(b)
-    ia, ib, ic = _mul_table(a.ndir, order)
+    ia, ib, starts = _sorted_mul_table(a.ndir, order)
     terms = np.einsum(f"Z{sa},Z{sb}->Z{out}", a.coeffs[ia], b.coeffs[ib])
-    coeffs = np.zeros((_num_coeffs(a.ndir, order),) + terms.shape[1:])
-    np.add.at(coeffs, ic, terms)
-    return Jet(coeffs, a.ndir, order)
+    return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order)
 
 
 # -- lifted smooth primitives ----------------------------------------------

@@ -15,7 +15,7 @@ import yaml
 from .domains import Ball, Box, DiskCylinder, Domain, product_domain
 from .errors import ImplicitSolveError, InvalidParameterError, InvalidProfileError
 from .geometry import MetricField
-from .jets import Jet, deriv, extract, hessian, jsqrt, seed, value
+from .jets import Jet, deriv, extract, hessian, jsqrt, jwhere, seed, value
 
 KINDS = ("euclidean", "minkowski", "riemannian", "randers", "funk_ball_shifted",
          "funk_implicit", "szabo_product", "szabo_epsilon", "incomplete_slab")
@@ -462,14 +462,15 @@ def make_incomplete_slab(dimension=3):
         q = _dot(y, y)
         r = jsqrt(w * w + q * c)
         # (r - w) / c cancels catastrophically for w > 0 as c -> 0; switch
-        # to the conjugate form q / (r + w) on that branch
+        # to the conjugate form q / (r + w) on that branch, node by node
         w_val = np.asarray(value(w))
-        if isinstance(w, Jet) or isinstance(r, Jet):
-            if float(np.min(w_val)) >= 0.0:
-                return q / (r + w)
-            return (r - w) / c
+        if isinstance(r, Jet) and w_val.ndim == 0:  # one w: one branch to pay for
+            return q / (r + w) if w_val >= 0.0 else (r - w) / c
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(w_val >= 0.0, q / (r + w), (r - w) / c)
+            conjugate, direct = q / (r + w), (r - w) / c
+        if isinstance(r, Jet):
+            return jwhere(w_val >= 0.0, conjugate, direct)
+        return np.where(w_val >= 0.0, conjugate, direct)
 
     spec = MetricSpec("incomplete_slab", dimension)
     return MetricField(dimension=dimension, domain=DiskCylinder(dimension),

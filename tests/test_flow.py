@@ -62,6 +62,17 @@ def test_speed_drift_stays_small(funk_shifted):
     assert tr.speed_drift <= 1e-8
 
 
+def test_geodesic_trace_reports_solver_work(funk_shifted, monkeypatch):
+    bundles = []
+    real = flow.local_geometry
+    monkeypatch.setattr(flow, "local_geometry",
+                        lambda *args: bundles.append(1) or real(*args))
+    tr = integrate_geodesic(funk_shifted, np.array([0.1, -0.2]),
+                            np.array([0.8, 0.5]), (0.0, 1.0), nodes=33)
+    assert tr.steps > 0 and tr.nfev > tr.steps
+    assert tr.nfev == len(bundles)  # one spray bundle per right-hand side
+
+
 def test_velocity_is_parallel_along_geodesics(funk_shifted):
     tr = integrate_geodesic(funk_shifted, np.array([0.1, -0.2]),
                             np.array([0.8, 0.5]), (0.0, 1.0), nodes=33)

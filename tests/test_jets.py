@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from finslerkit import jets
 from finslerkit.errors import OutOfOrderError, UnsupportedOrderError
 from finslerkit.jets import deriv, extract, jexp, jlog, jpow, jsqrt, seed, value
@@ -131,3 +134,148 @@ def test_extract_beyond_truncation_order_is_rejected():
     (jx,) = seed([1.0], [np.array([1.0])], 2)
     with pytest.raises(OutOfOrderError):
         extract(jx, (3,))
+
+
+# -- kernel paths against a broadcast-and-scatter reference -----------------
+
+def _ref_table(ndir, order):
+    indices, position = jets._index_table(ndir, order)
+    return np.array([(i, j, position[tuple(p + q for p, q in zip(a, b))])
+                     for i, a in enumerate(indices) for j, b in enumerate(indices)
+                     if sum(a) + sum(b) <= order]).T
+
+
+def _ref_broadcast(ca, cb):
+    batch = np.broadcast_shapes(ca.shape[1:], cb.shape[1:])
+    pad = lambda c: c.reshape(c.shape[:1] + (1,) * (len(batch) + 1 - c.ndim) + c.shape[1:])
+    return (np.broadcast_to(pad(ca), ca.shape[:1] + batch),
+            np.broadcast_to(pad(cb), cb.shape[:1] + batch))
+
+
+def _ref_mul(ca, cb, ndir, order):
+    ia, ib, ic = _ref_table(ndir, order)
+    ca, cb = _ref_broadcast(ca, cb)
+    out = np.zeros(ca.shape)
+    np.add.at(out, ic, ca[ia] * cb[ib])
+    return out
+
+
+def _ref_reciprocal(cb, ndir, order):
+    """Horner over the Taylor series of 1/v, with reference products."""
+    v = cb[0]
+    h = cb.copy()
+    h[0] = 0.0
+    series = [1.0 / v]
+    for _ in range(order):
+        series.append(-series[-1] / v)
+    out = np.zeros(cb.shape)
+    out[0] = series[-1]
+    for k in range(order - 1, -1, -1):
+        out = _ref_mul(out, h, ndir, order)
+        out[0] += series[k]
+    return out
+
+
+def _close(got, want, scale):
+    """Agreement to rel 1e-14 of the sum of the terms' magnitudes."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+_SHAPES = [((), ()), ((3,), (3,)), ((2, 3), (2, 3)), ((1,), (3,)), ((), (3,)),
+           ((3,), (2, 3)), ((2, 1), (3,))]
+
+
+@st.composite
+def _jet_pairs(draw):
+    ndir = draw(st.integers(1, 6))
+    order = draw(st.integers(1, 4))
+    shape_a, shape_b = draw(st.sampled_from(_SHAPES))
+    if draw(st.booleans()):
+        shape_a, shape_b = shape_b, shape_a
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = jets._num_coeffs(ndir, order)
+    ca = rng.uniform(-1.0, 1.0, (n,) + shape_a)
+    cb = rng.uniform(-1.0, 1.0, (n,) + shape_b)
+    cb[0] = rng.uniform(0.5, 2.0, shape_b)  # a value part safe to divide by
+    return ndir, order, ca, cb
+
+
+@settings(max_examples=150, deadline=None)
+@given(_jet_pairs(), st.integers(0, 3))
+def test_jet_ring_operations_match_the_reference(pair, extra_order):
+    ndir, order, ca, cb = pair
+    # b may carry a higher order; arithmetic truncates it to a's
+    high = min(order + extra_order, jets.MAX_ORDER)
+    padded = np.zeros((jets._num_coeffs(ndir, high),) + cb.shape[1:])
+    padded[:len(cb)] = cb
+    padded[len(cb):] = 0.5
+    a, b = jets.Jet(ca, ndir, order), jets.Jet(padded, ndir, high)
+    ra, rb = _ref_broadcast(ca, cb)
+    _close((a + b).coeffs, ra + rb, np.abs(ra) + np.abs(rb))
+    _close((a - b).coeffs, ra - rb, np.abs(ra) + np.abs(rb))
+    scale = _ref_mul(np.abs(ca), np.abs(cb), ndir, order)
+    _close((a * b).coeffs, _ref_mul(ca, cb, ndir, order), scale)
+    _close((b * a).coeffs, _ref_mul(cb, ca, ndir, order), scale)
+    recip = _ref_reciprocal(cb, ndir, order)
+    _close((a / b).coeffs, _ref_mul(ca, recip, ndir, order),
+           _ref_mul(np.abs(ca), np.abs(recip), ndir, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jet_pairs(), st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 0.1),
+       st.booleans())
+def test_jet_scalar_operands_match_the_reference(pair, c, zero_d):
+    ndir, order, ca, _ = pair
+    a = jets.Jet(ca, ndir, order)
+    s = np.array(c) if zero_d else c
+    shifted = ca.copy()
+    shifted[0] += c
+    for got in (a + s, s + a):
+        _close(got.coeffs, shifted, np.abs(ca) + abs(c))
+    negated = -ca
+    negated[0] += c
+    _close((s - a).coeffs, negated, np.abs(ca) + abs(c))
+    _close((a - s).coeffs, -negated, np.abs(ca) + abs(c))
+    for got in (a * s, s * a):
+        _close(got.coeffs, ca * c, np.abs(ca * c))
+    _close((a / s).coeffs, ca / c, np.abs(ca / c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["ij,jk->ik", "ij,j->i", "k,kl->l", "i,i->"]))
+def test_contract_matches_the_reference(ndir, order, seed_, subscripts):
+    rng = np.random.default_rng(seed_)
+    n = jets._num_coeffs(ndir, order)
+    (sa, sb), out = subscripts.split("->")[0].split(","), subscripts.split("->")[1]
+    dims = {"i": 2, "j": 3, "k": 3, "l": 2}
+    ca = rng.uniform(-1.0, 1.0, (n,) + tuple(dims[s] for s in sa))
+    cb = rng.uniform(-1.0, 1.0, (n,) + tuple(dims[s] for s in sb))
+    ia, ib, ic = _ref_table(ndir, order)
+
+    def ref(xa, xb):
+        terms = np.einsum(f"Z{sa},Z{sb}->Z{out}", xa[ia], xb[ib])
+        acc = np.zeros((n,) + terms.shape[1:])
+        np.add.at(acc, ic, terms)
+        return acc
+
+    got = jets.contract(subscripts, jets.Jet(ca, ndir, order), jets.Jet(cb, ndir, order))
+    _close(got.coeffs, ref(ca, cb), ref(np.abs(ca), np.abs(cb)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jet_pairs(), st.data())
+def test_partials_match_the_reference(pair, data):
+    ndir, order, ca, _ = pair
+    directions = data.draw(st.lists(st.integers(0, ndir - 1), min_size=1, max_size=ndir))
+    low, _ = jets._index_table(ndir, order - 1)
+    _, position = jets._index_table(ndir, order)
+    want = np.empty((len(low),) + ca.shape[1:] + (len(directions),))
+    for k, beta in enumerate(low):
+        for m, d in enumerate(directions):
+            lifted = tuple(b + (i == d) for i, b in enumerate(beta))
+            want[k, ..., m] = (beta[d] + 1) * ca[position[lifted]]
+    got = jets.partials(jets.Jet(ca, ndir, order), directions)
+    assert got.order == order - 1
+    _close(got.coeffs, want, np.abs(want))

@@ -147,3 +147,17 @@ def test_every_kind_passes_basic_invariants(spec):
         tv = geometry.mean_cartan(m, at)
         scale = max(1.0, np.linalg.norm(tv.covariant))
         assert abs(float(tv.covariant @ y)) <= 1e-8 * scale * max(1.0, F)
+
+
+@pytest.mark.parametrize("s_gap", [1e-8, 1e-6, 1e-4])
+def test_slab_batched_jet_picks_each_nodes_branch(slab, s_gap):
+    # a batch of directions mixes signs of w = s v - t u; each node must
+    # take its own branch, as a per-node evaluation does
+    x = np.array([0.0, 1.0 - s_gap, 0.1])
+    dirs = np.random.default_rng(0).normal(size=(64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    xj = seed(x, list(np.eye(3)), 1)
+    batched = slab.evaluate(xj, list(dirs.T))
+    for k, y in enumerate(dirs):
+        single = slab.evaluate(seed(x, list(np.eye(3)), 1), list(y))
+        assert np.allclose(batched.coeffs[:, k], single.coeffs, rtol=1e-13, atol=0.0)
