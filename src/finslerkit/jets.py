@@ -18,16 +18,18 @@ terms that land on the same output index.  It takes one of three paths:
 
     unbatched      the terms are summed by np.bincount;
     same shape     operands whose coefficient arrays already have the same
-                   shape are used as they are, with no broadcasting;
+                   shape are gathered as they are, with no broadcasting;
     broadcast      operands whose batch shapes really differ are gathered
-                   first and broadcast by the multiply.
+                   first and broadcast by the multiply, so a smaller
+                   operand is never copied out to the common shape.
 
 Batched terms are summed by np.add.reduceat over a product table sorted by
 output index (`_sorted_mul_table`), one contiguous segment per index, so
 no scatter-add is needed.  `contract` sums its terms the same way.  A
-plain float in +, -, * and / scales or shifts the coefficients directly,
-and a composition (sqrt, exp, log, pow, reciprocal) starts its Horner
-sweep by scaling, not by a product with a constant jet.
+coefficient array whose batch shape already matches is never broadcast,
+so batch axes cost nothing when the shapes agree.  A composition (sqrt,
+exp, log, pow, reciprocal) starts its Horner sweep by scaling, not by a
+product with a constant jet, which saves one full batched product each.
 """
 
 from __future__ import annotations
@@ -116,10 +118,6 @@ def _deriv_table(ndir, order, direction):
     return src, fac
 
 
-#: Operands that scale or shift the coefficients without broadcasting.
-_SCALARS = (float, int, np.integer)
-
-
 def _batch_view(coeffs, batch):
     """Broadcast a coefficient array to a common trailing batch shape."""
     if coeffs.shape[1:] == batch:
@@ -139,10 +137,11 @@ def _common_batch(ca, cb):
     return _batch_view(ca, batch), _batch_view(cb, batch)
 
 
-def _broadcast_terms(ca, cb, ia, ib):
-    """ca[ia] * cb[ib] for coefficient arrays whose batch shapes differ.
-    Each operand is gathered before the multiply broadcasts it, so a
-    smaller operand is never copied out to the common shape."""
+def _product_terms(ca, cb, ia, ib):
+    """ca[ia] * cb[ib] over the common batch shape of two coefficient
+    arrays.  Each operand is gathered before the multiply broadcasts it, so
+    a smaller operand is never copied out to the common shape; arrays of
+    equal shape are gathered as they are."""
     nd = max(ca.ndim, cb.ndim)
     pad = lambda c: c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:])
     return pad(ca)[ia] * pad(cb)[ib]
@@ -190,8 +189,6 @@ class Jet:
         """Align two jets to a common order; returns (a, b, order)."""
         if other.ndir != self.ndir:
             raise ValueError("jets seeded over different direction sets")
-        if other.order == self.order:
-            return self, other, self.order
         order = min(self.order, other.order)
         return self.truncated(order), other.truncated(order), order
 
@@ -202,12 +199,9 @@ class Jet:
             a, b, order = self._coerce(other)
             ca, cb = _common_batch(a.coeffs, b.coeffs)
             return Jet(ca + cb, self.ndir, order)
-        if isinstance(other, _SCALARS):
-            out = self.coeffs.copy()
-        else:
-            other = np.asarray(other, dtype=np.float64)
-            batch = np.broadcast_shapes(self.batch_shape, other.shape)
-            out = _batch_view(self.coeffs, batch).copy()
+        other = np.asarray(other, dtype=np.float64)
+        batch = np.broadcast_shapes(self.batch_shape, other.shape)
+        out = _batch_view(self.coeffs, batch).copy()
         out[0] = out[0] + other
         return Jet(out, self.ndir, self.order)
 
@@ -217,16 +211,13 @@ class Jet:
         return Jet(-self.coeffs, self.ndir, self.order)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (Jet,) + _SCALARS)
-                       else -np.asarray(other))
+        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            if isinstance(other, _SCALARS):
-                return Jet(self.coeffs * other, self.ndir, self.order)
             other = np.asarray(other, dtype=np.float64)
             batch = np.broadcast_shapes(self.batch_shape, other.shape)
             return Jet(_batch_view(self.coeffs, batch) * other, self.ndir, self.order)
@@ -238,11 +229,7 @@ class Jet:
                               minlength=_num_coeffs(self.ndir, order))
             return Jet(out, self.ndir, order)
         ia, ib, starts = _sorted_mul_table(self.ndir, order)
-        if ca.shape == cb.shape:
-            terms = ca[ia]
-            terms *= cb[ib]  # in place: one gathered copy fewer alive at once
-        else:
-            terms = _broadcast_terms(ca, cb, ia, ib)
+        terms = _product_terms(ca, cb, ia, ib)
         return Jet(np.add.reduceat(terms, starts, axis=0), self.ndir, order)
 
     __rmul__ = __mul__
@@ -250,8 +237,6 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        if isinstance(other, _SCALARS):
-            return Jet(self.coeffs / other, self.ndir, self.order)
         other = np.asarray(other, dtype=np.float64)
         batch = np.broadcast_shapes(self.batch_shape, other.shape)
         return Jet(_batch_view(self.coeffs, batch) / other, self.ndir, self.order)
@@ -278,16 +263,16 @@ class Jet:
     # -- analytic composition --------------------------------------------
 
     def _compose(self, series):
-        """Evaluate sum_k series[k] * (self - value)^k by Horner."""
-        if self.order == 0:
-            return Jet.constant(series[0], self.ndir, 0)
+        """Evaluate sum_k series[k] * (self - value)^k by Horner, as
+        c_0 + h (c_1 + h (... + h c_n)): the innermost step scales h instead
+        of multiplying it by a constant jet.  At order 0, h is zero and this
+        reduces to c_0."""
         h = self.copy()
-        h.coeffs[0] = 0.0
-        # the first Horner step scales h: no product with a constant jet
-        result = h * series[-1] + series[-2]
-        for k in range(len(series) - 3, -1, -1):
-            result = result * h + series[k]
-        return result
+        h.coeffs[0] = np.zeros(self.batch_shape)
+        result = h * series[-1]
+        for k in range(len(series) - 2, 0, -1):
+            result = (result + series[k]) * h
+        return result + series[0]
 
     def _reciprocal(self):
         v = self.value

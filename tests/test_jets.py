@@ -117,6 +117,17 @@ def test_composition_chain_rule():
     assert extract(f, (2,)) == pytest.approx(-0.75, rel=1e-13)
 
 
+def test_compositions_of_an_order_zero_jet_are_plain_values():
+    (jx,) = seed([2.3], [np.array([1.0])], 1)
+    x0 = deriv(jx * jx, 0)  # 2x at order 0, batched over nothing
+    for f, want in ((jsqrt, math.sqrt(4.6)), (jexp, math.exp(4.6)),
+                    (jlog, math.log(4.6)), (lambda x: jpow(x, 1.5), 4.6 ** 1.5),
+                    (lambda x: 1.0 / x, 1.0 / 4.6)):
+        got = f(x0)
+        assert got.order == 0
+        assert value(got) == pytest.approx(want, rel=1e-14)
+
+
 def test_deriv_shifts_coefficients():
     (jx,) = seed([0.5], [np.array([1.0])], 3)
     f = jexp(jx)
@@ -201,7 +212,7 @@ def _jet_pairs(draw):
     return ndir, order, ca, cb
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_jet_pairs(), st.integers(0, 3))
 def test_jet_ring_operations_match_the_reference(pair, extra_order):
     ndir, order, ca, cb = pair
@@ -222,7 +233,7 @@ def test_jet_ring_operations_match_the_reference(pair, extra_order):
            _ref_mul(np.abs(ca), np.abs(recip), ndir, order))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_jet_pairs(), st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 0.1),
        st.booleans())
 def test_jet_scalar_operands_match_the_reference(pair, c, zero_d):
@@ -242,7 +253,7 @@ def test_jet_scalar_operands_match_the_reference(pair, c, zero_d):
     _close((a / s).coeffs, ca / c, np.abs(ca / c))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
        st.sampled_from(["ij,jk->ik", "ij,j->i", "k,kl->l", "i,i->"]))
 def test_contract_matches_the_reference(ndir, order, seed_, subscripts):
@@ -264,7 +275,7 @@ def test_contract_matches_the_reference(ndir, order, seed_, subscripts):
     _close(got.coeffs, ref(ca, cb), ref(np.abs(ca), np.abs(cb)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_jet_pairs(), st.data())
 def test_partials_match_the_reference(pair, data):
     ndir, order, ca, _ = pair
