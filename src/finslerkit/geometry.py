@@ -417,6 +417,12 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     Coarse sphere scan followed by local ascent. ||I||_g is homogeneous of
     degree -1 in y, so each Euclidean unit direction is rescaled to the
     indicatrix (F = 1) before the norm is taken.
+
+    The ascent (`refine=True`) depends on the dimension.  For n = 2 the
+    scan is over equally spaced angles and the direction is refined by a
+    bounded scalar search over the angle between the best angle's two
+    neighbours.  For n >= 3 Nelder-Mead runs on an unnormalised vector d
+    from the best scanned direction and reads the norm at d/|d|.
     """
     _check_domain(metric, x)
     n = metric.dimension
@@ -438,13 +444,24 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     values = [norm_at(d) for d in dirs]
     best = int(np.argmax(values))
     best_dir, best_val = dirs[best], values[best]
-    if refine:
+    if refine and n == 2:
+        from scipy.optimize import minimize_scalar
+
+        def on_circle(angle):
+            return np.array([np.cos(angle), np.sin(angle)])
+
+        spacing = 2.0 * np.pi / coarse
+        res = minimize_scalar(lambda a: -norm_at(on_circle(a)), method="bounded",
+                              bounds=(angles[best] - spacing, angles[best] + spacing),
+                              options={"xatol": 1e-10})
+        refined = on_circle(res.x)
+    elif refine:
         from scipy.optimize import minimize
 
         res = minimize(lambda d: -norm_at(d / np.linalg.norm(d)), best_dir,
                        method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_dir = res.x / np.linalg.norm(res.x)
+        refined = res.x / np.linalg.norm(res.x)
+    if refine and -res.fun > best_val:
+        best_val, best_dir = -res.fun, refined
     return CartanNormResult(value=float(best_val), direction=best_dir)

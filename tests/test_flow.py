@@ -1,5 +1,7 @@
 """Geodesic integration, covariant transport, and torsion traces."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,55 @@ def test_resolution_error_on_under_resolved_field(funk_shifted):
     rough = np.sin(40.0 * tr.times)[:, None] * tr.velocities
     with pytest.raises(ResolutionError):
         covariant_derivative_along(funk_shifted, tr, rough, tol=1e-8)
+
+
+def _funk_trace(funk_shifted):
+    return integrate_geodesic(funk_shifted, np.array([0.1, -0.2]),
+                              np.array([0.8, 0.5]), (0.0, 1.0), nodes=33)
+
+
+def test_jacobi_solve_that_stops_short_is_a_resolution_error(funk_shifted,
+                                                             monkeypatch):
+    """A right-hand side that turns NaN past the midpoint stops the solver
+    early; the field must not be extrapolated past the stop."""
+    tr = _funk_trace(funk_shifted)
+    midpoint = 0.5 * (tr.times[0] + tr.times[-1])
+    solve_ivp = flow.solve_ivp
+
+    def poisoned_solve_ivp(fun, *args, **kwargs):
+        def rhs(t, state):
+            return np.full_like(state, np.nan) if t > midpoint else fun(t, state)
+        return solve_ivp(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", poisoned_solve_ivp)
+    with pytest.raises(ResolutionError, match="stopped at t = 0.5"):
+        jacobi_propagate(funk_shifted, tr, np.array([0.0, 1.0]), np.zeros(2))
+
+
+def test_solver_work_is_logged(funk_shifted, caplog):
+    caplog.set_level(logging.DEBUG, logger="finslerkit.flow")
+    tr = _funk_trace(funk_shifted)
+    jacobi_propagate(funk_shifted, tr, np.array([0.0, 1.0]), np.zeros(2),
+                     tol=1e-6)
+    records = [r for r in caplog.records if r.name == "finslerkit.flow"]
+    assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG]
+    geodesic, jacobi = (r.getMessage() for r in records)
+    assert geodesic == (f"integrate_geodesic: RK45 nfev={tr.nfev} "
+                        f"steps={tr.steps} status=0")
+    assert jacobi.startswith("jacobi_propagate: DOP853 nfev=")
+    assert jacobi.endswith(" status=0")
+
+
+def test_jacobi_field_reconstructs_torsion_with_few_bundles(funk_shifted,
+                                                           monkeypatch):
+    """D^2 I + R(I) = 0, so the Jacobi field started at (I, DI) is I."""
+    tr = _funk_trace(funk_shifted)
+    tt = torsion_trace(funk_shifted, tr)
+    bundles = []
+    real = flow.local_geometry
+    monkeypatch.setattr(flow, "local_geometry",
+                        lambda *args: bundles.append(1) or real(*args))
+    V = jacobi_propagate(funk_shifted, tr, tt.I_of_t[0], tt.DI_of_t[0])
+    assert len(bundles) <= 200
+    scale = np.abs(tt.I_of_t).max()
+    assert np.abs(V - tt.I_of_t).max() <= 1e-10 * scale

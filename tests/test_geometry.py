@@ -350,3 +350,22 @@ def test_one_f2_jet_per_sample(monkeypatch, funk_shifted):
     calls.clear()
     flow.jacobi_propagate(m, trace, np.array([0.0, 1.0]), np.zeros(2), tol=1e-6)
     assert rhs_calls and len(calls) == len(rhs_calls)
+
+
+# want: the maxima a Nelder-Mead refine over unnormalised directions finds
+@pytest.mark.parametrize("x, want", [
+    ((0.1, 0.2), 0.66168940434123),
+    ((-0.3, 0.05), 0.07864839435196),
+])
+def test_cartan_norm_refines_along_the_angle(funk_shifted, monkeypatch, x, want):
+    x = np.array(x)
+    dense = cartan_norm(funk_shifted, x, coarse=2000, refine=False).value
+    bundles = []
+    real = geometry.local_geometry
+    monkeypatch.setattr(geometry, "local_geometry",
+                        lambda *args: bundles.append(1) or real(*args))
+    result = cartan_norm(funk_shifted, x)
+    assert len(bundles) <= 130
+    assert result.value == pytest.approx(want, rel=0, abs=1e-12)
+    assert result.value >= dense
+    assert np.linalg.norm(result.direction) == pytest.approx(1.0, abs=1e-14)
