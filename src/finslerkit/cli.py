@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import flow, verify
-from .errors import FinslerError
+from .errors import DomainError, FinslerError
 from .geometry import (TangentSample, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        s_curvature, spray, volume_density)
@@ -54,7 +54,7 @@ def cmd_eval(args):
     x = _vector(args.x)
     y = _vector(args.y)
     if metric.domain.margin(x) <= 0.0:
-        raise FinslerError(f"point {args.x} is outside the chart domain")
+        raise DomainError(f"point {args.x} is outside the chart domain")
     at = TangentSample(x, y)
     q = args.quantity
     if q == "F":

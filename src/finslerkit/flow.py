@@ -102,7 +102,6 @@ class TorsionTrace:
     phi_of_t: np.ndarray       # (K,)
     residual_of_t: np.ndarray  # (K,) g-norm of D^2 I + R(I)
     di_disagreement: float = 0.0   # max gap between the two DI routes
-    dij_gap: float = 0.0           # max g-norm gap between DI and J
 
 
 def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
@@ -231,7 +230,6 @@ def torsion_trace(metric, trace, check_tol=1e-5):
         gs[k] = lg.g
         phi[k] = np.sqrt(max(I[k] @ lg.g @ I[k], 0.0))
     DI_numeric = covariant_derivative_along(metric, trace, I, connections=conns)
-    DI = DI_numeric.copy()
     # pointwise route: D I = J along geodesics
     gap = np.sqrt(np.einsum("ki,kij,kj->k", DI_numeric - J, gs, DI_numeric - J))
     scale = max(float(np.max(np.abs(I))), 1e-30)
@@ -244,7 +242,7 @@ def torsion_trace(metric, trace, check_tol=1e-5):
     residual = np.sqrt(np.einsum("ki,kij,kj->k", resid_vec, gs, resid_vec))
     return TorsionTrace(trace=trace, I_of_t=I, DI_of_t=J, D2I_of_t=D2I,
                         phi_of_t=phi, residual_of_t=residual,
-                        di_disagreement=disagreement, dij_gap=float(np.max(gap)))
+                        di_disagreement=disagreement)
 
 
 def jacobi_propagate(metric, trace, V0, DV0, tol=1e-10):

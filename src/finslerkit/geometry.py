@@ -44,9 +44,9 @@ from scipy.linalg.lapack import dpotrs
 
 from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
-                     OutOfOrderError, QuadratureToleranceError)
+                     OutOfOrderError)
 from .jets import Jet, contract, deriv, hessian, partials, seed, value
-from .quadrature import ball_volume, integrate_on_sphere, sphere_rule
+from .quadrature import ball_volume, on_sphere
 
 #: Normalized Gram-determinant threshold below which a flag is degenerate.
 FLAG_DEGENERACY_EPS = 1e-10
@@ -344,12 +344,11 @@ def volume_density(metric, x, tol=None):
     n = metric.dimension
     x = np.asarray(x, dtype=float)
 
-    def radial(points):
-        f = metric.evaluate(x, list(points.T))
-        return np.asarray(f, dtype=float) ** (-n) / n
+    def f_ball(points, weights):
+        f = np.asarray(metric.evaluate(x, list(points.T)), dtype=float)
+        return float(weights @ (f ** (-n) / n))
 
-    f_ball, _ = integrate_on_sphere(n, radial, tol=tol)
-    return ball_volume(n) / f_ball
+    return ball_volume(n) / on_sphere(n, f_ball, tol=tol)
 
 
 def distortion(metric, at, tol=None):
@@ -370,10 +369,9 @@ def mean_landsberg(metric, at):
     return TorsionVector(covariant=lg.J, contravariant=lg.g_inverse @ lg.J, at=at)
 
 
-def _density_slope(metric, at, rule):
-    """y^m d ln(sigma_F)/dx^m on a sphere rule (points, weights, _)."""
+def _density_slope(metric, at, points, weights):
+    """y^m d ln(sigma_F)/dx^m on a sphere rule."""
     n = metric.dimension
-    points, weights, _ = rule
     xj = seed(at.x, list(np.eye(n)), 1)
     fj = metric.evaluate(xj, list(points.T))
     if isinstance(fj, Jet):
@@ -395,20 +393,15 @@ def s_curvature(metric, at, tol=None):
     with the F-ball volume (1/n) Int F^{-n} dOmega, the x-gradient of its
     log is Int F_x F^{-(n+1)} dOmega / ((1/n) Int F^{-n} dOmega), which
     avoids the finite-difference noise floor of differentiating
-    volume_density directly.  With `tol` set, the result is compared with
-    the one on the level-1 (half) sphere rule, as integrate_on_sphere
-    does, and a gap above tol * max(1, |S|) raises QuadratureToleranceError.
+    volume_density directly.  With `tol` set, a quadrature error above
+    tol * max(1, |S|) raises QuadratureToleranceError (see on_sphere).
     """
-    slope = _density_slope(metric, at, sphere_rule(metric.dimension))
-    s = float(np.trace(local_geometry(metric, at, "N").N)) - slope
-    if tol is not None:
-        err = abs(_density_slope(metric, at, sphere_rule(metric.dimension, level=1))
-                  - slope)
-        if err > tol * max(1.0, abs(s)):
-            raise QuadratureToleranceError(
-                f"S-curvature quadrature error {err:.3e} above tolerance {tol:.3e}",
-                estimate=s, error=err)
-    return s
+    trace_n = float(np.trace(local_geometry(metric, at, "N").N))
+
+    def s_value(points, weights):
+        return trace_n - _density_slope(metric, at, points, weights)
+
+    return on_sphere(metric.dimension, s_value, tol=tol)
 
 
 def cartan_norm(metric, x, coarse=None, refine=True):

@@ -2,8 +2,10 @@
 
 Rule selection by dimension: periodic trapezoid on the circle (spectrally
 accurate for smooth integrands), Gauss-Legendre x trapezoid product rule
-on S^2, and scrambled-Sobol quasi-Monte Carlo with a reported standard
-error for n >= 4.  Node tables are built once and cached read-only.
+on S^2, and scrambled-Sobol quasi-Monte Carlo for n >= 4.  Every rule has
+a half-size level-1 companion, and the gap between the two is the error
+estimate `on_sphere` checks.  Node tables are built once and cached
+read-only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import norm, qmc
+
+from .errors import QuadratureToleranceError
 
 CIRCLE_NODES = 512
 GAUSS_NODES = 128
@@ -37,7 +41,7 @@ def sphere_rule(n, level=0):
 
     `level` halves the node count once per unit (used for convergence
     checks); weights always sum to the sphere area.  Returns
-    (points, weights, is_deterministic).
+    (points, weights).
     """
     if n < 2:
         raise ValueError("sphere quadrature requires n >= 2")
@@ -46,7 +50,7 @@ def sphere_rule(n, level=0):
         theta = 2.0 * np.pi * np.arange(k) / k
         points = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(k, 2.0 * np.pi / k)
-        return points, weights, True
+        return points, weights
     if n == 3:
         kg = GAUSS_NODES >> level
         ka = AZIMUTH_NODES >> level
@@ -59,35 +63,27 @@ def sphere_rule(n, level=0):
             np.outer(mu, np.ones(ka)).ravel(),
         ], axis=1)
         weights = np.outer(wmu, np.full(ka, 2.0 * np.pi / ka)).ravel()
-        return points, weights, True
+        return points, weights
     sampler = qmc.Sobol(d=n, scramble=True, seed=20240 + n + level)
     u = sampler.random_base2(QMC_LOG2_NODES - level)
     z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     weights = np.full(z.shape[0], sphere_area(n) / z.shape[0])
-    return z, weights, False
+    return z, weights
 
 
-def integrate_on_sphere(n, integrand, tol=None):
-    """Integrate `integrand(points)` over S^{n-1}.
+def on_sphere(n, estimate, tol=None):
+    """`estimate(points, weights)` on the S^{n-1} rule.
 
-    `integrand` receives node coordinates of shape (K, n) and must return
-    shape-(K,) values.  Returns (value, error_estimate); the estimate is a
-    coarse-grid comparison for the deterministic rules and a standard
-    error for the QMC rule.
+    With `tol` set, the estimate is repeated on the level-1 (half-size)
+    rule, and a gap above tol * max(1, |value|) raises
+    QuadratureToleranceError carrying the value and the gap.
     """
-    points, weights, deterministic = sphere_rule(n)
-    vals = np.asarray(integrand(points), dtype=float)
-    total = float(weights @ vals)
-    if deterministic:
-        cpoints, cweights, _ = sphere_rule(n, level=1)
-        coarse = float(cweights @ np.asarray(integrand(cpoints), dtype=float))
-        err = abs(total - coarse)
-    else:
-        err = sphere_area(n) * float(np.std(vals)) / math.sqrt(len(vals))
-    if tol is not None and err > tol * max(1.0, abs(total)):
-        from .errors import QuadratureToleranceError
-        raise QuadratureToleranceError(
-            f"sphere quadrature error {err:.3e} above tolerance {tol:.3e}",
-            estimate=total, error=err)
-    return total, err
+    value = estimate(*sphere_rule(n))
+    if tol is not None:
+        error = abs(estimate(*sphere_rule(n, level=1)) - value)
+        if error > tol * max(1.0, abs(value)):
+            raise QuadratureToleranceError(
+                f"sphere quadrature error {error:.3e} above tolerance {tol:.3e}",
+                estimate=value, error=error)
+    return value

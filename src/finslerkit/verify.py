@@ -166,14 +166,20 @@ def _eval_cartan_orthogonality(metric, at, rng, params):
     return abs(lg.I @ at.y) / max(scale, 1e-30)
 
 
+def _geodesic_torsion(metric, at, params, t_span=(0.0, 1.5)):
+    """Torsion trace along the geodesic from `at`, integrated over the
+    claim's `t_span` (default as given) with its `nodes` and `ode_tol`."""
+    trace = flow.integrate_geodesic(metric, at.x, at.y,
+                                    tuple(params.get("t_span", t_span)),
+                                    tol=params.get("ode_tol", 1e-10),
+                                    nodes=int(params.get("nodes", 33)))
+    return flow.torsion_trace(metric, trace, check_tol=None)
+
+
 def _eval_sskk1(metric, at, rng, params):
     """Max torsion-equation residual along a short geodesic, relative to
     the largest torsion norm on the trace."""
-    t_span = tuple(params.get("t_span", (0.0, 1.0)))
-    nodes = int(params.get("nodes", 33))
-    trace = flow.integrate_geodesic(metric, at.x, at.y, t_span,
-                                    tol=params.get("ode_tol", 1e-10), nodes=nodes)
-    tt = flow.torsion_trace(metric, trace, check_tol=None)
+    tt = _geodesic_torsion(metric, at, params, t_span=(0.0, 1.0))
     scale = max(float(np.max(tt.phi_of_t)), 1e-30)
     return float(np.max(tt.residual_of_t)) / scale
 
@@ -260,11 +266,7 @@ def _eval_berwald_quadratic(metric, at, rng, params):
 
 def _eval_phi_convexity(metric, at, rng, params):
     """Largest violation of discrete phi'' >= 0 along a geodesic."""
-    t_span = tuple(params.get("t_span", (0.0, 1.5)))
-    nodes = int(params.get("nodes", 33))
-    trace = flow.integrate_geodesic(metric, at.x, at.y, t_span,
-                                    tol=params.get("ode_tol", 1e-10), nodes=nodes)
-    tt = flow.torsion_trace(metric, trace, check_tol=None)
+    tt = _geodesic_torsion(metric, at, params)
     seconds = flow.phi_second_differences(tt, floor=params.get("floor", 1e-6))
     if seconds.size == 0:
         return 0.0
@@ -273,12 +275,7 @@ def _eval_phi_convexity(metric, at, rng, params):
 
 def _eval_phi_constancy(metric, at, rng, params):
     """Relative spread of phi along a geodesic (zero when phi is constant)."""
-    t_span = tuple(params.get("t_span", (0.0, 1.5)))
-    nodes = int(params.get("nodes", 33))
-    trace = flow.integrate_geodesic(metric, at.x, at.y, t_span,
-                                    tol=params.get("ode_tol", 1e-10), nodes=nodes)
-    tt = flow.torsion_trace(metric, trace, check_tol=None)
-    phi = tt.phi_of_t
+    phi = _geodesic_torsion(metric, at, params).phi_of_t
     return float(phi.max() - phi.min()) / max(float(phi.max()), 1e-30)
 
 

@@ -7,7 +7,7 @@ derivations can differentiate straight through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -16,10 +16,6 @@ from .domains import Ball, Box, DiskCylinder, Domain, product_domain
 from .errors import ImplicitSolveError, InvalidParameterError, InvalidProfileError
 from .geometry import MetricField
 from .jets import Jet, deriv, extract, hessian, jsqrt, jwhere, seed, value
-
-KINDS = ("euclidean", "minkowski", "riemannian", "randers", "funk_ball_shifted",
-         "funk_implicit", "szabo_product", "szabo_epsilon", "incomplete_slab")
-
 
 def _dot(u, v):
     acc = u[0] * v[0]
@@ -110,14 +106,14 @@ def make_riemannian(model="flat", dimension=2, matrix_field=None, domain=None):
     """F = sqrt(a_ij(x) y^i y^j) for the named space form or a custom field."""
     if model not in RIEMANN_MODELS:
         raise InvalidParameterError(f"unknown Riemannian model {model!r}")
+    if model != "custom" and (matrix_field is not None or domain is not None):
+        raise InvalidParameterError(
+            f"matrix_field and domain apply to the custom model, not {model!r}")
+    dom = Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension))
     if model == "flat":
-        dom = Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension))
-
         def qform(x, y):
             return _dot(y, y)
     elif model == "sphere":
-        dom = Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension))
-
         def qform(x, y):  # stereographic chart of the unit sphere
             c = 1.0 + _dot(x, x)
             return 4.0 * _dot(y, y) / (c * c)
@@ -304,6 +300,8 @@ def make_funk_implicit(phi=None, dimension=2, b=None):
     phi may be "euclidean" (default), "randers" with a drift b, or any
     jet-evaluable Minkowski norm callable.
     """
+    if b is not None and phi != "randers":
+        raise InvalidParameterError(f"a drift b applies to phi = 'randers', not {phi!r}")
     params = {}
     if phi is None or phi == "euclidean":
         params["phi"] = "euclidean"
@@ -436,15 +434,27 @@ def make_szabo_product(alpha1, alpha2, profile, validate=True):
     )
 
 
+def _szabo_product_from_spec(dimension, profile="epsilon", eps=None, factor1=None,
+                            factor2=None):
+    """make_szabo_product from spec parameters: factor specs (by default the
+    hyperbolic disk and the flat line) and a named profile.  `dimension` is
+    the sum of the factors'; build_metric checks it against the spec."""
+    alpha1 = build_metric(factor1) if factor1 else make_riemannian("hyperbolic_disk", 2)
+    alpha2 = build_metric(factor2) if factor2 else make_riemannian("flat", 1)
+    if profile == "epsilon":
+        shape = epsilon_profile(0.5 if eps is None else eps)
+    elif profile == "linear" and eps is None:
+        shape = linear_profile()
+    else:
+        raise InvalidParameterError(f"no product profile {profile!r} with eps = {eps}")
+    return make_szabo_product(alpha1, alpha2, shape)
+
+
 def make_szabo_epsilon(eps=0.5):
     """Hyperbolic-plane x flat-line Berwald family with the 4th-root profile."""
-    alpha1 = make_riemannian("hyperbolic_disk", 2)
-    alpha2 = make_riemannian("flat", 1)
-    metric = make_szabo_product(alpha1, alpha2, epsilon_profile(eps))
-    spec = MetricSpec("szabo_epsilon", 3, {"eps": float(eps)})
-    return MetricField(
-        dimension=3, domain=metric.domain, evaluate=metric.evaluate,
-        name="szabo_epsilon", spec=spec, extras=metric.extras)
+    metric = _szabo_product_from_spec(3, eps=eps)
+    return replace(metric, name="szabo_epsilon",
+                   spec=MetricSpec("szabo_epsilon", 3, {"eps": float(eps)}))
 
 
 # -- incomplete slab ----------------------------------------------------------
@@ -479,37 +489,40 @@ def make_incomplete_slab(dimension=3):
 
 # -- spec-driven construction --------------------------------------------------
 
+#: kind -> (constructor, the spec parameters the kind accepts).  Each
+#: constructor takes the spec's dimension and parameters as keywords.
+_CONSTRUCTORS = {
+    "euclidean": (make_euclidean, ()),
+    "minkowski": (make_minkowski, ("b",)),
+    "riemannian": (make_riemannian, ("model",)),
+    "randers": (make_randers, ("model", "b")),
+    "funk_ball_shifted": (make_funk_shifted, ("a",)),
+    "funk_implicit": (make_funk_implicit, ("phi", "b")),
+    "szabo_product": (_szabo_product_from_spec, ("profile", "eps", "factor1", "factor2")),
+    "szabo_epsilon": (lambda dimension, **p: make_szabo_epsilon(**p), ("eps",)),
+    "incomplete_slab": (make_incomplete_slab, ()),
+}
+KINDS = tuple(_CONSTRUCTORS)
+
+
 def build_metric(spec):
-    """Construct the metric described by a MetricSpec (or its dict form)."""
+    """Construct the metric described by a MetricSpec (or its dict form).
+
+    A parameter the kind does not accept, or a metric whose dimension is
+    not the spec's, raises InvalidParameterError.
+    """
     if isinstance(spec, dict):
         spec = MetricSpec.from_dict(spec)
-    p = dict(spec.parameters)
-    n = spec.dimension
-    if spec.kind == "euclidean":
-        return make_euclidean(n)
-    if spec.kind == "minkowski":
-        return make_minkowski(n, b=p.get("b"))
-    if spec.kind == "riemannian":
-        return make_riemannian(p.get("model", "flat"), n)
-    if spec.kind == "randers":
-        return make_randers(p.get("model", "flat"), n, b=p.get("b"))
-    if spec.kind == "funk_ball_shifted":
-        return make_funk_shifted(p.get("a"), n)
-    if spec.kind == "funk_implicit":
-        return make_funk_implicit(p.get("phi", "euclidean"), n, b=p.get("b"))
-    if spec.kind == "szabo_product":
-        f1 = build_metric(p["factor1"]) if p.get("factor1") else make_riemannian("hyperbolic_disk", 2)
-        f2 = build_metric(p["factor2"]) if p.get("factor2") else make_riemannian("flat", 1)
-        if p.get("profile", "epsilon") == "linear":
-            profile = linear_profile()
-        else:
-            profile = epsilon_profile(p.get("eps", 0.5))
-        return make_szabo_product(f1, f2, profile)
-    if spec.kind == "szabo_epsilon":
-        return make_szabo_epsilon(p.get("eps", 0.5))
-    if spec.kind == "incomplete_slab":
-        return make_incomplete_slab(n)
-    raise InvalidParameterError(f"unknown metric kind {spec.kind!r}")
+    make, accepted = _CONSTRUCTORS[spec.kind]
+    unknown = [k for k in spec.parameters if k not in accepted]
+    if unknown:
+        raise InvalidParameterError(
+            f"{spec.kind} accepts spec parameters {list(accepted)}, not {unknown}")
+    metric = make(dimension=spec.dimension, **spec.parameters)
+    if metric.dimension != spec.dimension:
+        raise InvalidParameterError(
+            f"{spec.kind} has dimension {metric.dimension}, not {spec.dimension}")
+    return metric
 
 
 def default_specs():

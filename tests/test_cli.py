@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from finslerkit import cli, verify, zoo
+from finslerkit.errors import DomainError
 
 FUNK = "{kind: funk_ball_shifted, dimension: 2, parameters: {a: [0.3, 0.0]}}"
 MINK = "{kind: minkowski, dimension: 2}"
@@ -198,3 +199,25 @@ def test_out_of_domain_point_is_a_usage_error(capsys):
                            "--x", "2.0,0.0", "--y", "1,0", "--quantity", "F")
     assert code == 2
     assert "domain" in err.lower()
+
+
+@pytest.mark.parametrize("spec,point", [
+    ("{kind: funk_ball_shifted, dimension: 2, parameters: {shift: [0.5, 0]}}", "0,0"),
+    ("{kind: szabo_product, dimension: 3, parameters: {profile: lineaar}}", "0,0,0"),
+    ("{kind: szabo_epsilon, dimension: 5, parameters: {eps: 0.5}}", "0,0,0"),
+], ids=["unknown-key", "unknown-profile", "wrong-dimension"])
+def test_eval_of_a_spec_with_ignored_input_is_a_usage_error(capsys, spec, point):
+    direction = "1" + ",0" * point.count(",")
+    code, out, err = run_cli(capsys, "eval", "--metric", spec, "--x", point,
+                             "--y", direction, "--quantity", "F")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_eval_outside_the_domain_raises_domain_error():
+    args = cli.build_parser().parse_args(
+        ["eval", "--metric", FUNK, "--x", "2.0,0.0", "--y", "1,0",
+         "--quantity", "F"])
+    with pytest.raises(DomainError):
+        args.func(args)

@@ -1,5 +1,7 @@
 """Pointwise differential-geometric quantities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from finslerkit.geometry import (TangentSample, cartan_norm, distortion,
                                  flag_curvature, fundamental_tensor,
                                  mean_cartan, mean_landsberg, riemann,
                                  s_curvature, spray, volume_density)
-from finslerkit.jets import extract, jsqrt, seed
+from finslerkit.jets import extract, jsqrt, seed, value
+from finslerkit.quadrature import ball_volume
 
 CONST_SPD = np.array([[2.0, 0.3], [0.3, 1.5]])
 
@@ -369,3 +372,37 @@ def test_cartan_norm_refines_along_the_angle(funk_shifted, monkeypatch, x, want)
     assert result.value == pytest.approx(want, rel=0, abs=1e-12)
     assert result.value >= dense
     assert np.linalg.norm(result.direction) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("fixture,nodes", [("funk_shifted", 512), ("szabo", 32768)])
+def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, nodes):
+    """With tol=None, volume_density and s_curvature evaluate F on the
+    level-0 sphere rule only, never on the half-size rule."""
+    base = request.getfixturevalue(fixture)
+    batches = []
+
+    def counted(x, y):
+        batches.append(max(np.size(value(c)) for c in y))
+        return base.evaluate(x, y)
+
+    m = dataclasses.replace(base, evaluate=counted)
+    at = _sample(base, seed_=18)
+    volume_density(m, at.x)
+    assert [b for b in batches if b > 1] == [nodes]
+    batches.clear()
+    s_curvature(m, at)
+    assert [b for b in batches if b > 1] == [nodes]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_volume_density_honours_quadrature_tolerance(n):
+    """The level-1 comparison bounds the density's quadrature for every
+    rule, the n >= 4 Sobol rule included."""
+    m = zoo.make_funk_shifted([0.3] + [0.0] * (n - 1), dimension=n)
+    x = np.full(n, 0.1)
+    assert volume_density(m, x, tol=1e-2) == volume_density(m, x)
+    with pytest.raises(QuadratureToleranceError) as err:
+        volume_density(m, x, tol=1e-30)
+    assert err.value.error > 0.0
+    assert volume_density(m, x) == pytest.approx(
+        ball_volume(n) / err.value.estimate, rel=1e-15)

@@ -163,3 +163,18 @@ def test_report_serialization_round_trip():
     csv_text = suite.to_csv()
     assert "funk-reference-curvature" in csv_text
     assert csv_text.count("\n") >= 2
+
+
+@pytest.mark.parametrize("spec", [
+    zoo.MetricSpec("minkowski", 2, {"b": [0.3, 0.0]}),
+    zoo.MetricSpec("funk_ball_shifted", 2),
+], ids=lambda s: s.kind)
+def test_phi_convexity_claim_passes(spec):
+    claim = _claim(
+        id=f"{spec.kind}-phi-convexity", metric=spec, quantity="phi_convexity",
+        target={"kind": "zero"}, tolerance=1e-4, tolerance_kind="absolute",
+        samples=SamplePlan(count=3, margin=0.3, seed=0),
+        parameters={"t_span": [0.0, 0.5]})
+    report = run_claim(claim)
+    assert report.passed, report.detail
+    assert report.count == 3

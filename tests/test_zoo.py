@@ -161,3 +161,44 @@ def test_slab_batched_jet_picks_each_nodes_branch(slab, s_gap):
     for k, y in enumerate(dirs):
         single = slab.evaluate(seed(x, list(np.eye(3)), 1), list(y))
         assert np.allclose(batched.coeffs[:, k], single.coeffs, rtol=1e-13, atol=0.0)
+
+
+#: Specs with input that a builder could silently drop or override.
+IGNORED_INPUT_SPECS = {
+    "funk-unknown-key": {"kind": "funk_ball_shifted", "dimension": 2,
+                         "parameters": {"shift": [0.5, 0.0]}},
+    "szabo-misspelt-profile": {"kind": "szabo_product", "dimension": 3,
+                               "parameters": {"profile": "lineaar"}},
+    "szabo-linear-with-eps": {"kind": "szabo_product", "dimension": 3,
+                              "parameters": {"profile": "linear", "eps": 0.5}},
+    "szabo-product-wrong-dimension": {"kind": "szabo_product", "dimension": 4},
+    "szabo-epsilon-wrong-dimension": {"kind": "szabo_epsilon", "dimension": 5},
+    "implicit-euclidean-with-drift": {"kind": "funk_implicit", "dimension": 2,
+                                      "parameters": {"phi": "euclidean",
+                                                     "b": [0.3, 0.0]}},
+    "constructor-only-argument": {"kind": "riemannian", "dimension": 2,
+                                  "parameters": {"model": "flat",
+                                                 "gate_samples": 3}},
+}
+
+
+@pytest.mark.parametrize("spec", IGNORED_INPUT_SPECS.values(),
+                         ids=IGNORED_INPUT_SPECS.keys())
+def test_spec_input_that_would_be_ignored_is_rejected(spec):
+    with pytest.raises(InvalidParameterError):
+        zoo.build_metric(spec)
+
+
+@pytest.mark.parametrize("model", ["flat", "sphere", "hyperbolic_disk"])
+@pytest.mark.parametrize("extra", [{"domain": zoo.Ball(2)},
+                                   {"matrix_field": lambda x: np.eye(2)}],
+                         ids=["domain", "matrix_field"])
+def test_space_forms_reject_custom_model_arguments(model, extra):
+    with pytest.raises(InvalidParameterError):
+        zoo.make_riemannian(model, 2, **extra)
+
+
+def test_kinds_follow_the_spec_table_in_order():
+    assert zoo.KINDS == ("euclidean", "minkowski", "riemannian", "randers",
+                         "funk_ball_shifted", "funk_implicit", "szabo_product",
+                         "szabo_epsilon", "incomplete_slab")
