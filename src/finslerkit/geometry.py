@@ -23,29 +23,47 @@ directions, which costs about half as much as seeding the whole phase
 space.  Each quantity is computed on first read, so a caller pays only for
 what it uses.
 
-A bundle passes one gate when it is built: F > 0 and a Cholesky
-factorization of g at the sample, or DegenerateMetricError.  Jet-valued
-g^-1 (applied to the right-hand sides of G and I) comes from that factor
-by a finite Neumann series: with g = g0 + dg and dg free of a value part,
-dg^k vanishes past the jet order, so g^-1 = sum_{k <= order}
-(-g0^-1 dg)^k g0^-1 exactly.  The only covariant
-machinery materialized is the nonlinear connection; contracted with the
-geodesic velocity it agrees with the connections the covariant formulas
-need, so Christoffel symbols never appear.
+A sample is one tangent vector, x and y of shape (n,), or a stack of K
+of them, x and y of shape (K, n).  The sample axis leads and tensor
+indices trail, so g has shape (n, n) for one sample and (K, n, n) for a
+stack, whose F^2 jet carries the sample axis as a batch axis: one jet
+evaluation serves all K samples.  One sample stays unbatched, never a
+stack of one, since an unbatched jet product is the cheaper one.  Each
+sample of a stack gets bit for bit the values it gets alone: jet products
+sum in one order however they are batched, and the arrays passed to
+numpy's einsum and matmul keep each sample laid out as it is alone
+(`jets.outermost`), because numpy picks its summation kernels by memory
+layout.  The public functions below whose results are arrays
+(fundamental_tensor, spray, riemann, flag_curvature, mean_cartan,
+mean_landsberg) accept stacks too.
+
+A bundle passes one gate when it is built: for every sample the point
+lies in the chart, F > 0 and g has a Cholesky factor, or DomainError or
+DegenerateMetricError.  A stack that fails is checked again sample by
+sample, so it raises exactly the error its first failing sample raises
+alone.  Jet-valued g^-1 (applied to the right-hand sides of G and I)
+comes from that factor by a finite Neumann series: with g = g0 + dg and
+dg free of a value part, dg^k vanishes past the jet order, so
+g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is applied
+through the Cholesky factor of each sample, never formed.  The only
+covariant machinery materialized is the nonlinear connection; contracted
+with the geodesic velocity it agrees with the connections the covariant
+formulas need, so Christoffel symbols never appear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
-                     OutOfOrderError)
-from .jets import Jet, contract, deriv, hessian, partials, seed, value
+                     FinslerError, OutOfOrderError)
+from .jets import Jet, contract, deriv, hessian, outermost, partials, seed, value
 from .quadrature import ball_volume, on_sphere
 
 #: Normalized Gram-determinant threshold below which a flag is degenerate.
@@ -89,10 +107,11 @@ class FundamentalTensor:
     at: TangentSample
 
     def inner(self, u, v):
-        return float(u @ self.g @ v)
+        return _scalar(_vmv(np.asarray(u, dtype=float), self.g, np.asarray(v, dtype=float)))
 
     def norm(self, u):
-        return float(np.sqrt(max(u @ self.g @ u, 0.0)))
+        u = np.asarray(u, dtype=float)
+        return _scalar(np.sqrt(np.maximum(_vmv(u, self.g, u), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -116,7 +135,8 @@ class TorsionVector:
     at: TangentSample
 
     def norm(self, g_inverse):
-        return float(np.sqrt(max(self.covariant @ g_inverse @ self.covariant, 0.0)))
+        c = self.covariant
+        return _scalar(np.sqrt(np.maximum(_vmv(c, g_inverse, c), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -132,11 +152,17 @@ def _check_domain(metric, x):
         raise DomainError(f"point {np.asarray(x)} outside chart domain of {metric.name}")
 
 
+def _coordinates(v):
+    """The coordinates of one sample as floats, or of a (K, n) stack as
+    arrays over the samples."""
+    return [float(c) for c in v] if v.ndim == 1 else list(v.T)
+
+
 def _y_jets(metric, x, y, order):
     """F and F^2 as jets seeded in the n tangent coordinate directions."""
     n = metric.dimension
-    yj = seed(y, list(np.eye(n)), order)
-    f = metric.evaluate([float(c) for c in x], yj)
+    yj = seed(y.T, list(np.eye(n)), order)
+    f = metric.evaluate(_coordinates(x), yj)
     return f, f * f
 
 
@@ -144,8 +170,7 @@ def _phase_jets(metric, x, y, order):
     """F and F^2 as jets seeded in the 2n chart and tangent coordinate
     directions, chart directions first."""
     n = metric.dimension
-    point = np.concatenate([x, y])
-    js = seed(point, list(np.eye(2 * n)), order)
+    js = seed(np.concatenate([x, y], axis=-1).T, list(np.eye(2 * n)), order)
     f = metric.evaluate(js[:n], js[n:])
     return f, f * f
 
@@ -156,26 +181,65 @@ _NEEDS = {"g": (False, 2), "I": (False, 3), "G": (True, 2), "N": (True, 3),
 
 
 def local_geometry(metric, at, need):
-    """The LocalGeometry of `metric` at `at`, able to give every quantity
-    up to `need` (see the module docstring)."""
-    _check_domain(metric, at.x)
+    """The LocalGeometry of `metric` at `at`, one sample or a (K, n) stack,
+    able to give every quantity up to `need` (see the module docstring)."""
+    try:
+        return _gated(metric, at, need)
+    except FinslerError:
+        if at.x.ndim == 1:
+            raise
+        # the first failing sample raises its own error
+        for x, y in zip(at.x, at.y):
+            _gated(metric, TangentSample(x, y), need)
+        raise
+
+
+def _gated(metric, at, need):
+    for x in (at.x if at.x.ndim > 1 else [at.x]):
+        _check_domain(metric, x)
     phase, order = _NEEDS[need]
     f, f2 = (_phase_jets if phase else _y_jets)(metric, at.x, at.y, order)
     lg = LocalGeometry(at=at, f=f, f2=f2)
-    if not lg.F > 0.0:
-        raise DegenerateMetricError(f"F = {lg.F:.6g} is not positive",
+    if not np.all(lg.F > 0.0):
+        raise DegenerateMetricError(f"F = {np.min(lg.F):.6g} is not positive",
                                     x=at.x, y=at.y)
     lg._cholesky  # raises DegenerateMetricError unless g is positive definite
     return lg
 
 
+def _scalar(v):
+    """A float for one sample, the array for a stack."""
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
+
+
+def _dot(u, v):
+    """Vector dot product over the sample axes."""
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
+def _mv(a, v):
+    """Matrix times vector over the sample axes."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _vm(v, a):
+    """Vector times matrix over the sample axes."""
+    return (v[..., None, :] @ a)[..., 0, :]
+
+
+def _vmv(u, a, v):
+    """The bilinear form u^T a v over the sample axes."""
+    return ((u[..., None, :] @ a) @ v[..., None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class LocalGeometry:
-    """Tensors at one tangent sample, all read off one F^2 jet.
+    """Tensors at one tangent sample or a stack, all read off one F^2 jet.
 
     `f` and `f2` are the jets of F and F^2.  Jet-valued intermediates
-    (underscored) carry tensor indices as batch axes, derivative indices
-    last: partials(_G, x-directions)[i, j] = dG^i/dx^j.
+    (underscored) carry the sample axes and then the tensor indices as
+    batch axes, derivative indices last: partials(_G, x-directions)[..., i,
+    j] = dG^i/dx^j.
     """
 
     at: TangentSample
@@ -184,7 +248,12 @@ class LocalGeometry:
 
     @property
     def n(self):
-        return self.at.x.size
+        return self.at.x.shape[-1]
+
+    @property
+    def _samples(self):
+        """The sample axes: () for one sample, (K,) for a stack."""
+        return self.at.x.shape[:-1]
 
     @property
     def _y(self):
@@ -193,7 +262,7 @@ class LocalGeometry:
 
     @cached_property
     def F(self):
-        return float(value(self.f))
+        return _scalar(value(self.f))
 
     @cached_property
     def _g(self):
@@ -202,7 +271,7 @@ class LocalGeometry:
     @cached_property
     def g(self):
         """g_ij = 1/2 d^2 F^2 / dy^i dy^j."""
-        return self._g.value
+        return outermost(self._g.value, 0, len(self._samples))
 
     @cached_property
     def _cholesky(self):
@@ -216,29 +285,39 @@ class LocalGeometry:
     @cached_property
     def g_inverse(self):
         w = np.linalg.solve(self._cholesky, np.eye(self.n))
-        return w.T @ w
+        return w.swapaxes(-1, -2) @ w
 
     def _solve(self, b):
-        """g^-1 b for a jet b whose first batch axis is an upper index.
+        """g^-1 b for a jet b whose first tensor axis is an upper index.
 
         With g = g0 + dg, this is the Neumann series
         sum_k (-g0^-1 dg)^k g0^-1 b in Horner form: `order` sweeps of
         z <- g0^-1 (b - dg z), each of which fixes one more Taylor degree,
-        with g0^-1 applied through the Cholesky factor.
+        with g0^-1 applied through the Cholesky factor of each sample.
         """
-        factor = self._cholesky
+        factor, n, samples = self._cholesky, self.n, self._samples
+        lead = len(samples)
+        tail = "abcdef"[:len(b.batch_shape) - lead - 1]
 
         def value_solve(jet):
-            c = jet.coeffs.swapaxes(0, 1)
-            z, info = dpotrs(factor, c.reshape(self.n, -1), lower=1)
-            if info != 0:
-                raise ValueError(f"dpotrs: illegal value in argument {-info}")
-            return Jet(z.reshape(c.shape).swapaxes(0, 1), jet.ndir, jet.order)
+            # each sample's solve keeps the layout LAPACK returns for one
+            # sample (upper index fastest), with the samples outermost, so
+            # a stacked sample computes exactly as it does alone
+            z = np.empty(samples + jet.coeffs.shape[:1] + jet.batch_shape[lead + 1:] + (n,))
+            for s in product(*map(range, samples)):
+                c = jet.coeffs[(slice(None),) + s].swapaxes(0, 1)
+                zs, info = dpotrs(factor[s], c.reshape(n, -1), lower=1)
+                if info != 0:
+                    raise ValueError(f"dpotrs: illegal value in argument {-info}")
+                z[s] = zs.T.reshape(z.shape[lead:])
+            # back to (coefficient, samples, upper index, rest)
+            axes = (lead, *range(lead), z.ndim - 1, *range(lead + 1, z.ndim - 1))
+            return Jet(z.transpose(axes), jet.ndir, jet.order)
 
         dg = self._g - self.g
         z = value_solve(b)
         for _ in range(min(dg.order, b.order)):
-            z = value_solve(b - contract("ij,j...->i...", dg, z))
+            z = value_solve(b - contract(f"...ij,...j{tail}->...i{tail}", dg, z))
         return z
 
     @cached_property
@@ -250,9 +329,10 @@ class LocalGeometry:
                                   "directions too (need 'G', 'N' or 'R')")
         f2_x = partials(f2, range(n))
         f2_xy = partials(f2_x, self._y)
-        ys = seed(np.concatenate([self.at.x, self.at.y]), list(np.eye(2 * n)), f2.order)[n:]
+        # y as jets in the seeded tangent directions, which are the last n
+        ys = seed(self.at.y.T, list(np.eye(2 * n)[:, n:]), f2.order)
         y = Jet(np.stack([c.coeffs for c in ys], axis=-1), f2.ndir, f2.order)
-        rhs = (contract("k,kl->l", y, f2_xy) - f2_x) * 0.25
+        rhs = (contract("...k,...kl->...l", y, f2_xy) - f2_x) * 0.25
         return self._solve(rhs)
 
     @cached_property
@@ -266,7 +346,7 @@ class LocalGeometry:
 
     @cached_property
     def G_yy(self):
-        """d^2 G^i / dy^j dy^k, indexed [i, j, k]."""
+        """d^2 G^i / dy^j dy^k, indexed [..., i, j, k]."""
         return hessian(self._G, self._y).value
 
     @cached_property
@@ -276,14 +356,14 @@ class LocalGeometry:
         G_x = partials(self._G, range(self.n))
         G_xy = partials(G_x, self._y).value
         return (2.0 * G_x.value
-                - np.einsum("j,ijk->ik", self.at.y, G_xy)
-                + 2.0 * np.einsum("j,ijk->ik", self.G, self.G_yy)
+                - np.einsum("...j,...ijk->...ik", self.at.y, G_xy)
+                + 2.0 * np.einsum("...j,...ijk->...ik", self.G, self.G_yy)
                 - self.N @ self.N)
 
     @cached_property
     def _I(self):
-        g_inv_dg = self._solve(partials(self._g, self._y))  # [l, k, i]
-        return Jet(0.5 * np.einsum("zlli->zi", g_inv_dg.coeffs),
+        g_inv_dg = self._solve(partials(self._g, self._y))  # [..., l, k, i]
+        return Jet(0.5 * np.einsum("z...lli->z...i", g_inv_dg.coeffs),
                    g_inv_dg.ndir, g_inv_dg.order)
 
     @cached_property
@@ -297,11 +377,11 @@ class LocalGeometry:
         the y-contracted horizontal derivative of I (covariant)."""
         I_x = partials(self._I, range(self.n)).value
         I_y = partials(self._I, self._y).value
-        return I_x @ self.at.y - 2.0 * I_y @ self.G - self.I @ self.N
+        return _mv(I_x, self.at.y) - 2.0 * _mv(I_y, self.G) - _vm(self.I, self.N)
 
     def conorm(self, covector):
         """g-norm of a covector, sqrt(c_i g^{ij} c_j)."""
-        return float(np.sqrt(max(covector @ self.g_inverse @ covector, 0.0)))
+        return _scalar(np.sqrt(np.maximum(_vmv(covector, self.g_inverse, covector), 0.0)))
 
 
 # -- operations -------------------------------------------------------------
@@ -325,17 +405,18 @@ def riemann(metric, at):
 
 
 def flag_curvature(metric, at, u):
-    """Flag curvature K(P, y) for the flag P = span{y, u}."""
+    """Flag curvature K(P, y) for the flag P = span{y, u}; `u` has the
+    shape of `at.y`."""
     u = np.asarray(u, dtype=float)
     lg = local_geometry(metric, at, "R")
     g, y = lg.g, at.y
-    gyy = float(y @ g @ y)
-    guu = float(u @ g @ u)
-    gyu = float(y @ g @ u)
+    gyy = _vmv(y, g, y)
+    guu = _vmv(u, g, u)
+    gyu = _vmv(y, g, u)
     gram = gyy * guu - gyu ** 2
-    if gram <= FLAG_DEGENERACY_EPS * gyy * guu:
+    if np.any(gram <= FLAG_DEGENERACY_EPS * gyy * guu):
         raise DegenerateFlagError("flag pole and transverse vector are parallel")
-    return float(u @ g @ (lg.R @ u)) / gram
+    return _scalar(_vmv(u, g, _mv(lg.R, u)) / gram)
 
 
 def volume_density(metric, x, tol=None):
@@ -360,13 +441,13 @@ def distortion(metric, at, tol=None):
 def mean_cartan(metric, at):
     """Mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i (no quadrature)."""
     lg = local_geometry(metric, at, "I")
-    return TorsionVector(covariant=lg.I, contravariant=lg.g_inverse @ lg.I, at=at)
+    return TorsionVector(covariant=lg.I, contravariant=_mv(lg.g_inverse, lg.I), at=at)
 
 
 def mean_landsberg(metric, at):
     """Mean Landsberg torsion J_i, the y-contracted horizontal derivative of I_i."""
     lg = local_geometry(metric, at, "R")
-    return TorsionVector(covariant=lg.J, contravariant=lg.g_inverse @ lg.J, at=at)
+    return TorsionVector(covariant=lg.J, contravariant=_mv(lg.g_inverse, lg.J), at=at)
 
 
 def _density_slope(metric, at, points, weights):

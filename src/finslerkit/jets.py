@@ -14,22 +14,22 @@ which lets quadrature rules push whole node sets through one evaluation.
 
 A product of two jets gathers one term a[i] * b[j] per pair of multi-
 indices whose orders sum to at most the truncation order, and sums the
-terms that land on the same output index.  It takes one of three paths:
+terms that land on the same output index with np.bincount, in the order
+of the product table.  Batched terms are summed the same way over an
+index that also counts the batch position, so every batch entry of a
+product is bit for bit the unbatched product of its own coefficients, and
+a stack of samples computes what its samples compute one at a time.
+Operands whose coefficient arrays already have the same shape are
+gathered as they are; operands whose batch shapes really differ are
+gathered first and broadcast by the multiply, so a smaller operand is
+never copied out to the common shape.
 
-    unbatched      the terms are summed by np.bincount;
-    same shape     operands whose coefficient arrays already have the same
-                   shape are gathered as they are, with no broadcasting;
-    broadcast      operands whose batch shapes really differ are gathered
-                   first and broadcast by the multiply, so a smaller
-                   operand is never copied out to the common shape.
-
-Batched terms are summed by np.add.reduceat over a product table sorted by
-output index (`_sorted_mul_table`), one contiguous segment per index, so
-no scatter-add is needed.  `contract` sums its terms the same way.  A
-coefficient array whose batch shape already matches is never broadcast,
-so batch axes cost nothing when the shapes agree.  A composition (sqrt,
-exp, log, pow, reciprocal) starts its Horner sweep by scaling, not by a
-product with a constant jet, which saves one full batched product each.
+`contract` sums its terms by np.add.reduceat over a product table sorted
+by output index (`_sorted_mul_table`), one contiguous segment per index.
+A plain operand that already fits a jet's batch shape is never
+broadcast.  A composition (sqrt, exp, log, pow, reciprocal) starts its
+Horner sweep by scaling, not by a product with a constant jet, which
+saves one full batched product each.
 """
 
 from __future__ import annotations
@@ -128,6 +128,14 @@ def _batch_view(coeffs, batch):
                            (n,) + batch)
 
 
+def _against_plain(coeffs, other):
+    """A coefficient array broadcast against a plain array `other`, as
+    is whenever `other` already fits its batch shape."""
+    if other.ndim == 0 or other.shape == coeffs.shape[1:]:
+        return coeffs
+    return _batch_view(coeffs, np.broadcast_shapes(coeffs.shape[1:], other.shape))
+
+
 def _common_batch(ca, cb):
     """Two coefficient arrays of one order, broadcast to a common batch
     shape only when their shapes differ."""
@@ -200,8 +208,7 @@ class Jet:
             ca, cb = _common_batch(a.coeffs, b.coeffs)
             return Jet(ca + cb, self.ndir, order)
         other = np.asarray(other, dtype=np.float64)
-        batch = np.broadcast_shapes(self.batch_shape, other.shape)
-        out = _batch_view(self.coeffs, batch).copy()
+        out = _against_plain(self.coeffs, other).copy()
         out[0] = out[0] + other
         return Jet(out, self.ndir, self.order)
 
@@ -219,18 +226,22 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             other = np.asarray(other, dtype=np.float64)
-            batch = np.broadcast_shapes(self.batch_shape, other.shape)
-            return Jet(_batch_view(self.coeffs, batch) * other, self.ndir, self.order)
+            return Jet(_against_plain(self.coeffs, other) * other, self.ndir, self.order)
         a, b, order = self._coerce(other)
         ca, cb = a.coeffs, b.coeffs
+        ia, ib, ic = _mul_table(self.ndir, order)
+        count = _num_coeffs(self.ndir, order)
         if ca.ndim == 1 == cb.ndim:
-            ia, ib, ic = _mul_table(self.ndir, order)
-            out = np.bincount(ic, weights=ca[ia] * cb[ib],
-                              minlength=_num_coeffs(self.ndir, order))
-            return Jet(out, self.ndir, order)
-        ia, ib, starts = _sorted_mul_table(self.ndir, order)
+            return Jet(np.bincount(ic, weights=ca[ia] * cb[ib], minlength=count),
+                       self.ndir, order)
         terms = _product_terms(ca, cb, ia, ib)
-        return Jet(np.add.reduceat(terms, starts, axis=0), self.ndir, order)
+        batch = terms.shape[1:]
+        size = math.prod(batch)
+        # output index ic * size + batch position: each output entry sums
+        # its terms in table order, as the unbatched bincount does
+        index = (ic[:, None] * size + np.arange(size)).ravel()
+        out = np.bincount(index, weights=terms.ravel(), minlength=count * size)
+        return Jet(out.reshape((count,) + batch), self.ndir, order)
 
     __rmul__ = __mul__
 
@@ -238,8 +249,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         other = np.asarray(other, dtype=np.float64)
-        batch = np.broadcast_shapes(self.batch_shape, other.shape)
-        return Jet(_batch_view(self.coeffs, batch) / other, self.ndir, self.order)
+        return Jet(_against_plain(self.coeffs, other) / other, self.ndir, self.order)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -291,31 +301,36 @@ class Jet:
 def seed(point, directions, order):
     """Seed jet coordinates at `point` along `directions`.
 
-    Returns one jet per coordinate of `point`.  With no directions (or
-    order zero) returns plain floats, so downstream formulas reduce to
+    Returns one jet per coordinate of `point`, that is per entry along its
+    first axis; any further axes of `point` become batch axes of every
+    jet, so a (n, K) point seeds K points at once.  With no directions (or
+    order zero) returns plain values, so downstream formulas reduce to
     ordinary arithmetic.
     """
     point = np.asarray(point, dtype=np.float64)
     if order == 0 or len(directions) == 0:
-        return [float(p) for p in point]
+        return [float(p) for p in point] if point.ndim == 1 else list(point)
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError(f"jet order {order!r} not in 1..{MAX_ORDER}")
     m = len(directions)
     if m > MAX_DIRECTIONS:
         raise UnsupportedOrderError(
             f"{m} directions exceed the supported maximum {MAX_DIRECTIONS}")
-    _, position = _index_table(m, order)
-    n = _num_coeffs(m, order)
-    jets = []
-    for i in range(point.size):
-        coeffs = np.zeros(n)
-        coeffs[0] = point[i]
-        for d, vec in enumerate(directions):
-            unit = [0] * m
-            unit[d] = 1
-            coeffs[position[tuple(unit)]] = vec[i]
-        jets.append(Jet(coeffs, m, order))
-    return jets
+    batch = point.shape[1:]
+    coeffs = np.zeros((len(point), _num_coeffs(m, order)) + batch)
+    coeffs[:, 0] = point
+    slopes = np.asarray(directions, dtype=np.float64).T
+    coeffs[:, _unit_positions(m, order)] = slopes.reshape(slopes.shape + (1,) * len(batch))
+    return [Jet(c, m, order) for c in coeffs]
+
+
+@lru_cache(maxsize=None)
+def _unit_positions(ndir, order):
+    """Coefficient positions of the first partials along each direction."""
+    _, position = _index_table(ndir, order)
+    units = np.array([position[tuple(int(i == d) for i in range(ndir))] for d in range(ndir)])
+    units.setflags(write=False)
+    return units
 
 
 def extract(jet, multi_index):
@@ -392,15 +407,40 @@ def hessian(jet, directions):
     return partials(partials(jet, directions), directions)
 
 
+def outermost(arr, first, count):
+    """`arr` with its axes first..first+count-1 outermost in memory and the
+    other axes in their own memory order: a copy unless count is 0.
+
+    numpy picks its einsum and matmul kernels, and so the rounding of every
+    sum, from the memory layout.  Laid out this way, the slice at each
+    index of the moved axes is stored as it would be without those axes,
+    so numpy computes it bit for bit as it would compute that slice alone.
+    """
+    if count == 0:
+        return arr
+    lead = list(range(first, first + count))
+    rest = sorted((ax for ax in range(arr.ndim) if ax not in lead),
+                  key=lambda ax: -arr.strides[ax])
+    perm = lead + rest
+    out = np.empty([arr.shape[ax] for ax in perm])
+    out[...] = arr.transpose(perm)
+    return out.transpose(np.argsort(perm))
+
+
 def contract(subscripts, a, b):
     """`np.einsum(subscripts, a, b)` over the batch axes of two jets, with
     jet products: `contract("ij,jk->ik", a, b)` multiplies jet-valued
-    matrices."""
+    matrices.  Axes under an ellipsis ("...ij") are batch axes that each
+    index computes as it would alone (see `outermost`)."""
     operands, out = subscripts.split("->")
-    sa, sb = operands.split(",")
     a, b, order = a._coerce(b)
     ia, ib, starts = _sorted_mul_table(a.ndir, order)
-    terms = np.einsum(f"Z{sa},Z{sb}->Z{out}", a.coeffs[ia], b.coeffs[ib])
+    gathered = [a.coeffs[ia], b.coeffs[ib]]
+    for k, sub in enumerate(operands.split(",")):
+        count = gathered[k].ndim - 1 - (len(sub) - 3) if "..." in sub else 0
+        if count:
+            gathered[k] = outermost(gathered[k], 1, count)
+    terms = np.einsum(f"Z{operands.replace(',', ',Z')}->Z{out}", *gathered)
     return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order)
 
 

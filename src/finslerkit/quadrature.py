@@ -14,8 +14,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import norm, qmc
 
 from .errors import QuadratureToleranceError
 
@@ -27,7 +25,7 @@ QMC_LOG2_NODES = 16
 
 def ball_volume(n):
     """Volume of the Euclidean unit ball in R^n."""
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
+    return math.exp(0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0))
 
 
 def sphere_area(n):
@@ -64,6 +62,8 @@ def sphere_rule(n, level=0):
         ], axis=1)
         weights = np.outer(wmu, np.full(ka, 2.0 * np.pi / ka)).ravel()
         return points, weights
+    from scipy.stats import norm, qmc  # a slow import that only n >= 4 needs
+
     sampler = qmc.Sobol(d=n, scramble=True, seed=20240 + n + level)
     u = sampler.random_base2(QMC_LOG2_NODES - level)
     z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))

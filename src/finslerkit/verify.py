@@ -4,6 +4,13 @@ A Claim names a metric, a quantity, a target, a tolerance, and a sampling
 plan.  run_claim evaluates the quantity over the plan and compares against
 the target; run_suite executes many claims with deterministic aggregation.
 Constructor or geometry errors become failed reports, never crashes.
+
+run_claim first draws every sample's random input (a flag pole, a
+difference direction) in sample order, then evaluates pointwise
+quantities on stacks of up to _CHUNK samples, one bundle per stack.  The
+report is the one a sample-by-sample loop gives: a stack that fails is
+evaluated again one sample at a time, so the first failing sample is the
+one named.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ import numpy as np
 import yaml
 
 from .errors import FinslerError, InvalidParameterError
-from .geometry import (TangentSample, flag_curvature, fundamental_tensor,
-                       local_geometry, s_curvature)
+from .geometry import (TangentSample, _dot, _mv, _vmv, flag_curvature,
+                       fundamental_tensor, local_geometry, s_curvature)
 from .jets import extract, seed
 from .zoo import MetricSpec, build_metric
 from . import flow
@@ -125,6 +132,17 @@ def load_claims(path_or_stream):
 
 
 # -- quantity evaluators ------------------------------------------------------
+#
+# An evaluator takes (metric, at, drawn, params).  `at` is one TangentSample,
+# or, for the quantities in _STACKED, a stack of up to _CHUNK samples (see
+# geometry.py), and the evaluator returns one value per sample.  `drawn` is
+# what the quantity's draw function took from the claim's rng for each
+# sample, stacked like `at`, or None for a quantity that draws nothing.
+
+#: Samples per stack for the quantities in _STACKED.  Larger stacks cost
+#: memory without running faster.
+_CHUNK = 32
+
 
 def _random_flag_pole(rng, n, y):
     while True:
@@ -134,36 +152,39 @@ def _random_flag_pole(rng, n, y):
             return u / np.linalg.norm(u)
 
 
-def _eval_flag_curvature(metric, at, rng, params):
+def _draw_flag_pole(metric, at, rng, params):
     u = params.get("u")
-    u = _random_flag_pole(rng, metric.dimension, at.y) if u is None else np.asarray(u, float)
+    return _random_flag_pole(rng, metric.dimension, at.y) if u is None else np.asarray(u, float)
+
+
+def _eval_flag_curvature(metric, at, u, params):
     return flag_curvature(metric, at, u)
 
 
-def _eval_s_curvature(metric, at, rng, params):
+def _eval_s_curvature(metric, at, drawn, params):
     return s_curvature(metric, at)
 
 
-def _eval_s_ratio(metric, at, rng, params):
+def _eval_s_ratio(metric, at, drawn, params):
     n = metric.dimension
     return s_curvature(metric, at) / ((n + 1) * float(metric.evaluate(at.x, at.y)))
 
 
-def _eval_mean_cartan(metric, at, rng, params):
+def _eval_mean_cartan(metric, at, drawn, params):
     lg = local_geometry(metric, at, "I")
     return lg.conorm(lg.I)
 
 
-def _eval_mean_landsberg(metric, at, rng, params):
+def _eval_mean_landsberg(metric, at, drawn, params):
     lg = local_geometry(metric, at, "R")
     return lg.conorm(lg.J)
 
 
-def _eval_cartan_orthogonality(metric, at, rng, params):
+def _eval_cartan_orthogonality(metric, at, drawn, params):
     """|I_i y^i| scaled by ||I||_g F; zero by homogeneity."""
     lg = local_geometry(metric, at, "I")
     scale = lg.conorm(lg.I) * lg.F
-    return abs(lg.I @ at.y) / max(scale, 1e-30)
+    return np.abs(_dot(lg.I, at.y)) / np.maximum(scale, 1e-30)
 
 
 def _geodesic_torsion(metric, at, params, t_span=(0.0, 1.5)):
@@ -176,7 +197,7 @@ def _geodesic_torsion(metric, at, params, t_span=(0.0, 1.5)):
     return flow.torsion_trace(metric, trace, check_tol=None)
 
 
-def _eval_sskk1(metric, at, rng, params):
+def _eval_sskk1(metric, at, drawn, params):
     """Max torsion-equation residual along a short geodesic, relative to
     the largest torsion norm on the trace."""
     tt = _geodesic_torsion(metric, at, params, t_span=(0.0, 1.0))
@@ -184,58 +205,51 @@ def _eval_sskk1(metric, at, rng, params):
     return float(np.max(tt.residual_of_t)) / scale
 
 
-def _factor_data(metric, at):
-    """Factor metrics, split sample, factor fundamental tensors, and the
-    profile partials at (s, t) for a product metric."""
+def _factors(metric, at):
+    """The factor metrics of a product metric, each with its part of `at`."""
     a1, a2 = metric.extras["factors"]
-    profile = metric.extras["profile"]
     n1 = a1.dimension
-    x1, y1 = at.x[:n1], at.y[:n1]
-    x2, y2 = at.x[n1:], at.y[n1:]
-    g1 = fundamental_tensor(a1, TangentSample(x1, y1)).g
-    g2 = fundamental_tensor(a2, TangentSample(x2, y2)).g
-    s = float(y1 @ g1 @ y1)
-    t = float(y2 @ g2 @ y2)
-    return a1, a2, (x1, y1, g1), (x2, y2, g2), s, t, profile
+    return ((a1, TangentSample(at.x[..., :n1], at.y[..., :n1])),
+            (a2, TangentSample(at.x[..., n1:], at.y[..., n1:])))
 
 
-def _eval_det_identity(metric, at, rng, params):
+def _eval_det_identity(metric, at, drawn, params):
     """Relative error of det g against the product factorization."""
-    a1, a2, (x1, y1, g1), (x2, y2, g2), s, t, profile = _factor_data(metric, at)
-    p = profile.partials(s, t)
+    (a1, at1), (a2, at2) = _factors(metric, at)
+    g1 = fundamental_tensor(a1, at1).g
+    g2 = fundamental_tensor(a2, at2).g
+    p = metric.extras["profile"].partials(_vmv(at1.y, g1, at1.y), _vmv(at2.y, g2, at2.y))
     n1, n2 = a1.dimension, a2.dimension
     h = (p["f_s"] ** (n1 - 1) * p["f_t"] ** (n2 - 1)
          * (p["f_s"] * p["f_t"] - 2.0 * p["f"] * p["f_st"]))
     predicted = h * np.linalg.det(g1) * np.linalg.det(g2)
     actual = np.linalg.det(fundamental_tensor(metric, at).g)
-    return abs(actual - predicted) / abs(actual)
+    return np.abs(actual - predicted) / np.abs(actual)
 
 
-def _eval_spray_split(metric, at, rng, params):
+def _eval_spray_split(metric, at, drawn, params):
     """Relative error of the product spray against the factor sprays."""
-    a1, a2 = metric.extras["factors"]
-    n1 = a1.dimension
     G = local_geometry(metric, at, "G").G
-    G1 = local_geometry(a1, TangentSample(at.x[:n1], at.y[:n1]), "G").G
-    G2 = local_geometry(a2, TangentSample(at.x[n1:], at.y[n1:]), "G").G
-    predicted = np.concatenate([G1, G2])
-    scale = max(float(np.max(np.abs(predicted))), 1.0)
-    return float(np.max(np.abs(G - predicted))) / scale
+    predicted = np.concatenate([local_geometry(a, part, "G").G
+                                for a, part in _factors(metric, at)], axis=-1)
+    scale = np.maximum(np.max(np.abs(predicted), axis=-1), 1.0)
+    return np.max(np.abs(G - predicted), axis=-1) / scale
 
 
-def _eval_riemann_annihilates_torsion(metric, at, rng, params):
+def _eval_riemann_annihilates_torsion(metric, at, drawn, params):
     """max(||R(I)||, |g(R(I), I)|) scaled by ||R|| ||I||; zero for products
     whose factor curvatures annihilate the factor torsion components."""
     lg = local_geometry(metric, at, "R")
-    torsion = lg.g_inverse @ lg.I
-    ri = lg.R @ torsion
-    scale = max(np.linalg.norm(lg.R) * max(lg.conorm(lg.I), 1e-30), 1e-30)
-    ri_norm = np.sqrt(max(ri @ lg.g @ ri, 0.0))
-    pairing = abs(ri @ lg.g @ torsion)
-    return max(ri_norm, pairing) / scale
+    torsion = _mv(lg.g_inverse, lg.I)
+    ri = _mv(lg.R, torsion)
+    flat = lg.R.reshape(lg.R.shape[:-2] + (-1,))
+    scale = np.maximum(np.sqrt(_dot(flat, flat)) * np.maximum(lg.conorm(lg.I), 1e-30), 1e-30)
+    ri_norm = np.sqrt(np.maximum(_vmv(ri, lg.g, ri), 0.0))
+    pairing = np.abs(_vmv(ri, lg.g, torsion))
+    return np.maximum(ri_norm, pairing) / scale
 
 
-def _eval_funk_pde(metric, at, rng, params):
+def _eval_funk_pde(metric, at, drawn, params):
     """max_k |F_{x^k} - F F_{y^k}| for Funk-type metrics."""
     n = metric.dimension
     dirs = list(np.eye(2 * n))
@@ -250,21 +264,26 @@ def _eval_funk_pde(metric, at, rng, params):
     return worst
 
 
-def _eval_berwald_quadratic(metric, at, rng, params):
-    """Deviation of G from y-quadratic: finite difference, in a random
-    direction, of the jet-exact y-Hessian of the spray."""
-    h = params.get("step", 1e-4)
+def _draw_direction(metric, at, rng, params):
     d = rng.standard_normal(metric.dimension)
-    d /= np.linalg.norm(d)
-
-    def hessian(yv):
-        return local_geometry(metric, TangentSample(at.x, yv), "R").G_yy
-
-    diff = (hessian(at.y + h * d) - hessian(at.y - h * d)) / (2.0 * h)
-    return float(np.max(np.abs(diff)))
+    return d / np.linalg.norm(d)
 
 
-def _eval_phi_convexity(metric, at, rng, params):
+def _eval_berwald_quadratic(metric, at, d, params):
+    """Deviation of G from y-quadratic: finite difference, in a random
+    direction d, of the jet-exact y-Hessian of the spray.  Both ends of
+    the difference share one bundle."""
+    h = params.get("step", 1e-4)
+    n = metric.dimension
+    ends = np.stack([at.y + h * d, at.y - h * d]).reshape(-1, n)
+    x = np.broadcast_to(at.x, (2,) + at.x.shape).reshape(-1, n)
+    G_yy = local_geometry(metric, TangentSample(x, ends), "R").G_yy
+    G_yy = G_yy.reshape((2,) + at.y.shape + (n, n))
+    diff = (G_yy[0] - G_yy[1]) / (2.0 * h)
+    return np.max(np.abs(diff), axis=(-3, -2, -1))
+
+
+def _eval_phi_convexity(metric, at, drawn, params):
     """Largest violation of discrete phi'' >= 0 along a geodesic."""
     tt = _geodesic_torsion(metric, at, params)
     seconds = flow.phi_second_differences(tt, floor=params.get("floor", 1e-6))
@@ -273,51 +292,63 @@ def _eval_phi_convexity(metric, at, rng, params):
     return max(0.0, -float(np.min(seconds)))
 
 
-def _eval_phi_constancy(metric, at, rng, params):
+def _eval_phi_constancy(metric, at, drawn, params):
     """Relative spread of phi along a geodesic (zero when phi is constant)."""
     phi = _geodesic_torsion(metric, at, params).phi_of_t
     return float(phi.max() - phi.min()) / max(float(phi.max()), 1e-30)
 
 
-def _eval_cartan_bound(metric, at, rng, params):
+def _eval_cartan_bound(metric, at, drawn, params):
     """||I||_g minus the Randers bound (n+1)/sqrt(2) sqrt(1 - sqrt(1 - b^2))."""
     beta_norm = metric.extras.get("beta_norm")
     if beta_norm is None:
         raise InvalidParameterError(
             f"metric {metric.name} does not expose a drift-form norm")
-    b = float(beta_norm(at.x))
+    b = beta_norm(at.x)
     bound = (metric.dimension + 1) / np.sqrt(2.0) * np.sqrt(1.0 - np.sqrt(1.0 - b * b))
     # ||I_y|| is (-1)-homogeneous in y; the bound applies at F-unit vectors
     lg = local_geometry(metric, at, "I")
     return lg.F * lg.conorm(lg.I) - bound
 
 
-def _eval_closed_one_form(metric, at, rng, params):
+def _draw_seed(metric, at, rng, params):
+    return int(rng.integers(2 ** 31))
+
+
+def _eval_closed_one_form(metric, at, seed_, params):
     """Worst residual of the almost-constant S-curvature test at a point."""
-    c = params["c"]
-    rep = closed_one_form_check(metric, c, SamplePlan(count=1, seed=int(rng.integers(2 ** 31))),
+    rep = closed_one_form_check(metric, params["c"], SamplePlan(count=1, seed=seed_),
                                 base_points=[at.x])
     return rep.stats["max"]
 
 
+#: quantity -> (evaluator, draw), with draw None when it draws nothing
 _EVALUATORS = {
-    "flag_curvature": _eval_flag_curvature,
-    "s_curvature": _eval_s_curvature,
-    "s_curvature_ratio": _eval_s_ratio,
-    "mean_cartan": _eval_mean_cartan,
-    "mean_landsberg": _eval_mean_landsberg,
-    "cartan_orthogonality": _eval_cartan_orthogonality,
-    "sskk1_residual": _eval_sskk1,
-    "det_identity": _eval_det_identity,
-    "spray_split": _eval_spray_split,
-    "funk_pde": _eval_funk_pde,
-    "berwald_quadratic": _eval_berwald_quadratic,
-    "phi_convexity": _eval_phi_convexity,
-    "phi_constancy": _eval_phi_constancy,
-    "closed_one_form": _eval_closed_one_form,
-    "cartan_bound": _eval_cartan_bound,
-    "riemann_annihilates_torsion": _eval_riemann_annihilates_torsion,
+    "flag_curvature": (_eval_flag_curvature, _draw_flag_pole),
+    "s_curvature": (_eval_s_curvature, None),
+    "s_curvature_ratio": (_eval_s_ratio, None),
+    "mean_cartan": (_eval_mean_cartan, None),
+    "mean_landsberg": (_eval_mean_landsberg, None),
+    "cartan_orthogonality": (_eval_cartan_orthogonality, None),
+    "sskk1_residual": (_eval_sskk1, None),
+    "det_identity": (_eval_det_identity, None),
+    "spray_split": (_eval_spray_split, None),
+    "funk_pde": (_eval_funk_pde, None),
+    "berwald_quadratic": (_eval_berwald_quadratic, _draw_direction),
+    "phi_convexity": (_eval_phi_convexity, None),
+    "phi_constancy": (_eval_phi_constancy, None),
+    "closed_one_form": (_eval_closed_one_form, _draw_seed),
+    "cartan_bound": (_eval_cartan_bound, None),
+    "riemann_annihilates_torsion": (_eval_riemann_annihilates_torsion, None),
 }
+
+#: Quantities evaluated on stacks of samples.  The others take one sample
+#: at a time: geodesics and quadrature, and funk_pde, whose implicit root
+#: solve takes a float x.
+_STACKED = frozenset({"flag_curvature", "mean_cartan", "mean_landsberg",
+                      "cartan_orthogonality", "det_identity", "spray_split",
+                      "berwald_quadratic", "cartan_bound",
+                      "riemann_annihilates_torsion"})
 
 
 # -- targets ------------------------------------------------------------------
@@ -351,14 +382,29 @@ def run_claim(claim):
     except FinslerError as exc:
         return failed(f"metric construction failed: {exc}")
     rng = np.random.default_rng(seed_used + 1)
-    evaluator = _EVALUATORS[claim.quantity]
-    values = []
+    evaluate, draw = _EVALUATORS[claim.quantity]
+    params = claim.parameters
     samples = claim.samples.draw(metric)
-    for at in samples:
-        try:
-            values.append(float(evaluator(metric, at, rng, claim.parameters)))
-        except FinslerError as exc:
-            return failed(f"evaluation failed at x={at.x}, y={at.y}: {exc}")
+    # every sample's rng-dependent input first, in sample order
+    drawn = [draw(metric, at, rng, params) if draw else None for at in samples]
+    chunk = _CHUNK if claim.quantity in _STACKED else 1
+    values = []
+    for start in range(0, len(samples), chunk):
+        part, inputs = samples[start:start + chunk], drawn[start:start + chunk]
+        if chunk > 1:
+            stack = TangentSample(np.stack([at.x for at in part]),
+                                  np.stack([at.y for at in part]))
+            extra = None if draw is None else np.stack(inputs)
+            try:
+                values.extend(evaluate(metric, stack, extra, params))
+                continue
+            except FinslerError:
+                pass  # one sample at a time below, to report the first that fails
+        for at, extra in zip(part, inputs):
+            try:
+                values.append(float(evaluate(metric, at, extra, params)))
+            except FinslerError as exc:
+                return failed(f"evaluation failed at x={at.x}, y={at.y}: {exc}")
     values = np.asarray(values)
     kind = claim.target.get("kind", "zero")
     if kind == "exceeds":

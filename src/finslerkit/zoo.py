@@ -47,8 +47,18 @@ class MetricSpec:
         extra = set(data) - {"kind", "dimension", "parameters"}
         if extra:
             raise InvalidParameterError(f"unknown metric spec keys: {sorted(extra)}")
-        return cls(kind=data["kind"], dimension=int(data["dimension"]),
-                   parameters=dict(data.get("parameters", {})))
+        missing = {"kind", "dimension"} - set(data)
+        if missing:
+            raise InvalidParameterError(f"metric spec lacks keys: {sorted(missing)}")
+        dimension, parameters = data["dimension"], data.get("parameters", {})
+        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
+            raise InvalidParameterError(
+                f"metric dimension must be an integer, not {dimension!r}")
+        if not isinstance(parameters, dict):
+            raise InvalidParameterError(
+                f"metric spec parameters must be a mapping, not {parameters!r}")
+        return cls(kind=data["kind"], dimension=int(dimension),
+                   parameters=dict(parameters))
 
     def to_yaml(self):
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
@@ -149,9 +159,11 @@ def make_riemannian(model="flat", dimension=2, matrix_field=None, domain=None):
 
 
 def _half_hessian(qform, x, n):
-    """a_ij = 1/2 d^2 q / dy^i dy^j of a quadratic form q(x, y) at x."""
-    q = qform(x, seed(np.zeros(n), list(np.eye(n)), 2))
-    return 0.5 * hessian(q, range(n)).value
+    """a_ij = 1/2 d^2 q / dy^i dy^j of a quadratic form q(x, y) at a point
+    x of shape (n,), or at each row of a stack x of shape (K, n)."""
+    x = np.asarray(x, dtype=float)
+    q = qform(list(np.moveaxis(x, -1, 0)), seed(np.zeros(n), list(np.eye(n)), 2))
+    return np.broadcast_to(0.5 * hessian(q, range(n)).value, x.shape[:-1] + (n, n))
 
 
 def _check_spd(qform, dom, n, samples=50):
@@ -171,13 +183,16 @@ def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=No
     qform = base.extras["quadratic_form"]
 
     def beta_norm(x):
-        a = _half_hessian(qform, list(np.asarray(x, float)), dimension)
-        return float(np.sqrt(b @ np.linalg.solve(a, b)))
+        """||beta||_x at a point, or at each row of a stack of points."""
+        a = _half_hessian(qform, x, dimension)
+        solved = np.linalg.solve(a, np.broadcast_to(b, a.shape[:-1])[..., None])[..., 0]
+        norm = np.sqrt(np.sum(solved * b, axis=-1))
+        return float(norm) if norm.ndim == 0 else norm
 
     rng = np.random.default_rng(11)
-    for _ in range(gate_samples):
-        x = base.domain.sample_interior(rng)
-        nb = beta_norm(x)
+    points = np.array([base.domain.sample_interior(rng) for _ in range(gate_samples)])
+    norms = beta_norm(points.reshape(gate_samples, dimension))
+    for x, nb in zip(points, norms):
         if nb >= 1.0:
             raise InvalidParameterError(
                 f"||beta||_x = {nb:.4f} >= 1 at x = {x}")
@@ -237,26 +252,29 @@ class _PhiDomain(Domain):
 def _theta_root(phi, x, y, tol=1e-13, max_iter=80):
     """Safeguarded Newton + bisection for theta = phi(y + theta x).
 
-    Vectorized over trailing axes of the y components.  The residual
+    Vectorized over trailing axes of the x and y components.  The residual
     r(theta) = theta - phi(y + theta x) is strictly increasing (slope at
     least 1 - phi(x) > 0 inside the chart), so the root is unique and
     bracketed by [0, phi(y) / (1 - phi(x))].
     """
-    x = [float(c) for c in x]
-    phi_x = float(phi(x))
-    if phi_x >= 1.0:
-        raise ImplicitSolveError(f"base point outside the phi-ball (phi(x)={phi_x:.4f})")
+    x = [np.asarray(c, dtype=float) for c in x]
+    phi_x = np.asarray(phi(x), dtype=float)
+    if np.any(phi_x >= 1.0):
+        raise ImplicitSolveError(
+            f"base point outside the phi-ball (phi(x)={np.max(phi_x):.4f})")
     y = [np.asarray(c, dtype=float) for c in y]
     phi_y = np.asarray(phi(y), dtype=float)
     lo = np.zeros_like(phi_y)
     hi = phi_y / (1.0 - phi_x) + 1e-12
     theta = phi_y.copy()
     scale = np.maximum(phi_y, 1.0)
+    done = np.zeros(theta.shape, dtype=bool)
     for _ in range(max_iter):
         tj = Jet(np.stack([theta, np.ones_like(theta)]), 1, 1)
         r = tj - phi([yc + tj * xc for yc, xc in zip(y, x)])
         res = np.asarray(r.value, dtype=float)
-        if np.all(np.abs(res) <= tol * scale):
+        done |= np.abs(res) <= tol * scale
+        if np.all(done):
             return theta if theta.ndim else float(theta)
         lo = np.where(res < 0.0, theta, lo)
         hi = np.where(res > 0.0, theta, hi)
@@ -264,7 +282,8 @@ def _theta_root(phi, x, y, tol=1e-13, max_iter=80):
         step = np.divide(res, slope, out=np.zeros_like(res), where=slope > 0.0)
         candidate = theta - step
         bad = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
-        theta = np.where(bad, 0.5 * (lo + hi), candidate)
+        # a converged entry stays put, so each entry iterates as it would alone
+        theta = np.where(done, theta, np.where(bad, 0.5 * (lo + hi), candidate))
     raise ImplicitSolveError("implicit Funk equation did not converge")
 
 
@@ -376,27 +395,32 @@ class ProductProfile:
         }
 
     def validate(self, samples=None):
-        """Homogeneity, non-vanishing, and the positivity gate on a quadrant grid."""
+        """Homogeneity, non-vanishing, and the positivity gate on a quadrant
+        grid, evaluated for all points at once.  The first failing point,
+        and at it the first failing check in the order above, raises."""
         if samples is None:
             grid = np.geomspace(1e-3, 1e3, 13)
             samples = [(s, t) for s in grid for t in grid]
-        for s, t in samples:
-            fval = float(value(self.f(s, t)))
-            f2 = float(value(self.f(2.0 * s, 2.0 * t)))
-            if abs(f2 - 2.0 * fval) > 1e-12 * max(1.0, abs(f2)):
-                raise InvalidProfileError(
-                    f"profile not 1-homogeneous at (s, t) = ({s:g}, {t:g})",
-                    condition="homogeneity")
-            if fval <= 0.0:
-                raise InvalidProfileError(
-                    f"profile vanishes at (s, t) = ({s:g}, {t:g})",
-                    condition="f > 0")
-            for cond, val in self.gate(s, t).items():
-                if val <= 0.0:
-                    raise InvalidProfileError(
-                        f"condition {cond} fails at (s, t) = ({s:g}, {t:g}) "
-                        f"(value {val:.3e})", condition=cond)
-        return self
+        s, t = np.array(samples, dtype=float).reshape(-1, 2).T
+        fval = np.asarray(value(self.f(s, t)), dtype=float)
+        f2 = np.asarray(value(self.f(2.0 * s, 2.0 * t)), dtype=float)
+        gate = self.gate(s, t)
+        fails = {"homogeneity": np.abs(f2 - 2.0 * fval) > 1e-12 * np.maximum(1.0, np.abs(f2)),
+                 "f > 0": fval <= 0.0,
+                 **{cond: val <= 0.0 for cond, val in gate.items()}}
+        failed = np.stack(list(fails.values()), axis=-1)
+        points = np.flatnonzero(failed.any(axis=-1))
+        if points.size == 0:
+            return self
+        k = points[0]
+        cond = list(fails)[int(np.argmax(failed[k]))]
+        at = f"(s, t) = ({s[k]:g}, {t[k]:g})"
+        if cond == "homogeneity":
+            raise InvalidProfileError(f"profile not 1-homogeneous at {at}", condition=cond)
+        if cond == "f > 0":
+            raise InvalidProfileError(f"profile vanishes at {at}", condition=cond)
+        raise InvalidProfileError(f"condition {cond} fails at {at} "
+                                  f"(value {gate[cond][k]:.3e})", condition=cond)
 
 
 def linear_profile():
@@ -508,8 +532,8 @@ KINDS = tuple(_CONSTRUCTORS)
 def build_metric(spec):
     """Construct the metric described by a MetricSpec (or its dict form).
 
-    A parameter the kind does not accept, or a metric whose dimension is
-    not the spec's, raises InvalidParameterError.
+    A parameter the kind does not accept, a null parameter, or a metric
+    whose dimension is not the spec's, raises InvalidParameterError.
     """
     if isinstance(spec, dict):
         spec = MetricSpec.from_dict(spec)
@@ -518,6 +542,9 @@ def build_metric(spec):
     if unknown:
         raise InvalidParameterError(
             f"{spec.kind} accepts spec parameters {list(accepted)}, not {unknown}")
+    null = [k for k, v in spec.parameters.items() if v is None]
+    if null:
+        raise InvalidParameterError(f"{spec.kind} spec parameters {null} are null")
     metric = make(dimension=spec.dimension, **spec.parameters)
     if metric.dimension != spec.dimension:
         raise InvalidParameterError(

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,3 +224,32 @@ def test_eval_outside_the_domain_raises_domain_error():
          "--quantity", "F"])
     with pytest.raises(DomainError):
         args.func(args)
+
+
+@pytest.mark.parametrize("spec,point", [
+    ("{kind: euclidean, dimension: 2, parameters: }", "0,0"),
+    ("{kind: szabo_epsilon, dimension: 3, parameters: {eps: null}}", "0,0,0"),
+], ids=["null-parameters", "null-eps"])
+def test_eval_of_a_spec_with_null_values_is_a_usage_error(capsys, spec, point):
+    """A null where the spec wants a mapping or a number is a spec error
+    (exit 2), not a TypeError traceback (exit 1)."""
+    direction = "1" + ",0" * point.count(",")
+    code, out, err = run_cli(capsys, "eval", "--metric", spec, "--x", point,
+                             "--y", direction, "--quantity", "F")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_stats_to_the_sobol_rule():
+    """scipy.stats (about half a second to import) is loaded only when an
+    n >= 4 sphere rule is first built, not when the CLI starts."""
+    import finslerkit
+    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
+    code = (f"import sys; sys.path.insert(0, {root!r}); import finslerkit.cli; "
+            "from finslerkit.quadrature import sphere_rule; "
+            "print('scipy.stats' in sys.modules); sphere_rule(4); "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False", "True"], out.stderr

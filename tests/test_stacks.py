@@ -1,0 +1,184 @@
+"""Stacks of tangent samples: one bundle for K samples, the values of each
+sample as it gets them alone, and the errors of the first failing sample."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from finslerkit import geometry, verify, zoo
+from finslerkit.errors import DegenerateMetricError, DomainError, FinslerError
+from finslerkit.geometry import (TangentSample, flag_curvature, fundamental_tensor,
+                                 local_geometry, mean_cartan)
+from finslerkit.jets import jsqrt
+from finslerkit.verify import Claim, SamplePlan, run_claim
+
+
+def _stack(metric, count, seed_):
+    rng = np.random.default_rng(seed_)
+    x = np.array([metric.domain.sample_interior(rng, margin=0.05) for _ in range(count)])
+    return TangentSample(x, rng.standard_normal((count, metric.dimension)))
+
+
+def _samples(at):
+    return [TangentSample(x, y) for x, y in zip(at.x, at.y)]
+
+
+def _applies(metric, quantity):
+    if quantity in ("det_identity", "spray_split"):
+        return "factors" in metric.extras
+    if quantity == "cartan_bound":
+        return "beta_norm" in metric.extras
+    return True
+
+
+def _sign_changing_metric():
+    """F = |y| + 1.5 y^1 + 0.1 x^1 y^2: negative where y points along -e1."""
+    return geometry.MetricField(
+        dimension=2, domain=zoo.Box(np.full(2, -1.0), np.full(2, 1.0)),
+        evaluate=lambda x, y: (jsqrt(y[0] * y[0] + y[1] * y[1]) + 1.5 * y[0]
+                               + 0.1 * x[0] * y[1]),
+        name="sign_changing")
+
+
+@pytest.mark.parametrize("spec", zoo.default_specs(), ids=lambda s: s.kind)
+def test_stacked_quantities_agree_with_single_samples(spec):
+    """Every quantity run_claim evaluates on stacks gives each of 7 stacked
+    samples its single-sample value, to 1e-12 relative or 1e-13 absolute."""
+    m = zoo.build_metric(spec)
+    at = _stack(m, 7, seed_=31)
+    checked = 0
+    for quantity in sorted(verify._STACKED):
+        if not _applies(m, quantity):
+            continue
+        evaluate, draw = verify._EVALUATORS[quantity]
+        rng = np.random.default_rng(5)
+        drawn = [draw(m, one, rng, {}) if draw else None for one in _samples(at)]
+        stacked = evaluate(m, at, None if draw is None else np.stack(drawn), {})
+        single = np.array([evaluate(m, one, d, {}) for one, d in zip(_samples(at), drawn)])
+        assert stacked.shape == (7,), quantity
+        gap = np.abs(stacked - single)
+        assert np.all(gap <= np.maximum(1e-12 * np.abs(single), 1e-13)), (quantity, gap)
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("kind", ["funk_ball_shifted", "incomplete_slab", "szabo_epsilon"])
+def test_a_stacked_sample_gets_its_tensors_bit_for_bit(kind):
+    m = zoo.build_metric(next(s for s in zoo.default_specs() if s.kind == kind))
+    at = _stack(m, 5, seed_=8)
+    stacked = local_geometry(m, at, "R")
+    for k, one in enumerate(_samples(at)):
+        alone = local_geometry(m, one, "R")
+        for name in ("F", "g", "g_inverse", "G", "N", "G_yy", "R", "I", "J"):
+            assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), name
+
+
+def test_result_helpers_give_one_value_per_stacked_sample(funk_shifted):
+    m = funk_shifted
+    at = _stack(m, 4, seed_=3)
+    ft, tv = fundamental_tensor(m, at), mean_cartan(m, at)
+    for k, one in enumerate(_samples(at)):
+        alone = fundamental_tensor(m, one)
+        assert ft.inner(at.y, at.y)[k] == alone.inner(one.y, one.y)
+        assert ft.norm(at.y)[k] == alone.norm(one.y)
+        assert tv.norm(ft.g_inverse)[k] == mean_cartan(m, one).norm(alone.g_inverse)
+
+
+def test_one_sample_stays_unbatched(funk_shifted):
+    """A single sample is not made a stack of one: its jets carry no
+    batch axis and its scalars are floats."""
+    lg = local_geometry(funk_shifted, TangentSample([0.1, 0.2], [0.5, -0.3]), "R")
+    assert lg.f2.batch_shape == ()
+    assert type(lg.F) is float
+    assert lg.g.shape == (2, 2) and lg.R.shape == (2, 2)
+
+
+#: (x, y) rows; the middle row is the degenerate one.
+DEGENERATE_MIDDLE = {
+    "F <= 0": ([[0.3, 0.1], [0.3, 0.1], [0.2, -0.4]],
+               [[0.5, 0.8], [-1.0, 0.2], [0.7, 0.1]]),
+    "outside the domain": ([[0.3, 0.1], [1.5, 0.1], [0.2, -0.4]],
+                           [[0.5, 0.8], [0.5, 0.8], [0.7, 0.1]]),
+}
+
+
+@pytest.mark.parametrize("need", ["g", "I", "G", "R"])
+@pytest.mark.parametrize("case", DEGENERATE_MIDDLE, ids=list(DEGENERATE_MIDDLE))
+def test_a_stack_raises_as_its_degenerate_sample_does(case, need):
+    m = _sign_changing_metric()
+    x, y = (np.array(v) for v in DEGENERATE_MIDDLE[case])
+    with pytest.raises(FinslerError) as alone:
+        local_geometry(m, TangentSample(x[1], y[1]), need)
+    assert isinstance(alone.value, (DegenerateMetricError, DomainError))
+    with pytest.raises(type(alone.value)) as stacked:
+        local_geometry(m, TangentSample(x, y), need)
+    assert str(stacked.value) == str(alone.value)
+    if isinstance(alone.value, DegenerateMetricError):
+        assert np.array_equal(stacked.value.x, alone.value.x)
+        assert np.array_equal(stacked.value.y, alone.value.y)
+
+
+def test_a_stack_raises_for_the_first_failing_sample_in_stack_order():
+    """Sample 1 has F <= 0 and sample 2 lies outside the chart: the stack
+    fails as sample 1 does, as a loop over the samples would."""
+    m = _sign_changing_metric()
+    x = np.array([[0.3, 0.1], [0.3, 0.1], [1.5, 0.1]])
+    y = np.array([[0.5, 0.8], [-1.0, 0.2], [0.5, 0.8]])
+    with pytest.raises(DegenerateMetricError) as err:
+        local_geometry(m, TangentSample(x, y), "R")
+    assert np.array_equal(err.value.y, y[1])
+
+
+def _flag_claim(count, seed_):
+    return Claim(id="szabo-flags", metric=zoo.MetricSpec("szabo_epsilon", 3, {"eps": 0.5}),
+                 quantity="flag_curvature", target={"kind": "constant", "value": -1.0},
+                 tolerance=10.0, samples=SamplePlan(count=count, seed=seed_))
+
+
+def _reference_flags(claim, metric):
+    """Per-sample flag curvatures with the poles drawn one sample at a
+    time, in sample order, from the claim's stream (seed + 1)."""
+    rng = np.random.default_rng(claim.samples.seed + 1)
+    for at in claim.samples.draw(metric):
+        while True:
+            u = rng.standard_normal(metric.dimension)
+            u -= (u @ at.y) / (at.y @ at.y) * at.y
+            if np.linalg.norm(u) > 1e-3:
+                break
+        yield at, u / np.linalg.norm(u)
+
+
+def test_a_chunked_claim_draws_the_per_sample_flag_poles():
+    """40 samples run as stacks of 32 and 8; the values and the worst
+    sample are those of one-at-a-time evaluation with the same poles."""
+    claim = _flag_claim(40, seed_=21)
+    m = zoo.build_metric(claim.metric)
+    values = np.array([flag_curvature(m, at, u) for at, u in _reference_flags(claim, m)])
+    assert np.ptp(values) > 0.1  # the poles matter: K is not constant here
+    report = run_claim(claim)
+    assert report.count == 40
+    for name, want in (("min", values.min()), ("max", values.max()),
+                       ("mean", values.mean()), ("stddev", values.std())):
+        assert report.stats[name] == pytest.approx(want, rel=1e-12, abs=1e-13)
+    worst = int(np.argmax(np.abs(values + 1.0)))
+    assert report.worst_sample["x"] == claim.samples.draw(m)[worst].x.tolist()
+    assert report.worst_sample["observed"] == pytest.approx(values[worst], rel=1e-12)
+
+
+def test_a_failing_chunk_reports_its_first_failing_sample(monkeypatch):
+    """run_claim names the sample a one-at-a-time loop would stop at."""
+    m = _sign_changing_metric()
+    claim = dataclasses.replace(_flag_claim(40, seed_=4), metric=zoo.MetricSpec("euclidean", 2))
+    expected = None
+    for at, u in _reference_flags(claim, m):
+        try:
+            flag_curvature(m, at, u)
+        except FinslerError as exc:
+            expected = f"evaluation failed at x={at.x}, y={at.y}: {exc}"
+            break
+    assert expected is not None
+    monkeypatch.setattr(verify, "build_metric", lambda spec: m)
+    report = run_claim(claim)
+    assert not report.passed and report.count == 0
+    assert report.detail == expected

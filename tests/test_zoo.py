@@ -7,7 +7,7 @@ from finslerkit import geometry, verify, zoo
 from finslerkit.errors import (DegenerateMetricError, InvalidParameterError,
                                InvalidProfileError)
 from finslerkit.geometry import TangentSample
-from finslerkit.jets import Jet, extract, seed, value
+from finslerkit.jets import Jet, extract, jsqrt, seed, value
 
 
 def test_minkowski_rejects_unit_drift():
@@ -202,3 +202,59 @@ def test_kinds_follow_the_spec_table_in_order():
     assert zoo.KINDS == ("euclidean", "minkowski", "riemannian", "randers",
                          "funk_ball_shifted", "funk_implicit", "szabo_product",
                          "szabo_epsilon", "incomplete_slab")
+
+
+#: Profiles that fail the gate, with the message and condition the
+#: point-by-point gate raised for them: the first failing grid point in
+#: (s outer, t inner) order, and at it the first failing check.
+FAILING_PROFILES = {
+    "fails-at-many-points": (lambda s, t: s + t - 1.5 * jsqrt(s * t),
+                             "condition f_s > 0 fails at (s, t) = (0.001, 0.00316228) "
+                             "(value -3.337e-01)", "f_s > 0"),
+    "third-condition-first": (lambda s, t: s + t - 0.8 * jsqrt(s * s + t * t),
+                              "condition f_s + 2 s f_ss > 0 fails at (s, t) = (0.001, 0.001) "
+                              "(value -1.314e-01)", "f_s + 2 s f_ss > 0"),
+    "not-homogeneous": (lambda s, t: s + t + 1e-3 * s * t,
+                        "profile not 1-homogeneous at (s, t) = (0.001, 0.001)", "homogeneity"),
+    "vanishes": (lambda s, t: s - t,
+                 "profile vanishes at (s, t) = (0.001, 0.001)", "f > 0"),
+}
+
+
+@pytest.mark.parametrize("f, message, condition", FAILING_PROFILES.values(),
+                         ids=FAILING_PROFILES.keys())
+def test_profile_gate_reports_its_first_failing_point(f, message, condition):
+    with pytest.raises(InvalidProfileError) as err:
+        zoo.ProductProfile(f=f).validate()
+    assert str(err.value) == message
+    assert err.value.condition == condition
+
+
+def test_randers_gate_reports_its_first_failing_point():
+    """On the sphere chart ||beta||_x grows with |x|; of the 200 gate
+    points the third is the first where it reaches 1."""
+    with pytest.raises(InvalidParameterError) as err:
+        zoo.make_randers("sphere", b=[0.02, 0.0])
+    assert str(err.value) == "||beta||_x = 1.0057 >= 1 at x = [-6.33733048  7.70779841]"
+
+
+def test_randers_drift_norm_takes_points_and_stacks():
+    m = zoo.make_randers("hyperbolic_disk", b=[0.5, 0.0])
+    x = np.array([[0.1, 0.2], [-0.4, 0.3], [0.0, 0.0]])
+    stacked = m.extras["beta_norm"](x)
+    assert [m.extras["beta_norm"](row) for row in x] == pytest.approx(stacked, rel=1e-15)
+    assert stacked[2] == pytest.approx(0.25, rel=1e-15)  # |b| (1 - |x|^2) / 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "euclidean", "dimension": 2, "parameters": None},
+    {"kind": "euclidean", "dimension": 2, "parameters": [0.5]},
+    {"kind": "euclidean", "dimension": None},
+    {"kind": "euclidean"},
+    {"kind": "szabo_epsilon", "dimension": 3, "parameters": {"eps": None}},
+    {"kind": "minkowski", "dimension": 2, "parameters": {"b": None}},
+], ids=["null-parameters", "list-parameters", "null-dimension", "no-dimension",
+        "null-eps", "null-drift"])
+def test_spec_with_null_or_mistyped_values_is_rejected(spec):
+    with pytest.raises(InvalidParameterError):
+        zoo.build_metric(spec)
