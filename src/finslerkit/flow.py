@@ -14,6 +14,10 @@ II.10), which needs about a third of RK45's right-hand sides at the same
 tolerance; each right-hand side is a full curvature bundle.  Every solve
 logs its method, right-hand-side evaluations, accepted steps and status
 at DEBUG level on the ``finslerkit.flow`` logger.
+
+A trace is evaluated as one (K, n) stack of its nodes: one bundle (see
+geometry.py) for `torsion_trace` or `connection_along`, one evaluation of
+F for the speed check, each node bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ResolutionError
-from .geometry import TangentSample, cartan_norm, local_geometry
+from .geometry import TangentSample, _mv, _vmv, cartan_norm, local_geometry
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
 TRACE_NODES = 257
@@ -88,9 +92,6 @@ class GeodesicTrace:
     @property
     def diff_matrix(self):
         return chebyshev_diff_matrix(self.times)
-
-    def sample(self, k):
-        return TangentSample(self.positions[k], self.velocities[k])
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     states = sol.sol(times)
     positions = states[:n].T.copy()
     velocities = states[n:].T.copy()
-    speeds = np.array([float(metric.evaluate(p, v))
-                       for p, v in zip(positions, velocities)])
+    speeds = np.asarray(metric.evaluate(positions.T, velocities.T), dtype=float)
     drift = float(np.max(np.abs(speeds - speeds[0])))
     return GeodesicTrace(times=times, positions=positions, velocities=velocities,
                          speed_drift=drift, exit=exited, exit_time=exit_time,
@@ -179,9 +179,9 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
 
 
 def connection_along(metric, trace):
-    """N^i_j(sigma, sigma-dot) at every trace node, shape (K, n, n)."""
-    return np.stack([local_geometry(metric, trace.sample(k), "N").N
-                     for k in range(len(trace.times))])
+    """N^i_j(sigma, sigma-dot) at every trace node, (K, n, n) in C order."""
+    at = TangentSample(trace.positions, trace.velocities)
+    return np.ascontiguousarray(local_geometry(metric, at, "N").N)
 
 
 def covariant_derivative_along(metric, trace, X_of_t, connections=None, tol=None):
@@ -213,22 +213,12 @@ def torsion_trace(metric, trace, check_tol=1e-5):
     spectral derivative of the transported components; D^2 I takes one
     spectral derivative of DI.  The residual is the g-norm of D^2 I + R(I).
     """
-    k_nodes = len(trace.times)
-    n = metric.dimension
-    I = np.empty((k_nodes, n))
-    J = np.empty((k_nodes, n))
-    phi = np.empty(k_nodes)
-    conns = np.empty((k_nodes, n, n))
-    rops = np.empty((k_nodes, n, n))
-    gs = np.empty((k_nodes, n, n))
-    for k in range(k_nodes):
-        lg = local_geometry(metric, trace.sample(k), "R")
-        I[k] = lg.g_inverse @ lg.I
-        J[k] = lg.g_inverse @ lg.J
-        conns[k] = lg.N
-        rops[k] = lg.R
-        gs[k] = lg.g
-        phi[k] = np.sqrt(max(I[k] @ lg.g @ I[k], 0.0))
+    lg = local_geometry(metric, TangentSample(trace.positions, trace.velocities), "R")
+    I, J = _mv(lg.g_inverse, lg.I), _mv(lg.g_inverse, lg.J)
+    phi = np.sqrt(np.maximum(_vmv(I, lg.g, I), 0.0))
+    # in C order, as a loop over the nodes would store them: numpy picks
+    # its einsum kernels, and so their rounding, by memory layout
+    gs, conns, rops = (np.ascontiguousarray(a) for a in (lg.g, lg.N, lg.R))
     DI_numeric = covariant_derivative_along(metric, trace, I, connections=conns)
     # pointwise route: D I = J along geodesics
     gap = np.sqrt(np.einsum("ki,kij,kj->k", DI_numeric - J, gs, DI_numeric - J))

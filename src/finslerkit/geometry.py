@@ -35,7 +35,8 @@ numpy's einsum and matmul keep each sample laid out as it is alone
 (`jets.outermost`), because numpy picks its summation kernels by memory
 layout.  The public functions below whose results are arrays
 (fundamental_tensor, spray, riemann, flag_curvature, mean_cartan,
-mean_landsberg) accept stacks too.
+mean_landsberg) accept stacks too, and cartan_norm's coarse scan is one
+stack of all its directions.
 
 A bundle passes one gate when it is built: for every sample the point
 lies in the chart, F > 0 and g has a Cholesky factor, or DomainError or
@@ -488,9 +489,10 @@ def s_curvature(metric, at, tol=None):
 def cartan_norm(metric, x, coarse=None, refine=True):
     """sup over the indicatrix of ||I||_g, with the maximizing direction.
 
-    Coarse sphere scan followed by local ascent. ||I||_g is homogeneous of
-    degree -1 in y, so each Euclidean unit direction is rescaled to the
-    indicatrix (F = 1) before the norm is taken.
+    Coarse sphere scan, one bundle over all `coarse` directions, followed
+    by local ascent. ||I||_g is homogeneous of degree -1 in y, so each
+    Euclidean unit direction is rescaled to the indicatrix (F = 1) before
+    the norm is taken.
 
     The ascent (`refine=True`) depends on the dimension.  For n = 2 the
     scan is over equally spaced angles and the direction is refined by a
@@ -502,8 +504,10 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     n = metric.dimension
     x = np.asarray(x, dtype=float)
 
-    def norm_at(direction):
-        lg = local_geometry(metric, TangentSample(x, direction), "I")
+    def norm_at(directions):
+        """||I||_g F at one direction, or at each of a (K, n) stack."""
+        at = TangentSample(np.broadcast_to(x, np.shape(directions)), directions)
+        lg = local_geometry(metric, at, "I")
         return lg.conorm(lg.I) * lg.F
 
     if coarse is None:
@@ -515,7 +519,7 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     else:
         dirs = rng.standard_normal((coarse, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    values = [norm_at(d) for d in dirs]
+    values = norm_at(dirs)
     best = int(np.argmax(values))
     best_dir, best_val = dirs[best], values[best]
     if refine and n == 2:

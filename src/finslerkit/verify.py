@@ -253,14 +253,14 @@ def _eval_funk_pde(metric, at, drawn, params):
     """max_k |F_{x^k} - F F_{y^k}| for Funk-type metrics."""
     n = metric.dimension
     dirs = list(np.eye(2 * n))
-    jets = seed(np.concatenate([at.x, at.y]), dirs, 1)
+    jets = seed(np.concatenate([at.x, at.y], axis=-1).T, dirs, 1)
     theta = metric.evaluate(jets[:n], jets[n:])
     th = extract(theta, (0,) * 2 * n)
     worst = 0.0
     for k in range(n):
         ex = tuple(1 if i == k else 0 for i in range(2 * n))
         ey = tuple(1 if i == n + k else 0 for i in range(2 * n))
-        worst = max(worst, abs(extract(theta, ex) - th * extract(theta, ey)))
+        worst = np.maximum(worst, np.abs(extract(theta, ex) - th * extract(theta, ey)))
     return worst
 
 
@@ -342,12 +342,11 @@ _EVALUATORS = {
     "riemann_annihilates_torsion": (_eval_riemann_annihilates_torsion, None),
 }
 
-#: Quantities evaluated on stacks of samples.  The others take one sample
-#: at a time: geodesics and quadrature, and funk_pde, whose implicit root
-#: solve takes a float x.
+#: Quantities evaluated on stacks of samples.  The others, geodesics and
+#: quadrature, take one sample at a time.
 _STACKED = frozenset({"flag_curvature", "mean_cartan", "mean_landsberg",
                       "cartan_orthogonality", "det_identity", "spray_split",
-                      "berwald_quadratic", "cartan_bound",
+                      "funk_pde", "berwald_quadratic", "cartan_bound",
                       "riemann_annihilates_torsion"})
 
 
@@ -389,8 +388,8 @@ def run_claim(claim):
     drawn = [draw(metric, at, rng, params) if draw else None for at in samples]
     chunk = _CHUNK if claim.quantity in _STACKED else 1
     values = []
-    for start in range(0, len(samples), chunk):
-        part, inputs = samples[start:start + chunk], drawn[start:start + chunk]
+    for first in range(0, len(samples), chunk):
+        part, inputs = samples[first:first + chunk], drawn[first:first + chunk]
         if chunk > 1:
             stack = TangentSample(np.stack([at.x for at in part]),
                                   np.stack([at.y for at in part]))

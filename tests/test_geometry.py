@@ -311,14 +311,15 @@ def test_s_curvature_honours_quadrature_tolerance(szabo):
 
 
 def test_one_f2_jet_per_sample(monkeypatch, funk_shifted):
-    """Each public tensor call, torsion-trace node and Jacobi right-hand
-    side evaluates F^2 once, through _y_jets or _phase_jets."""
+    """Each public tensor call and Jacobi right-hand side evaluates F^2
+    once, through _y_jets or _phase_jets; a cartan_norm scan and a torsion
+    trace evaluate it once, on a stack of every direction or node."""
     calls = []
     for name in ("_y_jets", "_phase_jets"):
         original = getattr(geometry, name)
 
         def counted(metric, x, y, order, original=original):
-            calls.append(order)
+            calls.append(x.shape[:-1])
             return original(metric, x, y, order)
 
         monkeypatch.setattr(geometry, name, counted)
@@ -333,12 +334,15 @@ def test_one_f2_jet_per_sample(monkeypatch, funk_shifted):
         assert len(calls) == 1
     calls.clear()
     cartan_norm(m, at.x, coarse=8, refine=False)
-    assert len(calls) == 8
+    assert calls == [(8,)]
 
     trace = flow.integrate_geodesic(m, at.x, at.y, (0.0, 0.2), nodes=9)
     calls.clear()
     flow.torsion_trace(m, trace, check_tol=None)
-    assert len(calls) == len(trace.times)
+    assert calls == [(len(trace.times),)]
+    calls.clear()
+    flow.connection_along(m, trace)
+    assert calls == [(len(trace.times),)]
 
     rhs_calls = []
     solve_ivp = flow.solve_ivp

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from finslerkit import geometry, verify, zoo
+from finslerkit import flow, geometry, verify, zoo
 from finslerkit.errors import DegenerateMetricError, DomainError, FinslerError
 from finslerkit.geometry import (TangentSample, flag_curvature, fundamental_tensor,
                                  local_geometry, mean_cartan)
@@ -182,3 +182,60 @@ def test_a_failing_chunk_reports_its_first_failing_sample(monkeypatch):
     report = run_claim(claim)
     assert not report.passed and report.count == 0
     assert report.detail == expected
+
+
+def _per_node_torsion(metric, trace):
+    """torsion_trace's fields from one single-sample bundle per node."""
+    rows = []
+    for x, y in zip(trace.positions, trace.velocities):
+        lg = local_geometry(metric, TangentSample(x, y), "R")
+        I, J = lg.g_inverse @ lg.I, lg.g_inverse @ lg.J
+        rows.append((I, J, lg.N, lg.R, lg.g, np.sqrt(max(I @ lg.g @ I, 0.0))))
+    I, J, conns, rops, gs, phi = (np.array(col) for col in zip(*rows))
+    DI = flow.covariant_derivative_along(metric, trace, I, connections=conns)
+    gap = np.sqrt(np.einsum("ki,kij,kj->k", DI - J, gs, DI - J))
+    D2I = flow.covariant_derivative_along(metric, trace, J, connections=conns)
+    resid = D2I + np.einsum("kij,kj->ki", rops, I)
+    return {"I_of_t": I, "DI_of_t": J, "D2I_of_t": D2I, "phi_of_t": phi,
+            "residual_of_t": np.sqrt(np.einsum("ki,kij,kj->k", resid, gs, resid)),
+            "di_disagreement": float(np.max(gap)) / max(float(np.max(np.abs(I))), 1e-30)}
+
+
+def _per_direction_scan(metric, x, coarse):
+    """cartan_norm(refine=False) from one single-sample bundle per direction."""
+    n = metric.dimension
+    if n == 2:
+        angles = 2.0 * np.pi * np.arange(coarse) / coarse
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        dirs = np.random.default_rng(12345).standard_normal((coarse, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    values = []
+    for d in dirs:
+        lg = local_geometry(metric, TangentSample(x, d), "I")
+        values.append(lg.conorm(lg.I) * lg.F)
+    best = int(np.argmax(values))
+    return values[best], dirs[best]
+
+
+@pytest.mark.parametrize("spec", zoo.default_specs(), ids=lambda s: s.kind)
+def test_traces_and_scans_match_a_per_node_loop_bit_for_bit(spec):
+    """One stacked bundle per trace and per scan gives each node and each
+    direction exactly the values of its own single-sample bundle."""
+    m = zoo.build_metric(spec)
+    rng = np.random.default_rng(3)
+    x = m.domain.sample_interior(rng, margin=0.1)
+    trace = flow.integrate_geodesic(m, x, rng.standard_normal(m.dimension), (0.0, 0.3),
+                                    nodes=17)
+    speeds = [float(m.evaluate(p, v)) for p, v in zip(trace.positions, trace.velocities)]
+    assert trace.speed_drift == float(np.max(np.abs(np.array(speeds) - speeds[0])))
+    conns = np.array([local_geometry(m, TangentSample(p, v), "N").N
+                      for p, v in zip(trace.positions, trace.velocities)])
+    assert np.array_equal(flow.connection_along(m, trace), conns)
+    tt = flow.torsion_trace(m, trace, check_tol=None)
+    for name, want in _per_node_torsion(m, trace).items():
+        assert np.array_equal(getattr(tt, name), want), name
+    value, direction = _per_direction_scan(m, x, coarse=24)
+    scan = geometry.cartan_norm(m, x, coarse=24, refine=False)
+    assert scan.value == value
+    assert np.array_equal(scan.direction, direction)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_violated_tolerance_fails_and_is_named():
     assert not suite.passed
     assert suite.exit_status == 1
     assert [r.claim_id for r in suite.failures()] == ["funk-impossible-precision"]
+
+
+@pytest.mark.parametrize("tolerance, passed", [(1e-6, True), (1e-16, False)])
+def test_runtime_is_the_wall_time_of_the_claim(tolerance, passed):
+    """50 samples run as two stacks; runtime still counts from the start
+    of the claim."""
+    start = time.perf_counter()
+    report = run_claim(_claim(tolerance=tolerance))
+    wall = time.perf_counter() - start
+    assert report.passed is passed
+    assert 0.0 <= report.runtime <= wall
 
 
 def test_bad_constructor_fails_only_its_claim():
