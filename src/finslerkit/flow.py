@@ -3,8 +3,9 @@
 Geodesics integrate the spray ODE with an adaptive Runge-Kutta pair and
 are re-sampled on a fixed Chebyshev grid so that time derivatives of
 quantities along the trace can be taken with a spectral differentiation
-matrix (the torsion diagnostics need two of them).  Incomplete metrics
-exit the chart through an event, not an error.
+matrix (the torsion diagnostics need two of them).  A geodesic exits where
+the chart margin falls to EXIT_MARGIN; a start not farther inside raises
+DomainError, and a solve that stops short raises ResolutionError.
 
 Geodesics use the 5(4) Dormand-Prince pair (RK45): the torsion residual
 of a trace must halve with the requested tolerance, and `_solver_tol`
@@ -28,11 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ResolutionError
+from .errors import DomainError, ResolutionError
 from .geometry import TangentSample, _mv, _vmv, cartan_norm, local_geometry
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
 TRACE_NODES = 257
+
+#: Chart margin at which a geodesic exits: strictly inside, since some charts
+#: are approached asymptotically (the margin flattens instead of crossing 0).
+EXIT_MARGIN = 1e-9
 
 _log = logging.getLogger(__name__)
 
@@ -54,9 +59,19 @@ def _solver_tol(tol):
     return max(tol ** 1.5, 1e-13)
 
 
-def _log_solver_work(caller, method, sol):
+def _solve(caller, rhs, t_span, state0, method, tol, events=None):
+    """solve_ivp with dense output at the per-step tolerance for `tol`,
+    logged at DEBUG level.  A solve that stops short raises ResolutionError."""
+    inner = _solver_tol(tol)
+    sol = solve_ivp(rhs, t_span, state0, method=method, rtol=inner, atol=inner,
+                    dense_output=True, events=events)
     _log.debug("%s: %s nfev=%d steps=%d status=%d", caller, method,
                sol.nfev, len(sol.t) - 1, sol.status)
+    if sol.status == -1:
+        raise ResolutionError(
+            f"{caller}: solve stopped at t = {sol.t[-1]:.6g} of {t_span[1]:.6g}: "
+            f"{sol.message}")
+    return sol
 
 
 def chebyshev_nodes(a, b, count=TRACE_NODES):
@@ -106,67 +121,34 @@ class TorsionTrace:
 
 
 def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
-    """Integrate the spray ODE; stops with an exit flag at the chart boundary.
-
-    Step-size underflow near the boundary counts as an exit, not a failure;
-    the exit time is then located by bisection on domain membership.
+    """Integrate the spray ODE; stops with an exit flag, at `exit_time`, where
+    the chart margin falls to EXIT_MARGIN.  A start whose margin is not
+    above EXIT_MARGIN raises DomainError; a stalled solve ResolutionError.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = metric.dimension
+    margin = metric.domain.margin(x0)
+    if not margin > EXIT_MARGIN:  # outside, or NaN
+        raise DomainError(f"geodesic start {x0} has chart margin {margin:.3g} in "
+                          f"{metric.name}, not above {EXIT_MARGIN:g}")
 
     def rhs(t, state):
-        if not metric.domain.margin(state[:n]) > 0.0:  # outside, or NaN
+        try:
+            lg = local_geometry(metric, TangentSample(state[:n], state[n:]), "G")
+        except DomainError:  # outside, or NaN
             return np.full(2 * n, np.nan)
-        lg = local_geometry(metric, TangentSample(state[:n], state[n:]), "G")
         return np.concatenate([state[n:], -2.0 * lg.G])
 
-    def boundary(t, state):
-        return metric.domain.margin(state[:n])
-
     def near_boundary(t, state):
-        # some charts are approached asymptotically (the margin flattens
-        # instead of crossing zero); stop once the point is within 1e-9 of
-        # the boundary rather than grinding the step size down to underflow
-        return metric.domain.margin(state[:n]) - 1e-9
+        return metric.domain.margin(state[:n]) - EXIT_MARGIN
 
-    boundary.terminal = True
-    boundary.direction = -1
     near_boundary.terminal = True
     near_boundary.direction = -1
-    inner = _solver_tol(tol)
-    sol = solve_ivp(rhs, t_span, np.concatenate([x0, y0]), method="RK45",
-                    rtol=inner, atol=inner, dense_output=True,
-                    events=(boundary, near_boundary))
-    _log_solver_work("integrate_geodesic", "RK45", sol)
-    exited = bool(sol.t_events[0].size) or bool(sol.t_events[1].size)
-    if exited:
-        hits = np.concatenate([sol.t_events[0], sol.t_events[1]])
-        t_end = float(hits.min())
-    elif sol.status == -1:
-        # the step size collapsed against the boundary; bisect for the
-        # last interior time on the dense output
-        exited = True
-        lo, hi = float(sol.t[0]), float(sol.t[-1])
-        if metric.domain.margin(sol.sol(hi)[:n]) > 0.0:
-            t_end = hi
-        else:
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                if metric.domain.margin(sol.sol(mid)[:n]) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            t_end = lo
-    else:
-        t_end = t_span[1]
-    exit_time = t_end if exited else None
-    if exited:
-        # back off until the final node is strictly interior
-        step = 1e-10 * max(t_end - t_span[0], 1.0)
-        while t_end > t_span[0] and metric.domain.margin(sol.sol(t_end)[:n]) <= 0.0:
-            t_end -= step
-            step *= 2.0
+    sol = _solve("integrate_geodesic", rhs, t_span, np.concatenate([x0, y0]),
+                 "RK45", tol, events=near_boundary)
+    exited = bool(sol.t_events[0].size)
+    t_end = float(sol.t_events[0][0]) if exited else t_span[1]
     times = chebyshev_nodes(t_span[0], t_end, nodes)
     states = sol.sol(times)
     positions = states[:n].T.copy()
@@ -174,7 +156,8 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     speeds = np.asarray(metric.evaluate(positions.T, velocities.T), dtype=float)
     drift = float(np.max(np.abs(speeds - speeds[0])))
     return GeodesicTrace(times=times, positions=positions, velocities=velocities,
-                         speed_drift=drift, exit=exited, exit_time=exit_time,
+                         speed_drift=drift, exit=exited,
+                         exit_time=t_end if exited else None,
                          nfev=int(sol.nfev), steps=len(sol.t) - 1)
 
 
@@ -250,24 +233,18 @@ def jacobi_propagate(metric, trace, V0, DV0, tol=1e-10):
 
     def rhs(t, state):
         x, y, v, w = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
-        if not metric.domain.margin(x) > 0.0:  # outside, or NaN
+        try:
+            lg = local_geometry(metric, TangentSample(x, y), "R")
+        except DomainError:  # outside, or NaN
             return np.full(4 * n, np.nan)
-        lg = local_geometry(metric, TangentSample(x, y), "R")
         return np.concatenate([
             y, -2.0 * lg.G,
             w - lg.N @ v,
             -lg.R @ v - lg.N @ w,
         ])
 
-    t_end = trace.times[-1]
-    sol = solve_ivp(rhs, (trace.times[0], t_end),
-                    np.concatenate([x0, y0, V0, W0]), method="DOP853",
-                    rtol=_solver_tol(tol), atol=_solver_tol(tol), dense_output=True)
-    _log_solver_work("jacobi_propagate", "DOP853", sol)
-    if sol.status != 0:
-        raise ResolutionError(
-            f"Jacobi solve stopped at t = {sol.t[-1]:.6g} of {t_end:.6g}: "
-            f"{sol.message}")
+    sol = _solve("jacobi_propagate", rhs, (trace.times[0], trace.times[-1]),
+                 np.concatenate([x0, y0, V0, W0]), "DOP853", tol)
     states = sol.sol(trace.times)
     return states[2 * n:3 * n].T.copy()
 

@@ -3,7 +3,8 @@
 A Claim names a metric, a quantity, a target, a tolerance, and a sampling
 plan.  run_claim evaluates the quantity over the plan and compares against
 the target; run_suite executes many claims with deterministic aggregation.
-Constructor or geometry errors become failed reports, never crashes.
+A malformed claim raises InvalidParameterError when it is built; metric
+constructor or geometry errors become failed reports, never crashes.
 
 run_claim first draws every sample's random input (a flag pole, a
 difference direction) in sample order, then evaluates pointwise
@@ -20,7 +21,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -31,12 +32,6 @@ from .geometry import (TangentSample, _dot, _mv, _vmv, flag_curvature,
 from .jets import extract, seed
 from .zoo import MetricSpec, build_metric
 from . import flow
-
-QUANTITIES = ("flag_curvature", "s_curvature", "s_curvature_ratio",
-              "mean_cartan", "mean_landsberg", "cartan_orthogonality",
-              "sskk1_residual", "det_identity", "spray_split", "funk_pde",
-              "berwald_quadratic", "phi_convexity", "phi_constancy",
-              "closed_one_form", "cartan_bound", "riemann_annihilates_torsion")
 
 TARGET_KINDS = ("constant", "zero", "upper_bound", "exceeds")
 
@@ -74,21 +69,32 @@ class Claim:
     reference: str = ""
 
     def __post_init__(self):
-        if self.quantity not in QUANTITIES:
+        if self.quantity not in _EVALUATORS:
             raise InvalidParameterError(f"unknown quantity {self.quantity!r}")
-        if self.target.get("kind", "zero") not in TARGET_KINDS:
+        kind = self.target.get("kind", "zero")
+        if kind not in TARGET_KINDS:
             raise InvalidParameterError(f"unknown target kind {self.target!r}")
+        if kind != "zero" and "value" not in self.target:
+            raise InvalidParameterError(f"target kind {kind!r} needs a value")
         if self.tolerance <= 0.0:
             raise InvalidParameterError("tolerance must be positive")
+        if self.tolerance_kind not in ("absolute", "relative"):
+            raise InvalidParameterError(f"unknown tolerance_kind {self.tolerance_kind!r}")
+        _check_keys(f"{self.quantity} parameter", self.parameters,
+                    _PARAMETERS.get(self.quantity, ()),
+                    required=("c",) if self.quantity == "closed_one_form" else ())
 
     @classmethod
     def from_dict(cls, data):
+        _check_keys("claim", data, [f.name for f in fields(cls)],
+                    required=("id", "metric", "quantity"))
         data = dict(data)
         metric = data.pop("metric")
         if isinstance(metric, dict):
             metric = MetricSpec.from_dict(metric)
         plan = data.pop("samples", {})
         if isinstance(plan, dict):
+            _check_keys("sample plan", plan, [f.name for f in fields(SamplePlan)])
             plan = SamplePlan(**plan)
         if "tolerance" in data:
             data["tolerance"] = float(data["tolerance"])
@@ -101,6 +107,17 @@ class Claim:
         out = asdict(self)
         out["metric"] = self.metric.to_dict()
         return out
+
+
+def _check_keys(what, data, known, required=()):
+    """Reject a `what` record with a key not in `known`, or without a
+    `required` one."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise InvalidParameterError(f"unknown {what} keys: {unknown}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise InvalidParameterError(f"{what} lacks keys: {missing}")
 
 
 @dataclass(frozen=True)
@@ -342,6 +359,16 @@ _EVALUATORS = {
     "riemann_annihilates_torsion": (_eval_riemann_annihilates_torsion, None),
 }
 
+_GEODESIC = ("t_span", "ode_tol", "nodes")  # read by _geodesic_torsion
+
+#: quantity -> the claim parameters it reads, none if it is not listed; a
+#: claim may set no others
+_PARAMETERS = {"flag_curvature": ("u",), "berwald_quadratic": ("step",),
+               "closed_one_form": ("c",), "sskk1_residual": _GEODESIC,
+               "phi_constancy": _GEODESIC, "phi_convexity": _GEODESIC + ("floor",)}
+
+QUANTITIES = tuple(_EVALUATORS)
+
 #: Quantities evaluated on stacks of samples.  The others, geodesics and
 #: quadrature, take one sample at a time.
 _STACKED = frozenset({"flag_curvature", "mean_cartan", "mean_landsberg",
@@ -360,9 +387,7 @@ def _deviation(observed, target, tolerance_kind):
     if kind == "constant":
         dev = abs(observed - ref)
         return dev / max(abs(ref), 1e-30) if tolerance_kind == "relative" else dev
-    if kind == "upper_bound":
-        return max(0.0, observed - ref)
-    raise InvalidParameterError(f"no pointwise deviation for target {kind!r}")
+    return max(0.0, observed - ref)  # upper_bound
 
 
 def run_claim(claim):
@@ -430,22 +455,21 @@ def run_claim(claim):
                        seed=seed_used, runtime=time.perf_counter() - start)
 
 
-def closed_one_form_check(metric, c, samples=None, tol=1e-3, base_points=None,
-                          directions=None, fd_step=1e-4):
+def closed_one_form_check(metric, c, samples=None, tol=1e-3, base_points=None):
     """Test S(x, y) = (n+1) c F(x, y) + gamma_x(y) with gamma a closed 1-form.
 
-    gamma is fitted as a linear form in y over >= 2n unit directions; the fit
-    residual checks linearity, and antisymmetry of the finite-difference
-    x-Jacobian of the fitted coefficients checks closedness.  The reported
-    statistic is the worse of the two residuals per base point.
+    gamma is fitted as a linear form in y over max(2n, 6) unit directions;
+    the fit residual checks linearity, and antisymmetry of the x-Jacobian
+    of the fitted coefficients (central differences, step 1e-4) checks
+    closedness.  The reported statistic is the worse of the two residuals
+    per base point.
     """
+    step = 1e-4
     start = time.perf_counter()
     samples = samples or SamplePlan(count=10)
     n = metric.dimension
     rng = np.random.default_rng(samples.seed + 2)
-    if directions is None:
-        directions = max(2 * n, 6)
-    dirs = rng.standard_normal((directions, n))
+    dirs = rng.standard_normal((max(2 * n, 6), n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     if base_points is None:
         base_points = [metric.domain.sample_interior(rng, margin=samples.margin)
@@ -468,10 +492,10 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3, base_points=None,
         jac = np.empty((n, n))
         for m in range(n):
             e = np.zeros(n)
-            e[m] = fd_step
+            e[m] = step
             cp, rp, sp = gamma_coeffs(np.asarray(x, float) + e)
             cm, rm, sm = gamma_coeffs(np.asarray(x, float) - e)
-            jac[:, m] = (cp - cm) / (2.0 * fd_step)
+            jac[:, m] = (cp - cm) / (2.0 * step)
             lin_resid = max(lin_resid, rp, rm)
             scale = max(scale, sp, sm)
         closed_resid = float(np.max(np.abs(jac - jac.T)))

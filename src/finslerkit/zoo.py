@@ -308,7 +308,9 @@ def _theta_jet(phi, x, y):
         residual = theta - phi([yc + theta * xc for yc, xc in zip(y, x)])
         theta = theta - residual / slope
     residual = theta - phi([yc + theta * xc for yc, xc in zip(y, x)])
-    if float(np.max(np.abs(residual.coeffs))) > 1e-9 * max(1.0, float(np.max(np.abs(theta0)))):
+    # rounding scales with each sample's largest coefficient (1e7 near the edge)
+    size = np.maximum(np.max(np.abs(theta.coeffs), axis=0), 1.0)
+    if np.any(np.max(np.abs(residual.coeffs), axis=0) > 1e-9 * size):
         raise ImplicitSolveError("jet propagation through the Funk equation stalled")
     return theta
 
@@ -433,10 +435,9 @@ def epsilon_profile(eps):
         name="epsilon", parameters={"eps": float(eps)})
 
 
-def make_szabo_product(alpha1, alpha2, profile, validate=True):
-    """F = sqrt(f(alpha1^2, alpha2^2)) on the product chart."""
-    if validate:
-        profile.validate()
+def make_szabo_product(alpha1, alpha2, profile):
+    """F = sqrt(f(alpha1^2, alpha2^2)) on the product chart; checks the profile."""
+    profile.validate()
     n1, n2 = alpha1.dimension, alpha2.dimension
     q1 = alpha1.extras["quadratic_form"]
     q2 = alpha2.extras["quadratic_form"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from finslerkit import zoo
 
@@ -49,3 +50,37 @@ def szabo():
 def zoo_metrics():
     """One built metric per kind, keyed by kind string."""
     return {spec.kind: zoo.build_metric(spec) for spec in zoo.default_specs()}
+
+
+_CLAIM = {"id": "flat-cartan", "metric": {"kind": "euclidean", "dimension": 2},
+          "quantity": "mean_cartan", "target": {"kind": "zero"},
+          "tolerance": 1e-9, "samples": {"count": 5, "seed": 1}}
+
+
+def _edited(drop=(), **changes):
+    record = {**_CLAIM, **changes}
+    for key in drop:
+        del record[key]
+    return record
+
+
+#: Claim records that must be refused when the claim is built.
+MALFORMED_CLAIMS = {
+    "unknown-claim-key": _edited(drop=["tolerance"], tolerence=1e-9),
+    "unknown-plan-key": _edited(samples={"count": 5, "sed": 1}),
+    "no-metric": _edited(drop=["metric"]),
+    "closed-one-form-without-c": _edited(
+        metric={"kind": "funk_ball_shifted", "dimension": 2},
+        quantity="closed_one_form"),
+    "constant-without-value": _edited(target={"kind": "constant"}),
+    "upper-bound-without-value": _edited(target={"kind": "upper_bound"}),
+    "exceeds-without-value": _edited(target={"kind": "exceeds"}),
+    "unknown-tolerance-kind": _edited(tolerance_kind="relativ"),
+    "parameter-the-quantity-does-not-read": _edited(parameters={"stepp": 3}),
+}
+
+
+@pytest.fixture(params=list(MALFORMED_CLAIMS.values()), ids=list(MALFORMED_CLAIMS))
+def malformed_claim_yaml(request):
+    """A one-claim YAML document whose claim is malformed."""
+    return yaml.safe_dump([request.param], sort_keys=False)

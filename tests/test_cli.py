@@ -138,6 +138,16 @@ def test_suite_reports_failures_on_stderr(tmp_path, capsys):
     assert "FAIL" in err
 
 
+def test_suite_on_a_malformed_claim_file_is_a_usage_error(tmp_path, capsys,
+                                                         malformed_claim_yaml):
+    path = tmp_path / "claims.yaml"
+    path.write_text(malformed_claim_yaml)
+    code, out, err = run_cli(capsys, "suite", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_suite_seed_override_is_deterministic(tmp_path, capsys):
     path = tmp_path / "claims.yaml"
     path.write_text(CLAIMS_YAML)
@@ -187,6 +197,14 @@ def test_zoo_list_emits_reconstructible_specs(capsys):
     assert sorted(s.kind for s in specs) == sorted(zoo.KINDS)
     for spec in specs:
         zoo.build_metric(spec)
+
+
+def test_geodesic_from_outside_the_chart_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "geodesic", "--metric", FUNK,
+                             "--x", "2,0", "--y", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "margin" in err
 
 
 def test_bad_metric_spec_is_a_usage_error(capsys):

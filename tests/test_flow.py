@@ -1,12 +1,14 @@
 """Geodesic integration, covariant transport, and torsion traces."""
 
 import logging
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from finslerkit import flow, zoo
-from finslerkit.errors import ResolutionError
+from finslerkit.errors import DomainError, ResolutionError
 from finslerkit.flow import (covariant_derivative_along, growth_estimate,
                              integrate_geodesic, jacobi_propagate,
                              torsion_trace)
@@ -252,3 +254,57 @@ def test_jacobi_field_reconstructs_torsion_with_few_bundles(funk_shifted,
     assert len(bundles) <= 200
     scale = np.abs(tt.I_of_t).max()
     assert np.abs(V - tt.I_of_t).max() <= 1e-10 * scale
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("x0", [[2.0, 0.0], [1.0 - 5e-10, 0.0]],
+                         ids=["outside-the-chart", "inside-the-exit-band"])
+def test_start_not_inside_the_exit_margin_is_a_domain_error(funk_shifted, x0):
+    """Either start would stall the solver at t = 0: outside the chart the
+    right-hand side is NaN from the first step, and inside the 1e-9 band
+    the exit event never sees the margin cross."""
+    with _deadline(1.0), pytest.raises(DomainError, match="margin"):
+        integrate_geodesic(funk_shifted, np.array(x0), np.array([1.0, 0.0]),
+                           (0.0, 1.0))
+
+
+def test_geodesic_solve_that_stops_short_is_a_resolution_error(funk_shifted,
+                                                               monkeypatch):
+    """A right-hand side that turns NaN past the midpoint, well inside the
+    chart, is a stalled solve and not a boundary exit."""
+    solve_ivp = flow.solve_ivp
+
+    def poisoned_solve_ivp(fun, *args, **kwargs):
+        def rhs(t, state):
+            return np.full_like(state, np.nan) if t > 0.5 else fun(t, state)
+        return solve_ivp(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", poisoned_solve_ivp)
+    with _deadline(30.0), pytest.raises(ResolutionError, match="stopped at t = 0.5"):
+        integrate_geodesic(funk_shifted, np.array([0.1, -0.2]),
+                           np.array([0.8, 0.5]), (0.0, 1.0), nodes=33)
+
+
+def test_implicit_funk_torsion_trace_near_the_chart_edge():
+    """On this trace the implicit Funk jets carry coefficients up to about
+    2e7; they converge to rounding, which scales with them, and the trace
+    matches the closed-form Funk metric's."""
+    x0, y0 = np.array([-0.477, -0.403]), np.array([-0.413, -2.441])
+    traces = [torsion_trace(m, integrate_geodesic(m, x0, y0, (0.0, 0.5), nodes=33))
+              for m in (zoo.make_funk_implicit(), zoo.make_funk_shifted([0.0, 0.0]))]
+    implicit, closed = (tt.phi_of_t for tt in traces)
+    assert np.abs(implicit - closed).max() <= 1e-10 * closed.max()

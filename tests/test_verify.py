@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ def test_claim_validation_rejects_unknown_quantity():
 def test_claim_validation_rejects_unknown_target_kind():
     with pytest.raises(InvalidParameterError):
         _claim(target={"kind": "approximately_vibes", "value": 0.0})
+
+
+def test_malformed_claim_is_refused_when_built(malformed_claim_yaml):
+    with pytest.raises(InvalidParameterError):
+        load_claims(io.StringIO(malformed_claim_yaml))
+
+
+def test_the_shipped_claims_pass_the_checks_made_when_a_claim_is_built():
+    claims = load_claims(str(Path(__file__).parents[1] / "claims" / "acceptance.yaml"))
+    assert len(claims) == 23
 
 
 def test_load_claims_coerces_scalar_strings():
