@@ -16,29 +16,40 @@ import numpy as np
 import yaml
 
 from . import flow, verify
-from .errors import DomainError, FinslerError
+from .errors import DomainError, FinslerError, InvalidParameterError
 from .geometry import (TangentSample, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        s_curvature, spray, volume_density)
 from .zoo import KINDS, MetricSpec, build_metric, default_specs
 
-EVAL_QUANTITIES = ("F", "g", "G", "K", "S", "I", "J", "tau", "sigma")
+#: --quantity -> its value at a tangent sample `at`, given the flag edge u
+EVAL_QUANTITIES = {
+    "F": lambda metric, at, u: float(metric.evaluate(at.x, at.y)),
+    "g": lambda metric, at, u: fundamental_tensor(metric, at).g,
+    "G": lambda metric, at, u: spray(metric, at).G,
+    "K": lambda metric, at, u: flag_curvature(metric, at, u),
+    "S": lambda metric, at, u: s_curvature(metric, at),
+    "I": lambda metric, at, u: mean_cartan(metric, at).covariant,
+    "J": lambda metric, at, u: mean_landsberg(metric, at).covariant,
+    "tau": lambda metric, at, u: distortion(metric, at),
+    "sigma": lambda metric, at, u: volume_density(metric, at.x),
+}
 
 
 def _load_spec(text):
     """Metric spec from a YAML file path or an inline YAML mapping."""
     if os.path.exists(text):
         with open(text) as fh:
-            data = yaml.safe_load(fh)
-    else:
-        data = yaml.safe_load(text)
-    if not isinstance(data, dict):
-        raise FinslerError(f"metric spec must be a mapping, got {type(data).__name__}")
-    return MetricSpec.from_dict(data)
+            text = fh.read()
+    return MetricSpec.from_yaml(text)
 
 
-def _vector(text):
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _vector(text, metric, name):
+    """A comma-separated vector of metric.dimension finite numbers."""
+    v = np.array([float(c) for c in text.split(",")], dtype=float)
+    if v.shape != (metric.dimension,) or not np.all(np.isfinite(v)):
+        raise InvalidParameterError(f"{name} {text} is not {metric.dimension} finite numbers")
+    return v
 
 
 def _fmt(v):
@@ -49,44 +60,23 @@ def _fmt(v):
 
 
 def cmd_eval(args):
-    spec = _load_spec(args.metric)
-    metric = build_metric(spec)
-    x = _vector(args.x)
-    y = _vector(args.y)
-    if metric.domain.margin(x) <= 0.0:
+    metric = build_metric(_load_spec(args.metric))
+    at = TangentSample(_vector(args.x, metric, "--x"), _vector(args.y, metric, "--y"))
+    if not metric.domain.margin(at.x) > 0.0:
         raise DomainError(f"point {args.x} is outside the chart domain")
-    at = TangentSample(x, y)
-    q = args.quantity
-    if q == "F":
-        out = float(metric.evaluate(x, y))
-    elif q == "g":
-        out = fundamental_tensor(metric, at).g
-    elif q == "G":
-        out = spray(metric, at).G
-    elif q == "K":
-        if args.u is None:
-            raise FinslerError("quantity K needs a flag edge --u")
-        out = flag_curvature(metric, at, _vector(args.u))
-    elif q == "S":
-        out = s_curvature(metric, at)
-    elif q == "I":
-        out = mean_cartan(metric, at).covariant
-    elif q == "J":
-        out = mean_landsberg(metric, at).covariant
-    elif q == "tau":
-        out = distortion(metric, at)
-    else:
-        out = volume_density(metric, x)
-    print(_fmt(out))
+    if args.quantity == "K" and args.u is None:
+        raise FinslerError("quantity K needs a flag edge --u")
+    u = None if args.u is None else _vector(args.u, metric, "--u")
+    print(_fmt(EVAL_QUANTITIES[args.quantity](metric, at, u)))
     return 0
 
 
 def cmd_geodesic(args):
-    spec = _load_spec(args.metric)
-    metric = build_metric(spec)
+    metric = build_metric(_load_spec(args.metric))
     t_span = tuple(float(v) for v in args.t_span.split(","))
-    trace = flow.integrate_geodesic(metric, _vector(args.x), _vector(args.y),
-                                    t_span, tol=args.tol, nodes=args.nodes)
+    trace = flow.integrate_geodesic(metric, _vector(args.x, metric, "--x"),
+                                    _vector(args.y, metric, "--y"), t_span,
+                                    tol=args.tol, nodes=args.nodes)
     if trace.exit:
         print(f"boundary exit at t = {trace.exit_time:.12g}", file=sys.stderr)
     print(f"speed drift {trace.speed_drift:.3e}", file=sys.stderr)

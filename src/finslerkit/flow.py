@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, InvalidParameterError, ResolutionError
 from .geometry import TangentSample, _mv, _vmv, cartan_norm, local_geometry
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
@@ -61,7 +61,13 @@ def _solver_tol(tol):
 
 def _solve(caller, rhs, t_span, state0, method, tol, events=None):
     """solve_ivp with dense output at the per-step tolerance for `tol`,
-    logged at DEBUG level.  A solve that stops short raises ResolutionError."""
+    logged at DEBUG level.  A `tol` that is not positive or a time span that
+    is not finite raises InvalidParameterError, a solve that stops short
+    ResolutionError."""
+    if not tol > 0.0:
+        raise InvalidParameterError(f"{caller}: tolerance {tol} is not positive")
+    if not np.all(np.isfinite(t_span)):  # solve_ivp would never reach a NaN end
+        raise InvalidParameterError(f"{caller}: time span {t_span} is not finite")
     inner = _solver_tol(tol)
     sol = solve_ivp(rhs, t_span, state0, method=method, rtol=inner, atol=inner,
                     dense_output=True, events=events)
@@ -123,8 +129,11 @@ class TorsionTrace:
 def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     """Integrate the spray ODE; stops with an exit flag, at `exit_time`, where
     the chart margin falls to EXIT_MARGIN.  A start whose margin is not
-    above EXIT_MARGIN raises DomainError; a stalled solve ResolutionError.
+    above EXIT_MARGIN raises DomainError; a stalled solve ResolutionError;
+    fewer than 2 `nodes` InvalidParameterError.
     """
+    if nodes < 2:
+        raise InvalidParameterError(f"a geodesic trace needs at least 2 nodes, not {nodes}")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = metric.dimension

@@ -3,15 +3,17 @@
 A Claim names a metric, a quantity, a target, a tolerance, and a sampling
 plan.  run_claim evaluates the quantity over the plan and compares against
 the target; run_suite executes many claims with deterministic aggregation.
-A malformed claim raises InvalidParameterError when it is built; metric
-constructor or geometry errors become failed reports, never crashes.
+Each quantity is declared once, in _QUANTITIES.  A malformed claim raises
+InvalidParameterError when it is built (its own, metric, sample plan and
+target records all pass zoo._check_keys); metric constructor or geometry
+errors become failed reports, never crashes.
 
 run_claim first draws every sample's random input (a flag pole, a
-difference direction) in sample order, then evaluates pointwise
-quantities on stacks of up to _CHUNK samples, one bundle per stack.  The
-report is the one a sample-by-sample loop gives: a stack that fails is
-evaluated again one sample at a time, so the first failing sample is the
-one named.
+difference direction, closed-1-form fit directions) in sample order, then
+evaluates stacked quantities on stacks of up to _CHUNK samples, one
+bundle per stack.  The report is the one a sample-by-sample loop gives: a
+stack that fails is evaluated again one sample at a time, so the first
+failing sample is the one named.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import FinslerError, InvalidParameterError
 from .geometry import (TangentSample, _dot, _mv, _vmv, flag_curvature,
                        fundamental_tensor, local_geometry, s_curvature)
 from .jets import extract, seed
-from .zoo import MetricSpec, build_metric
+from .zoo import MetricSpec, _check_keys, _integer, build_metric
 from . import flow
 
 TARGET_KINDS = ("constant", "zero", "upper_bound", "exceeds")
@@ -44,6 +46,11 @@ class SamplePlan:
     count: int = 200
     margin: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if _integer("sample count", self.count) < 1:
+            raise InvalidParameterError(f"sample count must be at least 1, not {self.count}")
+        _integer("sample seed", self.seed)
 
     def draw(self, metric):
         rng = np.random.default_rng(self.seed)
@@ -69,8 +76,10 @@ class Claim:
     reference: str = ""
 
     def __post_init__(self):
-        if self.quantity not in _EVALUATORS:
+        quantity = _QUANTITIES.get(self.quantity)
+        if quantity is None:
             raise InvalidParameterError(f"unknown quantity {self.quantity!r}")
+        _check_keys("target", self.target, ("kind", "value"))
         kind = self.target.get("kind", "zero")
         if kind not in TARGET_KINDS:
             raise InvalidParameterError(f"unknown target kind {self.target!r}")
@@ -81,27 +90,24 @@ class Claim:
         if self.tolerance_kind not in ("absolute", "relative"):
             raise InvalidParameterError(f"unknown tolerance_kind {self.tolerance_kind!r}")
         _check_keys(f"{self.quantity} parameter", self.parameters,
-                    _PARAMETERS.get(self.quantity, ()),
-                    required=("c",) if self.quantity == "closed_one_form" else ())
+                    quantity.parameters, quantity.required)
 
     @classmethod
     def from_dict(cls, data):
         _check_keys("claim", data, [f.name for f in fields(cls)],
                     required=("id", "metric", "quantity"))
         data = dict(data)
-        metric = data.pop("metric")
-        if isinstance(metric, dict):
-            metric = MetricSpec.from_dict(metric)
+        metric = MetricSpec.from_dict(data.pop("metric"))
         plan = data.pop("samples", {})
-        if isinstance(plan, dict):
-            _check_keys("sample plan", plan, [f.name for f in fields(SamplePlan)])
-            plan = SamplePlan(**plan)
+        _check_keys("sample plan", plan, [f.name for f in fields(SamplePlan)])
+        if "margin" in plan:
+            plan = {**plan, "margin": _number("sample margin", plan["margin"])}
         if "tolerance" in data:
-            data["tolerance"] = float(data["tolerance"])
+            data["tolerance"] = _number("tolerance", data["tolerance"])
         target = data.get("target")
         if isinstance(target, dict) and "value" in target:
-            data["target"] = {**target, "value": float(target["value"])}
-        return cls(metric=metric, samples=plan, **data)
+            data["target"] = {**target, "value": _number("target value", target["value"])}
+        return cls(metric=metric, samples=SamplePlan(**plan), **data)
 
     def to_dict(self):
         out = asdict(self)
@@ -109,15 +115,12 @@ class Claim:
         return out
 
 
-def _check_keys(what, data, known, required=()):
-    """Reject a `what` record with a key not in `known`, or without a
-    `required` one."""
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise InvalidParameterError(f"unknown {what} keys: {unknown}")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise InvalidParameterError(f"{what} lacks keys: {missing}")
+def _number(what, value):
+    """float(value): numeric strings included, since YAML reads 1e-6 as one."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must be a number, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,48 +141,53 @@ class ClaimReport:
 
 def load_claims(path_or_stream):
     """Claims from a YAML document: a list of claim records."""
-    own = isinstance(path_or_stream, (str, bytes))
-    stream = open(path_or_stream) if own else path_or_stream
-    try:
-        data = yaml.safe_load(stream) or []
-    finally:
-        if own:
-            stream.close()
+    if isinstance(path_or_stream, (str, bytes)):
+        with open(path_or_stream) as stream:
+            data = yaml.safe_load(stream)
+    else:
+        data = yaml.safe_load(path_or_stream)
+    if not isinstance(data, (list, dict)):  # a scalar document is one record
+        data = [] if data is None else [data]
     return [Claim.from_dict(rec) for rec in data]
 
 
-# -- quantity evaluators ------------------------------------------------------
-#
-# An evaluator takes (metric, at, drawn, params).  `at` is one TangentSample,
-# or, for the quantities in _STACKED, a stack of up to _CHUNK samples (see
-# geometry.py), and the evaluator returns one value per sample.  `drawn` is
-# what the quantity's draw function took from the claim's rng for each
-# sample, stacked like `at`, or None for a quantity that draws nothing.
+# -- quantities ---------------------------------------------------------------
 
-#: Samples per stack for the quantities in _STACKED.  Larger stacks cost
+#: Samples per stack for the stacked quantities.  Larger stacks cost
 #: memory without running faster.
 _CHUNK = 32
 
 
-def _random_flag_pole(rng, n, y):
-    while True:
-        u = rng.standard_normal(n)
-        u -= (u @ y) / (y @ y) * y
-        if np.linalg.norm(u) > 1e-3:
-            return u / np.linalg.norm(u)
+@dataclass(frozen=True)
+class _Quantity:
+    """What run_claim knows of a quantity.
+
+    evaluate(metric, at, drawn, params) takes one TangentSample `at`, or for
+    a `stacked` quantity a stack of up to _CHUNK samples (see geometry.py),
+    and returns one value per sample.  `drawn` is what draw(metric, at, rng,
+    params) took from the claim's rng for each sample, stacked like `at`, or
+    None when `draw` is None.  `parameters` are the claim parameters the
+    quantity reads (a claim may set no others), `required` those it needs.
+    Geodesic and quadrature quantities take one sample at a time.
+    """
+
+    evaluate: object
+    draw: object = None
+    parameters: tuple = ()
+    required: tuple = ()
+    stacked: bool = False
 
 
 def _draw_flag_pole(metric, at, rng, params):
-    u = params.get("u")
-    return _random_flag_pole(rng, metric.dimension, at.y) if u is None else np.asarray(u, float)
-
-
-def _eval_flag_curvature(metric, at, u, params):
-    return flag_curvature(metric, at, u)
-
-
-def _eval_s_curvature(metric, at, drawn, params):
-    return s_curvature(metric, at)
+    """The claim's `u`, or a random unit vector off y."""
+    if "u" in params:
+        return np.asarray(params["u"], float)
+    y = at.y
+    while True:
+        u = rng.standard_normal(metric.dimension)
+        u -= (u @ y) / (y @ y) * y
+        if np.linalg.norm(u) > 1e-3:
+            return u / np.linalg.norm(u)
 
 
 def _eval_s_ratio(metric, at, drawn, params):
@@ -206,7 +214,8 @@ def _eval_cartan_orthogonality(metric, at, drawn, params):
 
 def _geodesic_torsion(metric, at, params, t_span=(0.0, 1.5)):
     """Torsion trace along the geodesic from `at`, integrated over the
-    claim's `t_span` (default as given) with its `nodes` and `ode_tol`."""
+    claim's `t_span` (default as given) with its `nodes` and `ode_tol`:
+    the parameters _along_geodesic declares."""
     trace = flow.integrate_geodesic(metric, at.x, at.y,
                                     tuple(params.get("t_span", t_span)),
                                     tol=params.get("ode_tol", 1e-10),
@@ -328,66 +337,64 @@ def _eval_cartan_bound(metric, at, drawn, params):
     return lg.F * lg.conorm(lg.I) - bound
 
 
-def _draw_seed(metric, at, rng, params):
-    return int(rng.integers(2 ** 31))
+def _fit_directions(rng, n):
+    """max(2n, 6) unit directions for the closed-1-form fit."""
+    dirs = rng.standard_normal((max(2 * n, 6), n))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _eval_closed_one_form(metric, at, seed_, params):
+def _draw_fit_directions(metric, at, rng, params):
+    return _fit_directions(np.random.default_rng(int(rng.integers(2 ** 31)) + 2),
+                           metric.dimension)
+
+
+def _eval_closed_one_form(metric, at, dirs, params):
     """Worst residual of the almost-constant S-curvature test at a point."""
-    rep = closed_one_form_check(metric, params["c"], SamplePlan(count=1, seed=seed_),
-                                base_points=[at.x])
-    return rep.stats["max"]
+    return _closed_one_form_residual(metric, params["c"], at.x, dirs)[0]
 
 
-#: quantity -> (evaluator, draw), with draw None when it draws nothing
-_EVALUATORS = {
-    "flag_curvature": (_eval_flag_curvature, _draw_flag_pole),
-    "s_curvature": (_eval_s_curvature, None),
-    "s_curvature_ratio": (_eval_s_ratio, None),
-    "mean_cartan": (_eval_mean_cartan, None),
-    "mean_landsberg": (_eval_mean_landsberg, None),
-    "cartan_orthogonality": (_eval_cartan_orthogonality, None),
-    "sskk1_residual": (_eval_sskk1, None),
-    "det_identity": (_eval_det_identity, None),
-    "spray_split": (_eval_spray_split, None),
-    "funk_pde": (_eval_funk_pde, None),
-    "berwald_quadratic": (_eval_berwald_quadratic, _draw_direction),
-    "phi_convexity": (_eval_phi_convexity, None),
-    "phi_constancy": (_eval_phi_constancy, None),
-    "closed_one_form": (_eval_closed_one_form, _draw_seed),
-    "cartan_bound": (_eval_cartan_bound, None),
-    "riemann_annihilates_torsion": (_eval_riemann_annihilates_torsion, None),
+def _along_geodesic(evaluate, *parameters):
+    """A quantity read off _geodesic_torsion, with its parameters."""
+    return _Quantity(evaluate, parameters=("t_span", "ode_tol", "nodes") + parameters)
+
+
+_QUANTITIES = {
+    "flag_curvature": _Quantity(lambda metric, at, u, params: flag_curvature(metric, at, u),
+                                _draw_flag_pole, ("u",), stacked=True),
+    "s_curvature": _Quantity(lambda metric, at, drawn, params: s_curvature(metric, at)),
+    "s_curvature_ratio": _Quantity(_eval_s_ratio),
+    "mean_cartan": _Quantity(_eval_mean_cartan, stacked=True),
+    "mean_landsberg": _Quantity(_eval_mean_landsberg, stacked=True),
+    "cartan_orthogonality": _Quantity(_eval_cartan_orthogonality, stacked=True),
+    "sskk1_residual": _along_geodesic(_eval_sskk1),
+    "det_identity": _Quantity(_eval_det_identity, stacked=True),
+    "spray_split": _Quantity(_eval_spray_split, stacked=True),
+    "funk_pde": _Quantity(_eval_funk_pde, stacked=True),
+    "berwald_quadratic": _Quantity(_eval_berwald_quadratic, _draw_direction, ("step",),
+                                   stacked=True),
+    "phi_convexity": _along_geodesic(_eval_phi_convexity, "floor"),
+    "phi_constancy": _along_geodesic(_eval_phi_constancy),
+    "closed_one_form": _Quantity(_eval_closed_one_form, _draw_fit_directions, ("c",),
+                                 required=("c",)),
+    "cartan_bound": _Quantity(_eval_cartan_bound, stacked=True),
+    "riemann_annihilates_torsion": _Quantity(_eval_riemann_annihilates_torsion,
+                                             stacked=True),
 }
-
-_GEODESIC = ("t_span", "ode_tol", "nodes")  # read by _geodesic_torsion
-
-#: quantity -> the claim parameters it reads, none if it is not listed; a
-#: claim may set no others
-_PARAMETERS = {"flag_curvature": ("u",), "berwald_quadratic": ("step",),
-               "closed_one_form": ("c",), "sskk1_residual": _GEODESIC,
-               "phi_constancy": _GEODESIC, "phi_convexity": _GEODESIC + ("floor",)}
-
-QUANTITIES = tuple(_EVALUATORS)
-
-#: Quantities evaluated on stacks of samples.  The others, geodesics and
-#: quadrature, take one sample at a time.
-_STACKED = frozenset({"flag_curvature", "mean_cartan", "mean_landsberg",
-                      "cartan_orthogonality", "det_identity", "spray_split",
-                      "funk_pde", "berwald_quadratic", "cartan_bound",
-                      "riemann_annihilates_torsion"})
+QUANTITIES = tuple(_QUANTITIES)
 
 
-# -- targets ------------------------------------------------------------------
+# -- reports ------------------------------------------------------------------
 
-def _deviation(observed, target, tolerance_kind):
-    kind = target.get("kind", "zero")
-    if kind == "zero":
-        return abs(observed)
-    ref = float(target["value"])
-    if kind == "constant":
-        dev = abs(observed - ref)
-        return dev / max(abs(ref), 1e-30) if tolerance_kind == "relative" else dev
-    return max(0.0, observed - ref)  # upper_bound
+def _report(claim_id, passed, values, worst, tolerance, seed, start, detail=""):
+    """The report on `values`, with their min, max, mean and stddev."""
+    values = np.asarray(values, dtype=float)
+    stats = {}
+    if values.size:
+        stats = {"min": float(values.min()), "max": float(values.max()),
+                 "mean": float(values.mean()), "stddev": float(values.std())}
+    return ClaimReport(claim_id=claim_id, passed=passed, count=values.size, stats=stats,
+                       worst_sample=worst, tolerance=tolerance, seed=seed,
+                       runtime=time.perf_counter() - start, detail=detail)
 
 
 def run_claim(claim):
@@ -395,23 +402,20 @@ def run_claim(claim):
     start = time.perf_counter()
     seed_used = claim.samples.seed
 
-    def failed(msg):
-        return ClaimReport(claim_id=claim.id, passed=False, count=0, stats={},
-                           worst_sample={}, tolerance=claim.tolerance,
-                           seed=seed_used, runtime=time.perf_counter() - start,
-                           detail=msg)
+    def failed(detail):
+        return _report(claim.id, False, [], {}, claim.tolerance, seed_used, start, detail)
 
     try:
         metric = build_metric(claim.metric)
     except FinslerError as exc:
         return failed(f"metric construction failed: {exc}")
     rng = np.random.default_rng(seed_used + 1)
-    evaluate, draw = _EVALUATORS[claim.quantity]
-    params = claim.parameters
+    quantity, params = _QUANTITIES[claim.quantity], claim.parameters
+    evaluate, draw = quantity.evaluate, quantity.draw
     samples = claim.samples.draw(metric)
     # every sample's rng-dependent input first, in sample order
     drawn = [draw(metric, at, rng, params) if draw else None for at in samples]
-    chunk = _CHUNK if claim.quantity in _STACKED else 1
+    chunk = _CHUNK if quantity.stacked else 1
     values = []
     for first in range(0, len(samples), chunk):
         part, inputs = samples[first:first + chunk], drawn[first:first + chunk]
@@ -431,49 +435,37 @@ def run_claim(claim):
                 return failed(f"evaluation failed at x={at.x}, y={at.y}: {exc}")
     values = np.asarray(values)
     kind = claim.target.get("kind", "zero")
+    ref = 0.0 if kind == "zero" else float(claim.target["value"])
     if kind == "exceeds":
-        threshold = float(claim.target["value"])
-        passed = bool(values.size) and float(values.max()) > threshold
-        worst_idx = int(values.argmax()) if values.size else 0
-        worst_dev = threshold - float(values.max()) if values.size else np.inf
+        passed = float(values.max()) > ref
+        worst_idx = int(values.argmax())
+        worst_dev = ref - float(values.max())
     else:
-        devs = np.array([_deviation(v, claim.target, claim.tolerance_kind)
-                         for v in values])
-        passed = bool(np.all(devs <= claim.tolerance)) if values.size else True
-        worst_idx = int(devs.argmax()) if values.size else 0
-        worst_dev = float(devs.max()) if values.size else 0.0
-    stats = {}
-    worst = {}
-    if values.size:
-        stats = {"min": float(values.min()), "max": float(values.max()),
-                 "mean": float(values.mean()), "stddev": float(values.std())}
-        at = samples[worst_idx]
-        worst = {"x": at.x.tolist(), "y": at.y.tolist(),
-                 "observed": float(values[worst_idx]), "deviation": worst_dev}
-    return ClaimReport(claim_id=claim.id, passed=passed, count=len(values),
-                       stats=stats, worst_sample=worst, tolerance=claim.tolerance,
-                       seed=seed_used, runtime=time.perf_counter() - start)
+        relative = kind == "constant" and claim.tolerance_kind == "relative"
+        over = values - ref
+        devs = (np.where(over > 0.0, over, 0.0) if kind == "upper_bound"
+                else np.abs(over) / (max(abs(ref), 1e-30) if relative else 1.0))
+        passed = bool(np.all(devs <= claim.tolerance))
+        worst_idx = int(devs.argmax())
+        worst_dev = float(devs.max())
+    at = samples[worst_idx]
+    worst = {"x": at.x.tolist(), "y": at.y.tolist(),
+             "observed": float(values[worst_idx]), "deviation": worst_dev}
+    return _report(claim.id, passed, values, worst, claim.tolerance, seed_used, start)
 
 
-def closed_one_form_check(metric, c, samples=None, tol=1e-3, base_points=None):
-    """Test S(x, y) = (n+1) c F(x, y) + gamma_x(y) with gamma a closed 1-form.
+def _closed_one_form_residual(metric, c, x, dirs):
+    """Residuals at x of S(x, y) = (n+1) c F(x, y) + gamma_x(y) with gamma a
+    closed 1-form: (the worse of the two, linearity, closedness).
 
-    gamma is fitted as a linear form in y over max(2n, 6) unit directions;
+    gamma is fitted as a linear form in y over the unit directions `dirs`;
     the fit residual checks linearity, and antisymmetry of the x-Jacobian
     of the fitted coefficients (central differences, step 1e-4) checks
-    closedness.  The reported statistic is the worse of the two residuals
-    per base point.
+    closedness.  Both are relative to the largest |gamma| met, or to 1.
     """
     step = 1e-4
-    start = time.perf_counter()
-    samples = samples or SamplePlan(count=10)
     n = metric.dimension
-    rng = np.random.default_rng(samples.seed + 2)
-    dirs = rng.standard_normal((max(2 * n, 6), n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    if base_points is None:
-        base_points = [metric.domain.sample_interior(rng, margin=samples.margin)
-                       for _ in range(samples.count)]
+    x = np.asarray(x, float)
 
     def gamma_coeffs(x):
         g = np.array([s_curvature(metric, TangentSample(x, d))
@@ -484,35 +476,39 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3, base_points=None):
         resid = float(np.max(np.abs(dirs @ coeff - g)))
         return coeff, resid, float(np.max(np.abs(g)))
 
-    residuals = []
-    worst = {}
-    for x in base_points:
-        coeff0, lin_resid, g_scale = gamma_coeffs(np.asarray(x, float))
-        scale = max(g_scale, 1.0)
-        jac = np.empty((n, n))
-        for m in range(n):
-            e = np.zeros(n)
-            e[m] = step
-            cp, rp, sp = gamma_coeffs(np.asarray(x, float) + e)
-            cm, rm, sm = gamma_coeffs(np.asarray(x, float) - e)
-            jac[:, m] = (cp - cm) / (2.0 * step)
-            lin_resid = max(lin_resid, rp, rm)
-            scale = max(scale, sp, sm)
-        closed_resid = float(np.max(np.abs(jac - jac.T)))
-        total = max(lin_resid, closed_resid) / scale
+    _, lin_resid, g_scale = gamma_coeffs(x)
+    scale = max(g_scale, 1.0)
+    jac = np.empty((n, n))
+    for m in range(n):
+        e = np.zeros(n)
+        e[m] = step
+        cp, rp, sp = gamma_coeffs(x + e)
+        cm, rm, sm = gamma_coeffs(x - e)
+        jac[:, m] = (cp - cm) / (2.0 * step)
+        lin_resid = max(lin_resid, rp, rm)
+        scale = max(scale, sp, sm)
+    closed_resid = float(np.max(np.abs(jac - jac.T)))
+    return max(lin_resid, closed_resid) / scale, lin_resid / scale, closed_resid / scale
+
+
+def closed_one_form_check(metric, c, samples=None, tol=1e-3):
+    """_closed_one_form_residual at the plan's base points (10 by default),
+    with max(2n, 6) fit directions; it passes if every residual is at most
+    `tol`."""
+    start = time.perf_counter()
+    samples = samples or SamplePlan(count=10)
+    rng = np.random.default_rng(samples.seed + 2)
+    dirs = _fit_directions(rng, metric.dimension)
+    residuals, worst = [], {}
+    for _ in range(samples.count):
+        x = metric.domain.sample_interior(rng, margin=samples.margin)
+        total, linearity, closedness = _closed_one_form_residual(metric, c, x, dirs)
         residuals.append(total)
         if not worst or total >= max(residuals):
             worst = {"x": np.asarray(x, float).tolist(), "observed": total,
-                     "deviation": total,
-                     "linearity": lin_resid / scale, "closedness": closed_resid / scale}
-    residuals = np.asarray(residuals)
-    passed = bool(np.all(residuals <= tol))
-    stats = {"min": float(residuals.min()), "max": float(residuals.max()),
-             "mean": float(residuals.mean()), "stddev": float(residuals.std())}
-    return ClaimReport(claim_id=f"closed_one_form[{metric.name}]", passed=passed,
-                       count=len(residuals), stats=stats, worst_sample=worst,
-                       tolerance=tol, seed=samples.seed,
-                       runtime=time.perf_counter() - start)
+                     "deviation": total, "linearity": linearity, "closedness": closedness}
+    return _report(f"closed_one_form[{metric.name}]", all(r <= tol for r in residuals),
+                   residuals, worst, tol, samples.seed, start)
 
 
 def run_suite(claims, parallelism=1):
@@ -542,12 +538,8 @@ class SuiteReport:
         return [r for r in self.reports if not r.passed]
 
     def to_json(self, include_runtime=True):
-        recs = []
-        for r in self.reports:
-            d = r.to_dict()
-            if not include_runtime:
-                d.pop("runtime")
-            recs.append(d)
+        recs = [{k: v for k, v in r.to_dict().items() if include_runtime or k != "runtime"}
+                for r in self.reports]
         return json.dumps({"passed": self.passed, "claims": recs},
                           indent=2, sort_keys=True)
 

@@ -44,21 +44,14 @@ class MetricSpec:
 
     @classmethod
     def from_dict(cls, data):
-        extra = set(data) - {"kind", "dimension", "parameters"}
-        if extra:
-            raise InvalidParameterError(f"unknown metric spec keys: {sorted(extra)}")
-        missing = {"kind", "dimension"} - set(data)
-        if missing:
-            raise InvalidParameterError(f"metric spec lacks keys: {sorted(missing)}")
-        dimension, parameters = data["dimension"], data.get("parameters", {})
-        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
-            raise InvalidParameterError(
-                f"metric dimension must be an integer, not {dimension!r}")
+        _check_keys("metric spec", data, ("kind", "dimension", "parameters"),
+                    required=("kind", "dimension"))
+        parameters = data.get("parameters", {})
         if not isinstance(parameters, dict):
             raise InvalidParameterError(
                 f"metric spec parameters must be a mapping, not {parameters!r}")
-        return cls(kind=data["kind"], dimension=int(dimension),
-                   parameters=dict(parameters))
+        return cls(kind=data["kind"], parameters=dict(parameters),
+                   dimension=_integer("metric dimension", data["dimension"]))
 
     def to_yaml(self):
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
@@ -66,6 +59,29 @@ class MetricSpec:
     @classmethod
     def from_yaml(cls, text):
         return cls.from_dict(yaml.safe_load(text))
+
+
+def _check_keys(what, data, known, required=()):
+    """Refuse a `what` record that is not a mapping, has a key not in
+    `known` or a null value, or lacks a `required` key."""
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"{what} must be a mapping, not {data!r}")
+    unknown = [k for k in data if k not in known]
+    if unknown:
+        raise InvalidParameterError(f"unknown {what} keys: {unknown}; known: {list(known)}")
+    missing = [k for k in required if k not in data]
+    if missing:
+        raise InvalidParameterError(f"{what} lacks keys: {missing}")
+    null = [k for k, v in data.items() if v is None]
+    if null:
+        raise InvalidParameterError(f"{what} keys {null} are null")
+
+
+def _integer(what, value):
+    """`value` as an int; a bool, a float or any other type raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{what} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _plain(obj):
@@ -166,18 +182,18 @@ def _half_hessian(qform, x, n):
     return np.broadcast_to(0.5 * hessian(q, range(n)).value, x.shape[:-1] + (n, n))
 
 
-def _check_spd(qform, dom, n, samples=50):
+def _check_spd(qform, dom, n):
     rng = np.random.default_rng(7)
-    for _ in range(samples):
+    for _ in range(50):
         x = dom.sample_interior(rng)
         a = _half_hessian(qform, x, n)
         if np.min(np.linalg.eigvalsh(a)) <= 0.0:
             raise InvalidParameterError(f"matrix field not positive definite at x={x}")
 
 
-def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=None,
-                 gate_samples=200):
-    """Randers metric F = alpha + beta with the ||beta||_x < 1 gate sampled."""
+def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=None):
+    """Randers metric F = alpha + beta with the ||beta||_x < 1 gate sampled
+    at 200 interior points."""
     base = make_riemannian(model, dimension, matrix_field, domain)
     b = np.array([0.5] + [0.0] * (dimension - 1)) if b is None else np.asarray(b, float)
     qform = base.extras["quadratic_form"]
@@ -190,9 +206,8 @@ def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=No
         return float(norm) if norm.ndim == 0 else norm
 
     rng = np.random.default_rng(11)
-    points = np.array([base.domain.sample_interior(rng) for _ in range(gate_samples)])
-    norms = beta_norm(points.reshape(gate_samples, dimension))
-    for x, nb in zip(points, norms):
+    points = np.array([base.domain.sample_interior(rng) for _ in range(200)])
+    for x, nb in zip(points, beta_norm(points)):
         if nb >= 1.0:
             raise InvalidParameterError(
                 f"||beta||_x = {nb:.4f} >= 1 at x = {x}")
@@ -396,14 +411,12 @@ class ProductProfile:
             GATE_CONDITIONS[4]: p["f_s"] * p["f_t"] - 2.0 * p["f"] * p["f_st"],
         }
 
-    def validate(self, samples=None):
-        """Homogeneity, non-vanishing, and the positivity gate on a quadrant
-        grid, evaluated for all points at once.  The first failing point,
-        and at it the first failing check in the order above, raises."""
-        if samples is None:
-            grid = np.geomspace(1e-3, 1e3, 13)
-            samples = [(s, t) for s in grid for t in grid]
-        s, t = np.array(samples, dtype=float).reshape(-1, 2).T
+    def validate(self):
+        """Homogeneity, non-vanishing, and the positivity gate on a 13 x 13
+        quadrant grid, evaluated for all points at once.  The first failing
+        point, and at it the first failing check in the order above, raises."""
+        grid = np.geomspace(1e-3, 1e3, 13)
+        s, t = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
         fval = np.asarray(value(self.f(s, t)), dtype=float)
         f2 = np.asarray(value(self.f(2.0 * s, 2.0 * t)), dtype=float)
         gate = self.gate(s, t)
@@ -539,13 +552,7 @@ def build_metric(spec):
     if isinstance(spec, dict):
         spec = MetricSpec.from_dict(spec)
     make, accepted = _CONSTRUCTORS[spec.kind]
-    unknown = [k for k in spec.parameters if k not in accepted]
-    if unknown:
-        raise InvalidParameterError(
-            f"{spec.kind} accepts spec parameters {list(accepted)}, not {unknown}")
-    null = [k for k, v in spec.parameters.items() if v is None]
-    if null:
-        raise InvalidParameterError(f"{spec.kind} spec parameters {null} are null")
+    _check_keys(f"{spec.kind} spec parameter", spec.parameters, accepted)
     metric = make(dimension=spec.dimension, **spec.parameters)
     if metric.dimension != spec.dimension:
         raise InvalidParameterError(

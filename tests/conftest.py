@@ -77,6 +77,18 @@ MALFORMED_CLAIMS = {
     "exceeds-without-value": _edited(target={"kind": "exceeds"}),
     "unknown-tolerance-kind": _edited(tolerance_kind="relativ"),
     "parameter-the-quantity-does-not-read": _edited(parameters={"stepp": 3}),
+    "null-parameters": _edited(parameters=None),
+    "null-target-value": _edited(target={"kind": "constant", "value": None}),
+    "null-target": _edited(target=None),
+    "number-target": _edited(target=5),
+    "null-samples": _edited(samples=None),
+    "null-sample-count": _edited(samples={"count": None}),
+    "fractional-sample-count": _edited(samples={"count": 2.5}),
+    "zero-sample-count": _edited(samples={"count": 0}),
+    "null-metric": _edited(metric=None),
+    "metric-kind-without-spec": _edited(metric="euclidean"),
+    "null-tolerance": _edited(tolerance=None),
+    "bare-string-record": "flat-cartan",
 }
 
 

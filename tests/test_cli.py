@@ -236,6 +236,26 @@ def test_eval_of_a_spec_with_ignored_input_is_a_usage_error(capsys, spec, point)
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x", "0.1", "--y", "0.5,-0.3", "--quantity", "F"],
+    ["eval", "--x", "nan,0", "--y", "0.5,-0.3", "--quantity", "F"],
+    ["eval", "--x", "0.1,0.2", "--y", "0.5,-0.3,1", "--quantity", "F"],
+    ["eval", "--x", "0.1,0.2", "--y", "0.5,inf", "--quantity", "F"],
+    ["eval", "--x", "0.1,0.2", "--y", "0.5,-0.3", "--u", "1,nan", "--quantity", "K"],
+    ["geodesic", "--x", "0.1,0.2", "--y", "0.5,-0.3", "--nodes", "1"],
+    ["geodesic", "--x", "0.1,0.2", "--y", "0.5,-0.3", "--tol", "-1"],
+    ["geodesic", "--x", "0.1,0.2", "--y", "0.5,-0.3", "--tol", "0"],
+], ids=["short-x", "nan-x", "long-y", "infinite-y", "nan-u", "one-node",
+        "negative-tol", "zero-tol"])
+def test_degenerate_input_is_a_usage_error(capsys, argv):
+    """Vectors of the wrong length or with non-finite entries, a trace of
+    fewer than 2 nodes and a tolerance that is not positive exit 2."""
+    code, out, err = run_cli(capsys, *argv, "--metric", FUNK)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_eval_outside_the_domain_raises_domain_error():
     args = cli.build_parser().parse_args(
         ["eval", "--metric", FUNK, "--x", "2.0,0.0", "--y", "1,0",

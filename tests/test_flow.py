@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from finslerkit import flow, zoo
-from finslerkit.errors import DomainError, ResolutionError
+from finslerkit.errors import DomainError, InvalidParameterError, ResolutionError
 from finslerkit.flow import (covariant_derivative_along, growth_estimate,
                              integrate_geodesic, jacobi_propagate,
                              torsion_trace)
@@ -280,6 +280,18 @@ def test_start_not_inside_the_exit_margin_is_a_domain_error(funk_shifted, x0):
     with _deadline(1.0), pytest.raises(DomainError, match="margin"):
         integrate_geodesic(funk_shifted, np.array(x0), np.array([1.0, 0.0]),
                            (0.0, 1.0))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m, tr: integrate_geodesic(m, tr.positions[0], tr.velocities[0], (0.0, np.nan)),
+    lambda m, tr: jacobi_propagate(m, tr, [1.0, 0.0], [0.0, 0.0], tol=0.0),
+], ids=["geodesic-to-nan", "jacobi-at-zero-tolerance"])
+def test_a_solve_without_a_finite_span_and_positive_tolerance_is_refused(funk_shifted,
+                                                                         solve):
+    """A NaN end time would keep the solver stepping for ever."""
+    trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    with _deadline(5.0), pytest.raises(InvalidParameterError):
+        solve(funk_shifted, trace)
 
 
 def test_geodesic_solve_that_stops_short_is_a_resolution_error(funk_shifted,

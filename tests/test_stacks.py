@@ -48,14 +48,13 @@ def test_stacked_quantities_agree_with_single_samples(spec):
     m = zoo.build_metric(spec)
     at = _stack(m, 7, seed_=31)
     checked = 0
-    for quantity in sorted(verify._STACKED):
-        if not _applies(m, quantity):
+    for quantity, q in sorted(verify._QUANTITIES.items()):
+        if not q.stacked or not _applies(m, quantity):
             continue
-        evaluate, draw = verify._EVALUATORS[quantity]
         rng = np.random.default_rng(5)
-        drawn = [draw(m, one, rng, {}) if draw else None for one in _samples(at)]
-        stacked = evaluate(m, at, None if draw is None else np.stack(drawn), {})
-        single = np.array([evaluate(m, one, d, {}) for one, d in zip(_samples(at), drawn)])
+        drawn = [q.draw(m, one, rng, {}) if q.draw else None for one in _samples(at)]
+        stacked = q.evaluate(m, at, None if q.draw is None else np.stack(drawn), {})
+        single = np.array([q.evaluate(m, one, d, {}) for one, d in zip(_samples(at), drawn)])
         assert stacked.shape == (7,), quantity
         gap = np.abs(stacked - single)
         assert np.all(gap <= np.maximum(1e-12 * np.abs(single), 1e-13)), (quantity, gap)

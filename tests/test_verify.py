@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from finslerkit import verify, zoo
 from finslerkit.errors import InvalidParameterError
@@ -133,6 +134,20 @@ def test_claim_validation_rejects_unknown_target_kind():
 def test_malformed_claim_is_refused_when_built(malformed_claim_yaml):
     with pytest.raises(InvalidParameterError):
         load_claims(io.StringIO(malformed_claim_yaml))
+
+
+@pytest.mark.parametrize("document", [
+    yaml.safe_dump({"id": "flat-cartan", "quantity": "mean_cartan",
+                    "metric": {"kind": "euclidean", "dimension": 2}}, sort_keys=False),
+    yaml.safe_dump(["flat-cartan"]),
+    "5\n",
+], ids=["top-level-mapping", "bare-string-record", "scalar-document"])
+def test_a_claim_that_is_not_a_mapping_is_refused_as_such(document):
+    """A claim file is a list of mappings.  A mapping document, whose records
+    are then its keys, a bare-string record and a scalar document, read as
+    one record, are refused so."""
+    with pytest.raises(InvalidParameterError, match="claim must be a mapping"):
+        load_claims(io.StringIO(document))
 
 
 def test_the_shipped_claims_pass_the_checks_made_when_a_claim_is_built():
