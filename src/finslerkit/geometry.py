@@ -39,14 +39,14 @@ mean_landsberg) accept stacks too, and cartan_norm's coarse scan is one
 stack of all its directions.
 
 A bundle passes one gate when it is built: for every sample the point
-lies in the chart, F > 0 and g has a Cholesky factor, or DomainError or
-DegenerateMetricError.  A stack that fails is checked again sample by
-sample, so it raises exactly the error its first failing sample raises
-alone.  Jet-valued g^-1 (applied to the right-hand sides of G and I)
-comes from that factor by a finite Neumann series: with g = g0 + dg and
-dg free of a value part, dg^k vanishes past the jet order, so
-g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is applied
-through the Cholesky factor of each sample, never formed.  The only
+lies in the chart, y is not zero, F > 0 and g has a Cholesky factor, or
+DomainError or DegenerateMetricError.  A stack that fails is checked
+again sample by sample, so it raises exactly the error its first failing
+sample raises alone.  Jet-valued g^-1 (applied to the right-hand sides
+of G and I) comes from that factor by a finite Neumann series: with
+g = g0 + dg and dg free of a value part, dg^k vanishes past the jet
+order, so g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is
+applied through the Cholesky factor of each sample, never formed.  The only
 covariant machinery materialized is the nonlinear connection; contracted
 with the geodesic velocity it agrees with the connections the covariant
 formulas need, so Christoffel symbols never appear.
@@ -160,20 +160,21 @@ def _coordinates(v):
 
 
 def _y_jets(metric, x, y, order):
-    """F and F^2 as jets seeded in the n tangent coordinate directions."""
+    """F, F^2 and the tangent coordinates as jets seeded in the n tangent
+    coordinate directions."""
     n = metric.dimension
     yj = seed(y.T, list(np.eye(n)), order)
     f = metric.evaluate(_coordinates(x), yj)
-    return f, f * f
+    return f, f * f, yj
 
 
 def _phase_jets(metric, x, y, order):
-    """F and F^2 as jets seeded in the 2n chart and tangent coordinate
-    directions, chart directions first."""
+    """F, F^2 and the tangent coordinates as jets seeded in the 2n chart and
+    tangent coordinate directions, chart directions first."""
     n = metric.dimension
     js = seed(np.concatenate([x, y], axis=-1).T, list(np.eye(2 * n)), order)
     f = metric.evaluate(js[:n], js[n:])
-    return f, f * f
+    return f, f * f, js[n:]
 
 
 #: need -> (seeded in the chart directions too, jet order of F^2)
@@ -198,9 +199,12 @@ def local_geometry(metric, at, need):
 def _gated(metric, at, need):
     for x in (at.x if at.x.ndim > 1 else [at.x]):
         _check_domain(metric, x)
+    if not at.y.any(axis=-1).all():
+        raise DegenerateMetricError(f"tangent direction y = {at.y} is zero",
+                                    x=at.x, y=at.y)
     phase, order = _NEEDS[need]
-    f, f2 = (_phase_jets if phase else _y_jets)(metric, at.x, at.y, order)
-    lg = LocalGeometry(at=at, f=f, f2=f2)
+    f, f2, ys = (_phase_jets if phase else _y_jets)(metric, at.x, at.y, order)
+    lg = LocalGeometry(at=at, f=f, f2=f2, ys=ys)
     if not np.all(lg.F > 0.0):
         raise DegenerateMetricError(f"F = {np.min(lg.F):.6g} is not positive",
                                     x=at.x, y=at.y)
@@ -237,7 +241,8 @@ def _vmv(u, a, v):
 class LocalGeometry:
     """Tensors at one tangent sample or a stack, all read off one F^2 jet.
 
-    `f` and `f2` are the jets of F and F^2.  Jet-valued intermediates
+    `f` and `f2` are the jets of F and F^2, and `ys` those of the tangent
+    coordinates that seeded them.  Jet-valued intermediates
     (underscored) carry the sample axes and then the tensor indices as
     batch axes, derivative indices last: partials(_G, x-directions)[..., i,
     j] = dG^i/dx^j.
@@ -246,6 +251,7 @@ class LocalGeometry:
     at: TangentSample
     f: Jet
     f2: Jet
+    ys: list
 
     @property
     def n(self):
@@ -330,9 +336,7 @@ class LocalGeometry:
                                   "directions too (need 'G', 'N' or 'R')")
         f2_x = partials(f2, range(n))
         f2_xy = partials(f2_x, self._y)
-        # y as jets in the seeded tangent directions, which are the last n
-        ys = seed(self.at.y.T, list(np.eye(2 * n)[:, n:]), f2.order)
-        y = Jet(np.stack([c.coeffs for c in ys], axis=-1), f2.ndir, f2.order)
+        y = Jet(np.stack([c.coeffs for c in self.ys], axis=-1), f2.ndir, f2.order)
         rhs = (contract("...k,...kl->...l", y, f2_xy) - f2_x) * 0.25
         return self._solve(rhs)
 

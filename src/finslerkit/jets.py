@@ -12,24 +12,23 @@ same number of directions.  Truncating a jet is a slice; that keeps mixed-
 order products cheap.  Coefficient arrays may carry trailing batch axes,
 which lets quadrature rules push whole node sets through one evaluation.
 
-A product of two jets gathers one term a[i] * b[j] per pair of multi-
-indices whose orders sum to at most the truncation order, and sums the
-terms that land on the same output index with np.bincount, in the order
-of the product table.  Batched terms are summed the same way over an
-index that also counts the batch position, so every batch entry of a
-product is bit for bit the unbatched product of its own coefficients, and
-a stack of samples computes what its samples compute one at a time.
-Operands whose coefficient arrays already have the same shape are
-gathered as they are; operands whose batch shapes really differ are
-gathered first and broadcast by the multiply, so a smaller operand is
-never copied out to the common shape.
+Batch axes broadcast by one rule: `_pad` gives a coefficient array unit
+batch axes after its coefficient axis, and numpy broadcasting does the
+rest.  Operands of equal shape, and scalar operands, skip it.
 
-`contract` sums its terms by np.add.reduceat over a product table sorted
-by output index (`_sorted_mul_table`), one contiguous segment per index.
-A plain operand that already fits a jet's batch shape is never
-broadcast.  A composition (sqrt, exp, log, pow, reciprocal) starts its
-Horner sweep by scaling, not by a product with a constant jet, which
-saves one full batched product each.
+One table, `_mul_table`, lists the terms a[i] * b[j] of a product, one
+per pair of multi-indices whose orders sum to at most the truncation
+order, stably sorted by output index.  A product of two jets sums each
+output index's terms with np.bincount in table order, batched or not, so
+every batch entry of a product is bit for bit the unbatched product of
+its own coefficients: a stack of samples computes what its samples
+compute one at a time.  `contract` sums each output index's contiguous
+segment with np.add.reduceat, which rounds batched terms differently.
+
+One table, `_partials_table`, gathers partials along seeded coordinate
+axes; `deriv` is its one-direction case.  A composition (sqrt, exp, log,
+pow, reciprocal) starts its Horner sweep by scaling, not by a product
+with a constant jet, which saves one full batched product each.
 """
 
 from __future__ import annotations
@@ -75,6 +74,10 @@ def _num_coeffs(ndir, order):
 
 @lru_cache(maxsize=None)
 def _mul_table(ndir, order):
+    """The product table (ia, ib, ic, starts): one term a[ia] * b[ib] per
+    pair of multi-indices whose orders sum to at most `order`, landing on
+    output index ic.  Terms are stably sorted by ic, so the terms of output
+    index k are starts[k]:starts[k + 1], in the order they were listed."""
     indices, position = _index_table(ndir, order)
     ia, ib, ic = [], [], []
     for i, a in enumerate(indices):
@@ -85,74 +88,40 @@ def _mul_table(ndir, order):
             ia.append(i)
             ib.append(j)
             ic.append(position[tuple(x + y for x, y in zip(a, b))])
-    return (np.asarray(ia, dtype=np.intp),
-            np.asarray(ib, dtype=np.intp),
-            np.asarray(ic, dtype=np.intp))
-
-
-@lru_cache(maxsize=None)
-def _sorted_mul_table(ndir, order):
-    """`_mul_table` stably sorted by output index: (ia, ib, starts), where
-    the terms of output index k are starts[k]:starts[k + 1]."""
-    ia, ib, ic = _mul_table(ndir, order)
     perm = np.argsort(ic, kind="stable")
-    starts = np.searchsorted(ic[perm], np.arange(_num_coeffs(ndir, order)))
+    ic = np.asarray(ic, dtype=np.intp)[perm]
     # the (0, alpha) term reaches every output index, so no segment is empty
-    assert np.all(np.diff(starts) > 0) and starts[-1] < len(ic)
-    return ia[perm], ib[perm], starts
+    starts = np.searchsorted(ic, np.arange(len(indices)))
+    return (np.asarray(ia, dtype=np.intp)[perm], np.asarray(ib, dtype=np.intp)[perm],
+            ic, starts)
 
 
 @lru_cache(maxsize=None)
-def _deriv_table(ndir, order, direction):
-    """Gather indices/factors mapping an order-p jet to the (p-1)-jet of its
-    partial derivative along seeded direction `direction`."""
+def _partials_table(ndir, order, directions):
+    """Gather indices and factors (src, fac), each (coefficients, directions),
+    mapping an order-p jet to the (p-1)-jet of its partial along each seeded
+    direction in `directions`."""
     low, _ = _index_table(ndir, order - 1)
-    _, pos_hi = _index_table(ndir, order)
-    src = np.empty(len(low), dtype=np.intp)
-    fac = np.empty(len(low), dtype=np.float64)
+    _, position = _index_table(ndir, order)
+    src = np.empty((len(low), len(directions)), dtype=np.intp)
+    fac = np.empty(src.shape)
     for i, beta in enumerate(low):
-        lifted = list(beta)
-        lifted[direction] += 1
-        src[i] = pos_hi[tuple(lifted)]
-        fac[i] = beta[direction] + 1
+        for m, d in enumerate(directions):
+            lifted = list(beta)
+            lifted[d] += 1
+            src[i, m] = position[tuple(lifted)]
+            fac[i, m] = beta[d] + 1
     return src, fac
 
 
-def _batch_view(coeffs, batch):
-    """Broadcast a coefficient array to a common trailing batch shape."""
-    if coeffs.shape[1:] == batch:
+def _pad(coeffs, ndim):
+    """`coeffs` with unit batch axes after the coefficient axis, up to
+    `ndim` axes, so numpy broadcasts its batch axes against the trailing
+    axes of another operand."""
+    missing = ndim - coeffs.ndim
+    if missing <= 0:
         return coeffs
-    n = coeffs.shape[0]
-    pad = (1,) * (len(batch) - (coeffs.ndim - 1))
-    return np.broadcast_to(coeffs.reshape((n,) + pad + coeffs.shape[1:]),
-                           (n,) + batch)
-
-
-def _against_plain(coeffs, other):
-    """A coefficient array broadcast against a plain array `other`, as
-    is whenever `other` already fits its batch shape."""
-    if other.ndim == 0 or other.shape == coeffs.shape[1:]:
-        return coeffs
-    return _batch_view(coeffs, np.broadcast_shapes(coeffs.shape[1:], other.shape))
-
-
-def _common_batch(ca, cb):
-    """Two coefficient arrays of one order, broadcast to a common batch
-    shape only when their shapes differ."""
-    if ca.shape == cb.shape:
-        return ca, cb
-    batch = np.broadcast_shapes(ca.shape[1:], cb.shape[1:])
-    return _batch_view(ca, batch), _batch_view(cb, batch)
-
-
-def _product_terms(ca, cb, ia, ib):
-    """ca[ia] * cb[ib] over the common batch shape of two coefficient
-    arrays.  Each operand is gathered before the multiply broadcasts it, so
-    a smaller operand is never copied out to the common shape; arrays of
-    equal shape are gathered as they are."""
-    nd = max(ca.ndim, cb.ndim)
-    pad = lambda c: c.reshape(c.shape[:1] + (1,) * (nd - c.ndim) + c.shape[1:])
-    return pad(ca)[ia] * pad(cb)[ib]
+    return coeffs.reshape(coeffs.shape[:1] + (1,) * missing + coeffs.shape[1:])
 
 
 class Jet:
@@ -205,10 +174,16 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             a, b, order = self._coerce(other)
-            ca, cb = _common_batch(a.coeffs, b.coeffs)
+            ca, cb = a.coeffs, b.coeffs
+            if ca.shape != cb.shape:
+                nd = max(ca.ndim, cb.ndim)
+                ca, cb = _pad(ca, nd), _pad(cb, nd)
             return Jet(ca + cb, self.ndir, order)
         other = np.asarray(other, dtype=np.float64)
-        out = _against_plain(self.coeffs, other).copy()
+        out = self.coeffs
+        if other.ndim and other.shape != out.shape[1:]:
+            out = np.broadcast_arrays(_pad(out, other.ndim + 1), other)[0]
+        out = out.copy()
         out[0] = out[0] + other
         return Jet(out, self.ndir, self.order)
 
@@ -226,15 +201,18 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             other = np.asarray(other, dtype=np.float64)
-            return Jet(_against_plain(self.coeffs, other) * other, self.ndir, self.order)
+            return Jet(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order)
         a, b, order = self._coerce(other)
         ca, cb = a.coeffs, b.coeffs
-        ia, ib, ic = _mul_table(self.ndir, order)
+        ia, ib, ic, _ = _mul_table(self.ndir, order)
         count = _num_coeffs(self.ndir, order)
         if ca.ndim == 1 == cb.ndim:
             return Jet(np.bincount(ic, weights=ca[ia] * cb[ib], minlength=count),
                        self.ndir, order)
-        terms = _product_terms(ca, cb, ia, ib)
+        # each operand is gathered before the multiply broadcasts it, so a
+        # smaller operand is never copied out to the common shape
+        nd = max(ca.ndim, cb.ndim)
+        terms = _pad(ca, nd)[ia] * _pad(cb, nd)[ib]
         batch = terms.shape[1:]
         size = math.prod(batch)
         # output index ic * size + batch position: each output entry sums
@@ -249,7 +227,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         other = np.asarray(other, dtype=np.float64)
-        return Jet(_against_plain(self.coeffs, other) / other, self.ndir, self.order)
+        return Jet(_pad(self.coeffs, other.ndim + 1) / other, self.ndir, self.order)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -361,18 +339,16 @@ def deriv(jet, direction):
     Valid whenever the seeded directions are coordinate axes (how all of
     the geometry layer seeds them); drops the truncation order by one.
     """
-    if jet.order < 1:
-        raise OutOfOrderError("cannot differentiate an order-0 jet")
-    src, fac = _deriv_table(jet.ndir, jet.order, direction)
-    coeffs = jet.coeffs[src] * fac.reshape((-1,) + (1,) * len(jet.batch_shape))
-    return Jet(coeffs, jet.ndir, jet.order - 1)
+    d = partials(jet, (direction,))
+    return Jet(d.coeffs[..., 0], d.ndir, d.order)
 
 
 def jwhere(mask, a, b):
     """`np.where` for two jets: `mask` (over the batch axes) picks a's or b's
     coefficients, node by node."""
     a, b, order = a._coerce(b)
-    return Jet(np.where(mask, *_common_batch(a.coeffs, b.coeffs)), a.ndir, order)
+    nd = max(a.coeffs.ndim, b.coeffs.ndim)
+    return Jet(np.where(mask, _pad(a.coeffs, nd), _pad(b.coeffs, nd)), a.ndir, order)
 
 
 def value(x):
@@ -384,16 +360,9 @@ def value(x):
 #
 # A tensor of jets is one Jet whose batch axes are the tensor indices.
 
-@lru_cache(maxsize=None)
-def _partials_table(ndir, order, directions):
-    tables = [_deriv_table(ndir, order, d) for d in directions]
-    return (np.stack([src for src, _ in tables], axis=1),
-            np.stack([fac for _, fac in tables], axis=1))
-
-
 def partials(jet, directions):
     """Partials along the seeded coordinate axes `directions`, stacked along
-    a new trailing batch axis (one gather for `deriv` in each direction)."""
+    a new trailing batch axis, in one gather."""
     if jet.order < 1:
         raise OutOfOrderError("cannot differentiate an order-0 jet")
     src, fac = _partials_table(jet.ndir, jet.order, tuple(directions))
@@ -434,7 +403,7 @@ def contract(subscripts, a, b):
     index computes as it would alone (see `outermost`)."""
     operands, out = subscripts.split("->")
     a, b, order = a._coerce(b)
-    ia, ib, starts = _sorted_mul_table(a.ndir, order)
+    ia, ib, _, starts = _mul_table(a.ndir, order)
     gathered = [a.coeffs[ia], b.coeffs[ib]]
     for k, sub in enumerate(operands.split(",")):
         count = gathered[k].ndim - 1 - (len(sub) - 3) if "..." in sub else 0

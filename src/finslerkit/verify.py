@@ -29,9 +29,9 @@ import numpy as np
 import yaml
 
 from .errors import FinslerError, InvalidParameterError
-from .geometry import (TangentSample, _dot, _mv, _vmv, flag_curvature,
+from .geometry import (TangentSample, _dot, _mv, _phase_jets, _vmv, flag_curvature,
                        fundamental_tensor, local_geometry, s_curvature)
-from .jets import extract, seed
+from .jets import partials
 from .zoo import MetricSpec, _check_keys, _integer, build_metric
 from . import flow
 
@@ -89,8 +89,10 @@ class Claim:
             raise InvalidParameterError("tolerance must be positive")
         if self.tolerance_kind not in ("absolute", "relative"):
             raise InvalidParameterError(f"unknown tolerance_kind {self.tolerance_kind!r}")
-        _check_keys(f"{self.quantity} parameter", self.parameters,
-                    quantity.parameters, quantity.required)
+        what = f"{self.quantity} parameter"
+        _check_keys(what, self.parameters, quantity.parameters, quantity.required)
+        object.__setattr__(self, "parameters", {k: quantity.parameters[k](
+            f"{what} {k}", v, self.metric.dimension) for k, v in self.parameters.items()})
 
     @classmethod
     def from_dict(cls, data):
@@ -121,6 +123,24 @@ def _number(what, value):
         return float(value)
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{what} must be a number, not {value!r}") from None
+
+
+def _real(what, value, n):
+    return _number(what, value)
+
+
+def _count(what, value, n):
+    return _integer(what, value)
+
+
+def _numbers(count=None):
+    """A converter to a list of `count` numbers, n when count is None."""
+    def convert(what, value, n):
+        want = n if count is None else count
+        if not isinstance(value, (list, tuple)) or len(value) != want:
+            raise InvalidParameterError(f"{what} must be {want} numbers, not {value!r}")
+        return [_number(what, v) for v in value]
+    return convert
 
 
 @dataclass(frozen=True)
@@ -166,14 +186,16 @@ class _Quantity:
     a `stacked` quantity a stack of up to _CHUNK samples (see geometry.py),
     and returns one value per sample.  `drawn` is what draw(metric, at, rng,
     params) took from the claim's rng for each sample, stacked like `at`, or
-    None when `draw` is None.  `parameters` are the claim parameters the
-    quantity reads (a claim may set no others), `required` those it needs.
+    None when `draw` is None.  `parameters` maps each claim parameter the
+    quantity reads (a claim may set no others) to its converter, and
+    `required` names those it needs.  convert(what, value, n), n the metric
+    dimension, returns the value read or raises InvalidParameterError.
     Geodesic and quadrature quantities take one sample at a time.
     """
 
     evaluate: object
     draw: object = None
-    parameters: tuple = ()
+    parameters: dict = field(default_factory=dict)
     required: tuple = ()
     stacked: bool = False
 
@@ -278,16 +300,9 @@ def _eval_riemann_annihilates_torsion(metric, at, drawn, params):
 def _eval_funk_pde(metric, at, drawn, params):
     """max_k |F_{x^k} - F F_{y^k}| for Funk-type metrics."""
     n = metric.dimension
-    dirs = list(np.eye(2 * n))
-    jets = seed(np.concatenate([at.x, at.y], axis=-1).T, dirs, 1)
-    theta = metric.evaluate(jets[:n], jets[n:])
-    th = extract(theta, (0,) * 2 * n)
-    worst = 0.0
-    for k in range(n):
-        ex = tuple(1 if i == k else 0 for i in range(2 * n))
-        ey = tuple(1 if i == n + k else 0 for i in range(2 * n))
-        worst = np.maximum(worst, np.abs(extract(theta, ex) - th * extract(theta, ey)))
-    return worst
+    f = _phase_jets(metric, at.x, at.y, 1)[0]
+    d = partials(f, range(2 * n)).value  # [..., k]: F_{x^k}, then F_{y^k}
+    return np.max(np.abs(d[..., :n] - f.value[..., None] * d[..., n:]), axis=-1)
 
 
 def _draw_direction(metric, at, rng, params):
@@ -353,14 +368,15 @@ def _eval_closed_one_form(metric, at, dirs, params):
     return _closed_one_form_residual(metric, params["c"], at.x, dirs)[0]
 
 
-def _along_geodesic(evaluate, *parameters):
+def _along_geodesic(evaluate, **parameters):
     """A quantity read off _geodesic_torsion, with its parameters."""
-    return _Quantity(evaluate, parameters=("t_span", "ode_tol", "nodes") + parameters)
+    return _Quantity(evaluate, parameters={"t_span": _numbers(2), "ode_tol": _real,
+                                           "nodes": _count, **parameters})
 
 
 _QUANTITIES = {
     "flag_curvature": _Quantity(lambda metric, at, u, params: flag_curvature(metric, at, u),
-                                _draw_flag_pole, ("u",), stacked=True),
+                                _draw_flag_pole, {"u": _numbers()}, stacked=True),
     "s_curvature": _Quantity(lambda metric, at, drawn, params: s_curvature(metric, at)),
     "s_curvature_ratio": _Quantity(_eval_s_ratio),
     "mean_cartan": _Quantity(_eval_mean_cartan, stacked=True),
@@ -370,12 +386,12 @@ _QUANTITIES = {
     "det_identity": _Quantity(_eval_det_identity, stacked=True),
     "spray_split": _Quantity(_eval_spray_split, stacked=True),
     "funk_pde": _Quantity(_eval_funk_pde, stacked=True),
-    "berwald_quadratic": _Quantity(_eval_berwald_quadratic, _draw_direction, ("step",),
-                                   stacked=True),
-    "phi_convexity": _along_geodesic(_eval_phi_convexity, "floor"),
+    "berwald_quadratic": _Quantity(_eval_berwald_quadratic, _draw_direction,
+                                   {"step": _real}, stacked=True),
+    "phi_convexity": _along_geodesic(_eval_phi_convexity, floor=_real),
     "phi_constancy": _along_geodesic(_eval_phi_constancy),
-    "closed_one_form": _Quantity(_eval_closed_one_form, _draw_fit_directions, ("c",),
-                                 required=("c",)),
+    "closed_one_form": _Quantity(_eval_closed_one_form, _draw_fit_directions,
+                                 {"c": _real}, required=("c",)),
     "cartan_bound": _Quantity(_eval_cartan_bound, stacked=True),
     "riemann_annihilates_torsion": _Quantity(_eval_riemann_annihilates_torsion,
                                              stacked=True),

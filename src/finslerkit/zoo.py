@@ -84,6 +84,22 @@ def _integer(what, value):
     return int(value)
 
 
+def _vector(name, v, dimension, lead=0.0, unit_ball=True):
+    """The spec vector `name` as `dimension` finite numbers, by default
+    (lead, 0, ..., 0).  With `unit_ball`, |v| < 1 as well."""
+    if v is None:
+        v = [lead] + [0.0] * (dimension - 1)
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (dimension,) or not np.all(np.isfinite(arr)):
+        raise InvalidParameterError(f"{name} = {v!r} is not {dimension} finite numbers")
+    if unit_ball and np.linalg.norm(arr) >= 1.0:
+        raise InvalidParameterError(f"|{name}| = {np.linalg.norm(arr):.3f} must be < 1")
+    return arr
+
+
 def _plain(obj):
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
@@ -112,9 +128,7 @@ def make_euclidean(dimension=2):
 
 def make_minkowski(dimension=2, b=None):
     """Locally Minkowski (x-independent) Randers-type norm |y| + <b, y>."""
-    b = np.array([0.4] + [0.0] * (dimension - 1)) if b is None else np.asarray(b, float)
-    if np.linalg.norm(b) >= 1.0:
-        raise InvalidParameterError(f"drift |b| = {np.linalg.norm(b):.3f} must be < 1")
+    b = _vector("b", b, dimension, lead=0.4)
     spec = MetricSpec("minkowski", dimension, {"b": b})
     return MetricField(
         dimension=dimension,
@@ -195,7 +209,8 @@ def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=No
     """Randers metric F = alpha + beta with the ||beta||_x < 1 gate sampled
     at 200 interior points."""
     base = make_riemannian(model, dimension, matrix_field, domain)
-    b = np.array([0.5] + [0.0] * (dimension - 1)) if b is None else np.asarray(b, float)
+    # ||beta||_x < 1 is gated below, at sampled points; |b| may exceed 1
+    b = _vector("b", b, dimension, lead=0.5, unit_ball=False)
     qform = base.extras["quadratic_form"]
 
     def beta_norm(x):
@@ -226,11 +241,7 @@ def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=No
 
 def make_funk_shifted(a=None, dimension=2):
     """Shifted Funk family on the unit ball (closed form)."""
-    a = np.zeros(dimension) if a is None else np.asarray(a, dtype=float)
-    if a.size != dimension:
-        raise InvalidParameterError("shift vector dimension mismatch")
-    if np.linalg.norm(a) >= 1.0:
-        raise InvalidParameterError(f"|a| = {np.linalg.norm(a):.3f} must be < 1")
+    a = _vector("a", a, dimension)
 
     def evaluate(x, y):
         xx = _dot(x, x)
@@ -346,9 +357,7 @@ def make_funk_implicit(phi=None, dimension=2, b=None):
         def phi_fn(v):
             return jsqrt(_dot(v, v))
     elif phi == "randers":
-        b = np.array([0.3] + [0.0] * (dimension - 1)) if b is None else np.asarray(b, float)
-        if np.linalg.norm(b) >= 1.0:
-            raise InvalidParameterError(f"|b| = {np.linalg.norm(b):.3f} must be < 1")
+        b = _vector("b", b, dimension, lead=0.3)
         params["phi"] = "randers"
         params["b"] = b
         half_width = 1.0 / (1.0 - np.linalg.norm(b))

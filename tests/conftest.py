@@ -89,6 +89,10 @@ MALFORMED_CLAIMS = {
     "metric-kind-without-spec": _edited(metric="euclidean"),
     "null-tolerance": _edited(tolerance=None),
     "bare-string-record": "flat-cartan",
+    "text-step": _edited(quantity="berwald_quadratic", parameters={"step": "abc"}),
+    "number-t-span": _edited(quantity="phi_constancy", parameters={"t_span": 5}),
+    "fractional-nodes": _edited(quantity="phi_constancy", parameters={"nodes": 2.7}),
+    "short-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [1.0]}),
 }
 
 

@@ -4,14 +4,17 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from finslerkit import cli, verify, zoo
-from finslerkit.errors import DomainError
+from finslerkit.errors import DegenerateMetricError, DomainError
+from finslerkit.geometry import TangentSample, fundamental_tensor, spray
 
 FUNK = "{kind: funk_ball_shifted, dimension: 2, parameters: {a: [0.3, 0.0]}}"
 MINK = "{kind: minkowski, dimension: 2}"
@@ -254,6 +257,28 @@ def test_degenerate_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_zero_direction_is_refused_by_name(capsys):
+    """A zero y is refused before its F^2 jet is built, so no RuntimeWarning
+    comes from the jet series: alone, in a stack (its first zero row) and
+    from the CLI (exit 2)."""
+    metric = zoo.make_funk_shifted([0.3, 0.0])
+    message = re.escape("tangent direction y = [0. 0.] is zero")
+    xs = np.array([[0.1, 0.2], [0.0, 0.1], [-0.1, 0.0]])
+    ys = np.array([[0.5, -0.3], [0.0, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateMetricError, match=message):
+            fundamental_tensor(metric, TangentSample(xs[0], ys[1]))
+        with pytest.raises(DegenerateMetricError, match=message) as err:
+            spray(metric, TangentSample(xs, ys))
+        assert err.value.x.tolist() == xs[1].tolist()
+        code, out, err = run_cli(capsys, "eval", "--metric", FUNK, "--x", "0.1,0.2",
+                                 "--y", "0,0", "--quantity", "g")
+    assert (code, out) == (2, "")
+    assert err == "error: tangent direction y = [0. 0.] is zero\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_eval_outside_the_domain_raises_domain_error():

@@ -163,7 +163,7 @@ def test_slab_batched_jet_picks_each_nodes_branch(slab, s_gap):
         assert np.allclose(batched.coeffs[:, k], single.coeffs, rtol=1e-13, atol=0.0)
 
 
-#: Specs with input that a builder could silently drop or override.
+#: Specs with input that a builder could silently drop, override or misread.
 IGNORED_INPUT_SPECS = {
     "funk-unknown-key": {"kind": "funk_ball_shifted", "dimension": 2,
                          "parameters": {"shift": [0.5, 0.0]}},
@@ -179,6 +179,21 @@ IGNORED_INPUT_SPECS = {
     "constructor-only-argument": {"kind": "riemannian", "dimension": 2,
                                   "parameters": {"model": "flat",
                                                  "gate_samples": 3}},
+    "minkowski-long-drift": {"kind": "minkowski", "dimension": 2,
+                             "parameters": {"b": [0.1, 0.2, 0.3]}},
+    "minkowski-short-drift": {"kind": "minkowski", "dimension": 3,
+                              "parameters": {"b": [0.1]}},
+    "implicit-randers-long-drift": {"kind": "funk_implicit", "dimension": 2,
+                                    "parameters": {"phi": "randers",
+                                                   "b": [0.1, 0.2, 0.3]}},
+    "randers-long-drift": {"kind": "randers", "dimension": 2,
+                           "parameters": {"b": [0.1, 0.2, 0.3]}},
+    "minkowski-text-drift": {"kind": "minkowski", "dimension": 2,
+                             "parameters": {"b": ["x", 0.1]}},
+    "funk-text-shift": {"kind": "funk_ball_shifted", "dimension": 2,
+                        "parameters": {"a": "abc"}},
+    "funk-nan-shift": {"kind": "funk_ball_shifted", "dimension": 2,
+                       "parameters": {"a": [float("nan"), 0.0]}},
 }
 
 
