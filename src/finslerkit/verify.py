@@ -118,11 +118,14 @@ class Claim:
 
 
 def _number(what, value):
-    """float(value): numeric strings included, since YAML reads 1e-6 as one."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{what} must be a number, not {value!r}") from None
+    """float(value): numeric strings included, since YAML reads 1e-6 as one.
+    A bool, which YAML reads from true and false, raises."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidParameterError(f"{what} must be a number, not {value!r}")
 
 
 def _real(what, value, n):

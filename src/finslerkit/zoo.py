@@ -86,14 +86,16 @@ def _integer(what, value):
 
 def _vector(name, v, dimension, lead=0.0, unit_ball=True):
     """The spec vector `name` as `dimension` finite numbers, by default
-    (lead, 0, ..., 0).  With `unit_ball`, |v| < 1 as well."""
+    (lead, 0, ..., 0); a YAML true or false is not a number.  With
+    `unit_ball`, |v| < 1 as well."""
     if v is None:
         v = [lead] + [0.0] * (dimension - 1)
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != (dimension,) or not np.all(np.isfinite(arr)):
+    if (arr is None or arr.shape != (dimension,) or not np.all(np.isfinite(arr))
+            or any(isinstance(c, (bool, np.bool_)) for c in v)):
         raise InvalidParameterError(f"{name} = {v!r} is not {dimension} finite numbers")
     if unit_ball and np.linalg.norm(arr) >= 1.0:
         raise InvalidParameterError(f"|{name}| = {np.linalg.norm(arr):.3f} must be < 1")

@@ -93,6 +93,10 @@ MALFORMED_CLAIMS = {
     "number-t-span": _edited(quantity="phi_constancy", parameters={"t_span": 5}),
     "fractional-nodes": _edited(quantity="phi_constancy", parameters={"nodes": 2.7}),
     "short-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [1.0]}),
+    "boolean-tolerance": _edited(tolerance=True),
+    "boolean-target-value": _edited(target={"kind": "upper_bound", "value": False}),
+    "boolean-step": _edited(quantity="berwald_quadratic", parameters={"step": True}),
+    "boolean-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [True, False]}),
 }
 
 

@@ -229,7 +229,8 @@ def test_out_of_domain_point_is_a_usage_error(capsys):
     ("{kind: funk_ball_shifted, dimension: 2, parameters: {shift: [0.5, 0]}}", "0,0"),
     ("{kind: szabo_product, dimension: 3, parameters: {profile: lineaar}}", "0,0,0"),
     ("{kind: szabo_epsilon, dimension: 5, parameters: {eps: 0.5}}", "0,0,0"),
-], ids=["unknown-key", "unknown-profile", "wrong-dimension"])
+    ("{kind: minkowski, dimension: 2, parameters: {b: [false, false]}}", "0,0"),
+], ids=["unknown-key", "unknown-profile", "wrong-dimension", "boolean-drift"])
 def test_eval_of_a_spec_with_ignored_input_is_a_usage_error(capsys, spec, point):
     direction = "1" + ",0" * point.count(",")
     code, out, err = run_cli(capsys, "eval", "--metric", spec, "--x", point,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,3 +291,116 @@ def test_partials_match_the_reference(pair, data):
     got = jets.partials(jets.Jet(ca, ndir, order), directions)
     assert got.order == order - 1
     _close(got.coeffs, want, np.abs(want))
+
+
+# -- both product reducers, entry by entry -----------------------------------
+
+# (ndir, order, batch shape of a, of b): terms x batch entries on both sides
+# of jets._RANK_SUM_MIN, with and without broadcasting
+_REDUCER_SHAPES = [(3, 1, (32768,), (32768,)), (6, 4, (33, 3, 3), (33, 3, 3)),
+                   (3, 2, (1,), (2048,)), (3, 2, (64, 1), (32,)), (3, 2, (), (2048,)),
+                   (4, 4, (33,), (33,)), (3, 1, (4096,), (4096,)), (2, 2, (1,), (6,))]
+
+
+def _special_coeffs(rng, n, shape):
+    """Uniform coefficients, a fifth of them +-0.0 and a few inf, -inf or NaN."""
+    c = rng.uniform(-1.0, 1.0, (n,) + shape)
+    zero = rng.random(c.shape) < 0.2
+    c[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, zero.sum()))
+    odd = rng.random(c.shape) < 0.01
+    c[odd] = rng.choice([np.inf, -np.inf, np.nan], odd.sum())
+    return c
+
+
+def test_reducer_shapes_cover_both_reducers():
+    sides = {len(jets._mul_table(ndir, order)[0])
+             * math.prod(np.broadcast_shapes(sa, sb)) >= jets._RANK_SUM_MIN
+             for ndir, order, sa, sb in _REDUCER_SHAPES}
+    assert sides == {False, True}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("ndir, order, shape_a, shape_b", _REDUCER_SHAPES)
+def test_each_batch_entry_is_the_unbatched_product_of_its_coefficients(
+        ndir, order, shape_a, shape_b):
+    rng = np.random.default_rng(10 * ndir + order)
+    n = jets._num_coeffs(ndir, order)
+    ca, cb = _special_coeffs(rng, n, shape_a), _special_coeffs(rng, n, shape_b)
+    batch = np.broadcast_shapes(shape_a, shape_b)
+    for xa, xb in ((ca, cb), (cb, ca)):
+        got = (jets.Jet(xa, ndir, order) * jets.Jet(xb, ndir, order)).coeffs
+        assert got.shape == (n,) + batch
+        wa, wb = _ref_broadcast(xa, xb)
+        want = np.empty(got.shape)
+        for k in np.ndindex(batch):
+            at = (slice(None),) + k
+            want[at] = (jets.Jet(wa[at].copy(), ndir, order)
+                        * jets.Jet(wb[at].copy(), ndir, order)).coeffs
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- lifted primitives against 50-digit references -----------------------------
+
+_PRIMITIVES = {
+    "sqrt": (jsqrt, mpmath.sqrt),
+    "exp": (jexp, mpmath.exp),
+    "log": (jlog, mpmath.log),
+    "pow": (lambda x: jpow(x, -1.7), lambda v: mpmath.power(v, mpmath.mpf(-1.7))),
+}
+
+
+def _mp_compose(f, coeffs, ndir, order):
+    """The coefficients of f(x) for the jet x with coefficients `coeffs`, and
+    a bound on the magnitudes summed into each, at 50 digits.  mpmath gives
+    the Taylor series of f at x's value; its powers of x - value are
+    truncated products summed term by term over the reference table."""
+    indices, _ = jets._index_table(ndir, order)
+    pairs = _ref_table(ndir, order).T
+
+    def compose(series, h):
+        total = [mpmath.mpf(0)] * len(indices)
+        power = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (len(indices) - 1)
+        for c in series:
+            total = [t + c * p for t, p in zip(total, power)]
+            product = [mpmath.mpf(0)] * len(indices)
+            for i, j, k in pairs:
+                product[k] += power[i] * h[j]
+            power = product
+        return np.array([float(t) for t in total])
+
+    with mpmath.workdps(50):
+        series = mpmath.taylor(f, mpmath.mpf(float(coeffs[0])), order)
+        h = [mpmath.mpf(0)] + [mpmath.mpf(float(c)) for c in coeffs[1:]]
+        return compose(series, h), compose([abs(c) for c in series], [abs(c) for c in h])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_PRIMITIVES)), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_lifted_primitives_match_mpmath(name, ndir, order, seed_):
+    lifted, reference = _PRIMITIVES[name]
+    rng = np.random.default_rng(seed_)
+    coeffs = rng.uniform(-1.0, 1.0, jets._num_coeffs(ndir, order))
+    coeffs[0] = rng.uniform(0.5, 2.0)
+    want, bound = _mp_compose(reference, coeffs, ndir, order)
+    got = lifted(jets.Jet(coeffs, ndir, order)).coeffs
+    assert np.all(np.abs(got - want) <= 1e-14 * bound)
+
+
+def test_lifted_primitives_of_a_large_batch_match_mpmath():
+    """A batch of 2048 entries, each one of eight jets, whose products take
+    the rank-by-rank reducer."""
+    ndir, order = 2, 3
+    n = jets._num_coeffs(ndir, order)
+    assert len(jets._mul_table(ndir, order)[0]) * 2048 >= jets._RANK_SUM_MIN
+    rng = np.random.default_rng(5)
+    distinct = rng.uniform(-1.0, 1.0, (n, 8))
+    distinct[0] = rng.uniform(0.5, 2.0, 8)
+    pick = rng.integers(0, 8, 2048)
+    for name, (lifted, reference) in _PRIMITIVES.items():
+        got = lifted(jets.Jet(distinct[:, pick], ndir, order)).coeffs
+        for k in range(8):
+            want, bound = _mp_compose(reference, distinct[:, k], ndir, order)
+            err = np.abs(got[:, pick == k] - want[:, None])
+            assert np.all(err <= 1e-14 * bound[:, None]), name

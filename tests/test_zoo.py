@@ -194,6 +194,10 @@ IGNORED_INPUT_SPECS = {
                         "parameters": {"a": "abc"}},
     "funk-nan-shift": {"kind": "funk_ball_shifted", "dimension": 2,
                        "parameters": {"a": [float("nan"), 0.0]}},
+    "minkowski-boolean-drift": {"kind": "minkowski", "dimension": 2,
+                                "parameters": {"b": [False, False]}},
+    "funk-boolean-shift": {"kind": "funk_ball_shifted", "dimension": 2,
+                           "parameters": {"a": [0.2, False]}},
 }
 
 
