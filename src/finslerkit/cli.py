@@ -16,11 +16,11 @@ import numpy as np
 import yaml
 
 from . import flow, verify
-from .errors import DomainError, FinslerError, InvalidParameterError
+from .errors import DomainError, FinslerError
 from .geometry import (TangentSample, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        s_curvature, spray, volume_density)
-from .zoo import KINDS, MetricSpec, build_metric, default_specs
+from .zoo import KINDS, MetricSpec, _vector, build_metric, default_specs
 
 #: --quantity -> its value at a tangent sample `at`, given the flag edge u
 EVAL_QUANTITIES = {
@@ -44,12 +44,9 @@ def _load_spec(text):
     return MetricSpec.from_yaml(text)
 
 
-def _vector(text, metric, name):
-    """A comma-separated vector of metric.dimension finite numbers."""
-    v = np.array([float(c) for c in text.split(",")], dtype=float)
-    if v.shape != (metric.dimension,) or not np.all(np.isfinite(v)):
-        raise InvalidParameterError(f"{name} {text} is not {metric.dimension} finite numbers")
-    return v
+def _numbers(text, name, count):
+    """The comma-separated option `name` as `count` finite numbers."""
+    return _vector(name, text.split(","), count, unit_ball=False)
 
 
 def _fmt(v):
@@ -61,21 +58,23 @@ def _fmt(v):
 
 def cmd_eval(args):
     metric = build_metric(_load_spec(args.metric))
-    at = TangentSample(_vector(args.x, metric, "--x"), _vector(args.y, metric, "--y"))
+    n = metric.dimension
+    at = TangentSample(_numbers(args.x, "--x", n), _numbers(args.y, "--y", n))
     if not metric.domain.margin(at.x) > 0.0:
         raise DomainError(f"point {args.x} is outside the chart domain")
     if args.quantity == "K" and args.u is None:
         raise FinslerError("quantity K needs a flag edge --u")
-    u = None if args.u is None else _vector(args.u, metric, "--u")
+    u = None if args.u is None else _numbers(args.u, "--u", n)
     print(_fmt(EVAL_QUANTITIES[args.quantity](metric, at, u)))
     return 0
 
 
 def cmd_geodesic(args):
     metric = build_metric(_load_spec(args.metric))
-    t_span = tuple(float(v) for v in args.t_span.split(","))
-    trace = flow.integrate_geodesic(metric, _vector(args.x, metric, "--x"),
-                                    _vector(args.y, metric, "--y"), t_span,
+    n = metric.dimension
+    t_span = tuple(_numbers(args.t_span, "--t-span", 2))
+    trace = flow.integrate_geodesic(metric, _numbers(args.x, "--x", n),
+                                    _numbers(args.y, "--y", n), t_span,
                                     tol=args.tol, nodes=args.nodes)
     if trace.exit:
         print(f"boundary exit at t = {trace.exit_time:.12g}", file=sys.stderr)

@@ -301,18 +301,11 @@ def growth_estimate(metric, p, radii, directions=12, seed=0, refine=False,
 
 def phi_second_differences(torsion, floor=1e-9):
     """Discrete second derivative of phi where phi > floor (uneven grid)."""
-    t = torsion.trace.times
-    phi = torsion.phi_of_t
-    out = []
-    for k in range(1, len(t) - 1):
-        if min(phi[k - 1], phi[k], phi[k + 1]) <= floor:
-            continue
-        h1 = t[k] - t[k - 1]
-        h2 = t[k + 1] - t[k]
-        second = 2.0 * (h1 * phi[k + 1] - (h1 + h2) * phi[k] + h2 * phi[k - 1]) \
-            / (h1 * h2 * (h1 + h2))
-        out.append(second)
-    return np.asarray(out)
+    t, phi = torsion.trace.times, torsion.phi_of_t
+    h1, h2 = t[1:-1] - t[:-2], t[2:] - t[1:-1]
+    second = 2.0 * (h1 * phi[2:] - (h1 + h2) * phi[1:-1] + h2 * phi[:-2]) \
+        / (h1 * h2 * (h1 + h2))
+    return second[np.minimum(np.minimum(phi[:-2], phi[1:-1]), phi[2:]) > floor]
 
 
 def trace_to_csv(torsion_or_trace, path_or_buffer):

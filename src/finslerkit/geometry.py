@@ -355,13 +355,20 @@ class LocalGeometry:
         return hessian(self._G, self._y).value
 
     @cached_property
+    def _G_x(self):
+        return partials(self._G, range(self.n))
+
+    @cached_property
+    def G_xy(self):
+        """d^2 G^i / dx^k dy^j, indexed [..., i, k, j]."""
+        return partials(self._G_x, self._y).value
+
+    @cached_property
     def R(self):
         """R^i_k = 2 G^i_{x^k} - y^j G^i_{x^j y^k} + 2 G^j G^i_{y^j y^k}
         - N^i_j N^j_k."""
-        G_x = partials(self._G, range(self.n))
-        G_xy = partials(G_x, self._y).value
-        return (2.0 * G_x.value
-                - np.einsum("...j,...ijk->...ik", self.at.y, G_xy)
+        return (2.0 * self._G_x.value
+                - np.einsum("...j,...ijk->...ik", self.at.y, self.G_xy)
                 + 2.0 * np.einsum("...j,...ijk->...ik", self.G, self.G_yy)
                 - self.N @ self.N)
 
@@ -455,37 +462,41 @@ def mean_landsberg(metric, at):
     return TorsionVector(covariant=lg.J, contravariant=_mv(lg.g_inverse, lg.J), at=at)
 
 
-def _density_slope(metric, at, points, weights):
-    """y^m d ln(sigma_F)/dx^m on a sphere rule."""
-    n = metric.dimension
-    xj = seed(at.x, list(np.eye(n)), 1)
-    fj = metric.evaluate(xj, list(points.T))
-    if isinstance(fj, Jet):
-        fvals = np.asarray(fj.value, dtype=float)
-        grad = np.stack([np.asarray(value(deriv(fj, d)), dtype=float)
-                         for d in range(n)])
-    else:  # metric independent of x
-        fvals = np.asarray(fj, dtype=float)
-        grad = np.zeros((n, fvals.size))
+def _density_slope(metric, x, y, points, weights, jacobian=False):
+    """y . v on a sphere rule for one y or a (K, n) stack at x, where
+    v = d ln(sigma_F)/dx = Int F_x F^{-(n+1)} dOmega / B and B = (1/n) Int
+    F^{-n} dOmega is the F-ball volume.  With `jacobian`, x is seeded at
+    order 2 and the slope's x-gradient y . dv comes from the same values
+    of F: dv = (Int F_xx F^{-(n+1)} - (n+1) Int F_x F_x^T F^{-(n+2)}) / B
+    + v v^T."""
+    n, order = metric.dimension, 2 if jacobian else 1
+    fj = metric.evaluate(seed(x, list(np.eye(n)), order), list(points.T))
+    if not isinstance(fj, Jet):  # metric independent of x
+        fj = Jet.constant(fj, n, order)
+    fvals = fj.value
+    grad = np.stack([deriv(fj, d).value for d in range(n)])
     denom = float(weights @ fvals ** (-n)) / n
-    numer = float(weights @ ((at.y @ grad) * fvals ** (-(n + 1))))
-    return numer / denom
+    slope = ((y @ grad) * fvals ** (-(n + 1))) @ weights / denom
+    if not jacobian:
+        return slope
+    w = weights * fvals ** (-(n + 1)) / denom
+    v = grad @ w
+    hess = hessian(fj, range(n)).value
+    dv = (np.einsum("p,pkm->km", w, hess) - (n + 1) * (grad * (w / fvals)) @ grad.T
+          + np.outer(v, v))
+    return slope, y @ dv
 
 
 def s_curvature(metric, at, tol=None):
-    """S = dG^m/dy^m - y^m d ln(sigma_F)/dx^m.
-
-    The density term differentiates the quadrature integrand analytically:
-    with the F-ball volume (1/n) Int F^{-n} dOmega, the x-gradient of its
-    log is Int F_x F^{-(n+1)} dOmega / ((1/n) Int F^{-n} dOmega), which
-    avoids the finite-difference noise floor of differentiating
-    volume_density directly.  With `tol` set, a quadrature error above
-    tol * max(1, |S|) raises QuadratureToleranceError (see on_sphere).
-    """
+    """S = dG^m/dy^m - y^m d ln(sigma_F)/dx^m, the density term from
+    _density_slope: the quadrature integrand differentiated analytically,
+    not volume_density by finite differences.  With `tol` set, a quadrature
+    error above tol * max(1, |S|) raises QuadratureToleranceError (see
+    on_sphere)."""
     trace_n = float(np.trace(local_geometry(metric, at, "N").N))
 
     def s_value(points, weights):
-        return trace_n - _density_slope(metric, at, points, weights)
+        return trace_n - _density_slope(metric, at.x, at.y, points, weights)
 
     return on_sphere(metric.dimension, s_value, tol=tol)
 

@@ -29,10 +29,11 @@ import numpy as np
 import yaml
 
 from .errors import FinslerError, InvalidParameterError
-from .geometry import (TangentSample, _dot, _mv, _phase_jets, _vmv, flag_curvature,
-                       fundamental_tensor, local_geometry, s_curvature)
+from .geometry import (TangentSample, _density_slope, _dot, _mv, _phase_jets, _vmv,
+                       flag_curvature, fundamental_tensor, local_geometry, s_curvature)
 from .jets import partials
-from .zoo import MetricSpec, _check_keys, _integer, build_metric
+from .quadrature import on_sphere
+from .zoo import MetricSpec, _check_keys, _integer, _number, build_metric
 from . import flow
 
 TARGET_KINDS = ("constant", "zero", "upper_bound", "exceeds")
@@ -115,17 +116,6 @@ class Claim:
         out = asdict(self)
         out["metric"] = self.metric.to_dict()
         return out
-
-
-def _number(what, value):
-    """float(value): numeric strings included, since YAML reads 1e-6 as one.
-    A bool, which YAML reads from true and false, raises."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise InvalidParameterError(f"{what} must be a number, not {value!r}")
 
 
 def _real(what, value, n):
@@ -316,7 +306,9 @@ def _draw_direction(metric, at, rng, params):
 def _eval_berwald_quadratic(metric, at, d, params):
     """Deviation of G from y-quadratic: finite difference, in a random
     direction d, of the jet-exact y-Hessian of the spray.  Both ends of
-    the difference share one bundle."""
+    the difference share one bundle.  This is the one finite difference
+    left among the claim quantities: the exact G_yyy needs an order-5
+    jet, which waits for jets capped in chart order."""
     h = params.get("step", 1e-4)
     n = metric.dimension
     ends = np.stack([at.y + h * d, at.y - h * d]).reshape(-1, n)
@@ -473,47 +465,42 @@ def run_claim(claim):
     return _report(claim.id, passed, values, worst, claim.tolerance, seed_used, start)
 
 
+def _gamma_fit(metric, c, x, dirs):
+    """gamma(y) = S(x, y) - (n+1) c F(x, y) at the unit directions `dirs`,
+    and the least-squares fit of gamma and its x-gradient as linear forms
+    in y: coeff[:, 0] are gamma's coefficients, coeff[i, 1 + m] their
+    d/dx^m.  One need-"R" bundle over `dirs` gives tr N, F and their
+    x-gradients, one sphere pass the density slope and its x-gradient."""
+    n = metric.dimension
+    lg = local_geometry(metric, TangentSample(np.broadcast_to(x, dirs.shape), dirs), "R")
+    slope, slope_x = on_sphere(n, lambda points, weights: _density_slope(
+        metric, x, dirs, points, weights, jacobian=True))
+    gamma = np.trace(lg.N, axis1=-2, axis2=-1) - slope - (n + 1) * c * lg.F
+    gamma_x = (np.einsum("...iki->...k", lg.G_xy) - slope_x
+               - (n + 1) * c * partials(lg.f, range(n)).value)
+    coeff, _, rank, _ = np.linalg.lstsq(dirs, np.column_stack([gamma, gamma_x]), rcond=None)
+    if rank < n:
+        raise InvalidParameterError("direction set is rank-deficient")
+    return gamma, coeff
+
+
 def _closed_one_form_residual(metric, c, x, dirs):
     """Residuals at x of S(x, y) = (n+1) c F(x, y) + gamma_x(y) with gamma a
-    closed 1-form: (the worse of the two, linearity, closedness).
-
-    gamma is fitted as a linear form in y over the unit directions `dirs`;
-    the fit residual checks linearity, and antisymmetry of the x-Jacobian
-    of the fitted coefficients (central differences, step 1e-4) checks
-    closedness.  Both are relative to the largest |gamma| met, or to 1.
-    """
-    step = 1e-4
-    n = metric.dimension
-    x = np.asarray(x, float)
-
-    def gamma_coeffs(x):
-        g = np.array([s_curvature(metric, TangentSample(x, d))
-                      - (n + 1) * c * float(metric.evaluate(x, d)) for d in dirs])
-        coeff, res, rank, _ = np.linalg.lstsq(dirs, g, rcond=None)
-        if rank < n:
-            raise InvalidParameterError("direction set is rank-deficient")
-        resid = float(np.max(np.abs(dirs @ coeff - g)))
-        return coeff, resid, float(np.max(np.abs(g)))
-
-    _, lin_resid, g_scale = gamma_coeffs(x)
-    scale = max(g_scale, 1.0)
-    jac = np.empty((n, n))
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = step
-        cp, rp, sp = gamma_coeffs(x + e)
-        cm, rm, sm = gamma_coeffs(x - e)
-        jac[:, m] = (cp - cm) / (2.0 * step)
-        lin_resid = max(lin_resid, rp, rm)
-        scale = max(scale, sp, sm)
-    closed_resid = float(np.max(np.abs(jac - jac.T)))
-    return max(lin_resid, closed_resid) / scale, lin_resid / scale, closed_resid / scale
+    closed 1-form, relative to max |gamma| or 1: (the worse of the two,
+    linearity, closedness).  The residual of _gamma_fit measures linearity,
+    the antisymmetric part of the coefficients' x-Jacobian closedness."""
+    gamma, coeff = _gamma_fit(metric, c, x, dirs)
+    scale = max(float(np.max(np.abs(gamma))), 1.0)
+    linearity = float(np.max(np.abs(dirs @ coeff[:, 0] - gamma))) / scale
+    closedness = float(np.max(np.abs(coeff[:, 1:] - coeff[:, 1:].T))) / scale
+    return max(linearity, closedness), linearity, closedness
 
 
 def closed_one_form_check(metric, c, samples=None, tol=1e-3):
     """_closed_one_form_residual at the plan's base points (10 by default),
     with max(2n, 6) fit directions; it passes if every residual is at most
-    `tol`."""
+    `tol`.  Each point costs one need-"R" bundle over the fit directions
+    and one sphere pass; no derivative is taken by finite differences."""
     start = time.perf_counter()
     samples = samples or SamplePlan(count=10)
     rng = np.random.default_rng(samples.seed + 2)

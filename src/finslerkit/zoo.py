@@ -84,19 +84,28 @@ def _integer(what, value):
     return int(value)
 
 
+def _number(what, value):
+    """`value` as a finite float: numeric strings included, since YAML reads
+    1e-6 as one; a bool, which YAML reads from true and false, is not."""
+    try:
+        number = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number):
+        raise InvalidParameterError(f"{what} must be a finite number, not {value!r}")
+    return number
+
+
 def _vector(name, v, dimension, lead=0.0, unit_ball=True):
-    """The spec vector `name` as `dimension` finite numbers, by default
-    (lead, 0, ..., 0); a YAML true or false is not a number.  With
-    `unit_ball`, |v| < 1 as well."""
+    """The spec vector `name` as `dimension` finite numbers (see _number), by
+    default (lead, 0, ..., 0).  With `unit_ball`, |v| < 1 as well."""
     if v is None:
         v = [lead] + [0.0] * (dimension - 1)
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if (arr is None or arr.shape != (dimension,) or not np.all(np.isfinite(arr))
-            or any(isinstance(c, (bool, np.bool_)) for c in v)):
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if not isinstance(v, (list, tuple)) or len(v) != dimension:
         raise InvalidParameterError(f"{name} = {v!r} is not {dimension} finite numbers")
+    arr = np.array([_number(f"{name} entry", c) for c in v])
     if unit_ball and np.linalg.norm(arr) >= 1.0:
         raise InvalidParameterError(f"|{name}| = {np.linalg.norm(arr):.3f} must be < 1")
     return arr
@@ -454,9 +463,10 @@ def linear_profile():
 
 
 def epsilon_profile(eps):
+    eps = _number("eps", eps)
     return ProductProfile(
         f=lambda s, t: s + t + eps * jsqrt(s * s + t * t),
-        name="epsilon", parameters={"eps": float(eps)})
+        name="epsilon", parameters={"eps": eps})
 
 
 def make_szabo_product(alpha1, alpha2, profile):

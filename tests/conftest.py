@@ -97,6 +97,9 @@ MALFORMED_CLAIMS = {
     "boolean-target-value": _edited(target={"kind": "upper_bound", "value": False}),
     "boolean-step": _edited(quantity="berwald_quadratic", parameters={"step": True}),
     "boolean-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [True, False]}),
+    "nan-tolerance": _edited(tolerance=float("nan")),
+    "infinite-c": _edited(metric={"kind": "funk_ball_shifted", "dimension": 2},
+                          quantity="closed_one_form", parameters={"c": float("inf")}),
 }
 
 

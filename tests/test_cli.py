@@ -260,6 +260,18 @@ def test_degenerate_input_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option,text", [
+    ("--t-span", "0"), ("--t-span", "0,1,2"), ("--t-span", "0,abc"),
+    ("--t-span", "0,nan"), ("--x", "0.1,abc"), ("--y", "0.5,true"),
+])
+def test_a_malformed_geodesic_vector_is_refused_by_name(capsys, option, text):
+    argv = {"--x": "0.1,0.2", "--y": "0.5,-0.3", "--t-span": "0,1", option: text}
+    code, out, err = run_cli(capsys, "geodesic", "--metric", FUNK,
+                             *[a for item in argv.items() for a in item])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} ")
+
+
 def test_zero_direction_is_refused_by_name(capsys):
     """A zero y is refused before its F^2 jet is built, so no RuntimeWarning
     comes from the jet series: alone, in a stack (its first zero row) and

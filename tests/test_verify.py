@@ -1,5 +1,6 @@
 """Claim objects, sample plans, and suite execution."""
 
+import dataclasses
 import io
 import json
 import time
@@ -8,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import richardson_derivative
 
 from finslerkit import verify, zoo
 from finslerkit.errors import InvalidParameterError
+from finslerkit.geometry import TangentSample, s_curvature
+from finslerkit.jets import value
 from finslerkit.verify import (Claim, SamplePlan, closed_one_form_check,
                                load_claims, run_claim, run_suite)
 
@@ -191,6 +195,67 @@ def test_closed_one_form_flat_case_is_exactly_zero():
     result = closed_one_form_check(m, c=0.0)
     assert result.passed
     assert result.stats["max"] <= 1e-9
+
+
+def test_closed_one_form_residual_of_shifted_funk_is_rounding():
+    """With gamma's x-Jacobian from jets, criterion 03's residual is
+    rounding (a central difference of refits read 1.31e-11)."""
+    m = zoo.make_funk_shifted([0.3, 0.0])
+    result = closed_one_form_check(m, c=0.5, samples=SamplePlan(count=10, seed=23))
+    assert result.stats["max"] <= 1e-13
+
+
+def _gamma_coefficients(metric, c, x, dirs):
+    """gamma's fitted coefficients at x from s_curvature and F, sample by sample."""
+    n = metric.dimension
+    gamma = [s_curvature(metric, TangentSample(x, d))
+             - (n + 1) * c * float(metric.evaluate(x, d)) for d in dirs]
+    return np.linalg.lstsq(dirs, np.array(gamma), rcond=None)[0]
+
+
+@pytest.mark.parametrize("spec,c", [
+    (zoo.MetricSpec("randers", 2, {"model": "hyperbolic_disk", "b": [0.3, 0.1]}), 0.5),
+    (zoo.MetricSpec("szabo_epsilon", 3, {"eps": 0.5}), 0.0),
+    (zoo.MetricSpec("funk_ball_shifted", 2, {"a": [0.3, 0.0]}), 0.5),
+], ids=lambda v: getattr(v, "kind", str(v)))
+def test_gamma_jacobian_matches_a_central_difference(spec, c):
+    metric = zoo.build_metric(spec)
+    n = metric.dimension
+    rng = np.random.default_rng(5)
+    dirs = verify._fit_directions(rng, n)
+    x = metric.domain.sample_interior(rng, margin=0.2)
+    _, coeff = verify._gamma_fit(metric, c, x, dirs)
+    assert np.allclose(coeff[:, 0], _gamma_coefficients(metric, c, x, dirs),
+                       rtol=0.0, atol=1e-12)
+    jac = coeff[:, 1:]
+    fd = np.column_stack([richardson_derivative(
+        lambda p: _gamma_coefficients(metric, c, p, dirs), x, e) for e in np.eye(n)])
+    assert np.max(np.abs(jac - fd)) <= 1e-7 * max(1.0, np.max(np.abs(jac)))
+
+
+def test_closed_one_form_takes_one_bundle_and_one_sphere_pass_per_point():
+    """Each point evaluates F twice: once for its need-"R" bundle over the
+    fit directions, once on the sphere rule."""
+    m = zoo.make_funk_shifted([0.3, 0.0])
+    calls = []
+
+    def evaluate(x, y):
+        calls.append(np.shape(value(y[0])))
+        return m.evaluate(x, y)
+
+    counted = dataclasses.replace(m, evaluate=evaluate)
+    dirs = verify._fit_directions(np.random.default_rng(0), 2)
+    verify._closed_one_form_residual(counted, 0.5, np.array([0.1, -0.2]), dirs)
+    assert calls == [(len(dirs),), (512,)]
+
+
+def test_a_malformed_metric_parameter_fails_only_its_claim():
+    """eps: abc on a product metric is a failed report, not an exception
+    that stops the suite."""
+    bad = _claim(id="text-eps", metric=zoo.MetricSpec("szabo_epsilon", 3, {"eps": "abc"}))
+    report = run_suite([bad, _claim()])
+    assert [r.claim_id for r in report.failures()] == ["text-eps"]
+    assert "eps" in report.failures()[0].detail
 
 
 def test_report_serialization_round_trip():

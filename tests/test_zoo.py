@@ -198,6 +198,15 @@ IGNORED_INPUT_SPECS = {
                                 "parameters": {"b": [False, False]}},
     "funk-boolean-shift": {"kind": "funk_ball_shifted", "dimension": 2,
                            "parameters": {"a": [0.2, False]}},
+    "szabo-boolean-eps": {"kind": "szabo_epsilon", "dimension": 3,
+                          "parameters": {"eps": True}},
+    "szabo-text-eps": {"kind": "szabo_epsilon", "dimension": 3,
+                       "parameters": {"eps": "abc"}},
+    "szabo-nan-eps": {"kind": "szabo_epsilon", "dimension": 3,
+                      "parameters": {"eps": float("nan")}},
+    "szabo-product-infinite-eps": {"kind": "szabo_product", "dimension": 3,
+                                   "parameters": {"profile": "epsilon",
+                                                  "eps": float("inf")}},
 }
 
 
