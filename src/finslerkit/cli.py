@@ -64,6 +64,9 @@ def cmd_eval(args):
         raise DomainError(f"point {args.x} is outside the chart domain")
     if args.quantity == "K" and args.u is None:
         raise FinslerError("quantity K needs a flag edge --u")
+    if args.quantity != "K" and args.u is not None:
+        raise FinslerError("--u is the flag edge of quantity K; "
+                           f"quantity {args.quantity} does not read it")
     u = None if args.u is None else _numbers(args.u, "--u", n)
     print(_fmt(EVAL_QUANTITIES[args.quantity](metric, at, u)))
     return 0

@@ -9,11 +9,11 @@ target records all pass zoo._check_keys); metric constructor or geometry
 errors become failed reports, never crashes.
 
 run_claim first draws every sample's random input (a flag pole, a
-difference direction, closed-1-form fit directions) in sample order, then
-evaluates stacked quantities on stacks of up to _CHUNK samples, one
-bundle per stack.  The report is the one a sample-by-sample loop gives: a
-stack that fails is evaluated again one sample at a time, so the first
-failing sample is the one named.
+Berwald comparison direction, closed-1-form fit directions) in sample
+order, then evaluates stacked quantities on stacks of up to _CHUNK
+samples, one bundle per stack.  The report is the one a sample-by-sample
+loop gives: a stack that fails is evaluated again one sample at a time,
+so the first failing sample is the one named.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .geometry import (TangentSample, _density_slope, _dot, _mv, _phase_jets, _v
                        flag_curvature, fundamental_tensor, local_geometry, s_curvature)
 from .jets import partials
 from .quadrature import on_sphere
-from .zoo import MetricSpec, _check_keys, _integer, _number, build_metric
+from .zoo import MetricSpec, _check_keys, _integer, _number, _vector, build_metric
 from . import flow
 
 TARGET_KINDS = ("constant", "zero", "upper_bound", "exceeds")
@@ -49,9 +49,10 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self):
-        if _integer("sample count", self.count) < 1:
+        for name, gate in (("count", _integer), ("margin", _number), ("seed", _integer)):
+            object.__setattr__(self, name, gate(f"sample {name}", getattr(self, name)))
+        if self.count < 1:
             raise InvalidParameterError(f"sample count must be at least 1, not {self.count}")
-        _integer("sample seed", self.seed)
 
     def draw(self, metric):
         rng = np.random.default_rng(self.seed)
@@ -86,10 +87,17 @@ class Claim:
             raise InvalidParameterError(f"unknown target kind {self.target!r}")
         if kind != "zero" and "value" not in self.target:
             raise InvalidParameterError(f"target kind {kind!r} needs a value")
+        if "value" in self.target:
+            object.__setattr__(self, "target", {
+                **self.target, "value": _number("target value", self.target["value"])})
+        object.__setattr__(self, "tolerance", _number("tolerance", self.tolerance))
         if self.tolerance <= 0.0:
             raise InvalidParameterError("tolerance must be positive")
         if self.tolerance_kind not in ("absolute", "relative"):
             raise InvalidParameterError(f"unknown tolerance_kind {self.tolerance_kind!r}")
+        if self.tolerance_kind == "relative" and kind != "constant":
+            raise InvalidParameterError(
+                f"tolerance_kind 'relative' needs a constant target, not {kind!r}")
         what = f"{self.quantity} parameter"
         _check_keys(what, self.parameters, quantity.parameters, quantity.required)
         object.__setattr__(self, "parameters", {k: quantity.parameters[k](
@@ -99,18 +107,10 @@ class Claim:
     def from_dict(cls, data):
         _check_keys("claim", data, [f.name for f in fields(cls)],
                     required=("id", "metric", "quantity"))
-        data = dict(data)
-        metric = MetricSpec.from_dict(data.pop("metric"))
-        plan = data.pop("samples", {})
+        plan = data.get("samples", {})
         _check_keys("sample plan", plan, [f.name for f in fields(SamplePlan)])
-        if "margin" in plan:
-            plan = {**plan, "margin": _number("sample margin", plan["margin"])}
-        if "tolerance" in data:
-            data["tolerance"] = _number("tolerance", data["tolerance"])
-        target = data.get("target")
-        if isinstance(target, dict) and "value" in target:
-            data["target"] = {**target, "value": _number("target value", target["value"])}
-        return cls(metric=metric, samples=SamplePlan(**plan), **data)
+        return cls(**{**data, "metric": MetricSpec.from_dict(data["metric"]),
+                      "samples": SamplePlan(**plan)})
 
     def to_dict(self):
         out = asdict(self)
@@ -129,10 +129,7 @@ def _count(what, value, n):
 def _numbers(count=None):
     """A converter to a list of `count` numbers, n when count is None."""
     def convert(what, value, n):
-        want = n if count is None else count
-        if not isinstance(value, (list, tuple)) or len(value) != want:
-            raise InvalidParameterError(f"{what} must be {want} numbers, not {value!r}")
-        return [_number(what, v) for v in value]
+        return _vector(what, value, n if count is None else count, unit_ball=False).tolist()
     return convert
 
 
@@ -304,19 +301,16 @@ def _draw_direction(metric, at, rng, params):
 
 
 def _eval_berwald_quadratic(metric, at, d, params):
-    """Deviation of G from y-quadratic: finite difference, in a random
-    direction d, of the jet-exact y-Hessian of the spray.  Both ends of
-    the difference share one bundle.  This is the one finite difference
-    left among the claim quantities: the exact G_yyy needs an order-5
-    jet, which waits for jets capped in chart order."""
-    h = params.get("step", 1e-4)
+    """Deviation of G from y-quadratic: max |G_yy(x, y) - G_yy(x, d)| of the
+    jet-exact y-Hessian of the spray, d a random unit direction.  G is
+    y-quadratic exactly when G_yy(x, .) is constant.  Both directions
+    share one bundle."""
     n = metric.dimension
-    ends = np.stack([at.y + h * d, at.y - h * d]).reshape(-1, n)
+    ys = np.stack([at.y, d]).reshape(-1, n)
     x = np.broadcast_to(at.x, (2,) + at.x.shape).reshape(-1, n)
-    G_yy = local_geometry(metric, TangentSample(x, ends), "R").G_yy
+    G_yy = local_geometry(metric, TangentSample(x, ys), "R").G_yy
     G_yy = G_yy.reshape((2,) + at.y.shape + (n, n))
-    diff = (G_yy[0] - G_yy[1]) / (2.0 * h)
-    return np.max(np.abs(diff), axis=(-3, -2, -1))
+    return np.max(np.abs(G_yy[0] - G_yy[1]), axis=(-3, -2, -1))
 
 
 def _eval_phi_convexity(metric, at, drawn, params):
@@ -382,7 +376,7 @@ _QUANTITIES = {
     "spray_split": _Quantity(_eval_spray_split, stacked=True),
     "funk_pde": _Quantity(_eval_funk_pde, stacked=True),
     "berwald_quadratic": _Quantity(_eval_berwald_quadratic, _draw_direction,
-                                   {"step": _real}, stacked=True),
+                                   stacked=True),
     "phi_convexity": _along_geodesic(_eval_phi_convexity, floor=_real),
     "phi_constancy": _along_geodesic(_eval_phi_constancy),
     "closed_one_form": _Quantity(_eval_closed_one_form, _draw_fit_directions,

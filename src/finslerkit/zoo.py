@@ -37,6 +37,10 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown metric kind {self.kind!r}")
+        if not isinstance(self.parameters, dict):
+            raise InvalidParameterError(
+                f"metric spec parameters must be a mapping, not {self.parameters!r}")
+        object.__setattr__(self, "dimension", _integer("metric dimension", self.dimension))
 
     def to_dict(self):
         return {"kind": self.kind, "dimension": int(self.dimension),
@@ -46,12 +50,7 @@ class MetricSpec:
     def from_dict(cls, data):
         _check_keys("metric spec", data, ("kind", "dimension", "parameters"),
                     required=("kind", "dimension"))
-        parameters = data.get("parameters", {})
-        if not isinstance(parameters, dict):
-            raise InvalidParameterError(
-                f"metric spec parameters must be a mapping, not {parameters!r}")
-        return cls(kind=data["kind"], parameters=dict(parameters),
-                   dimension=_integer("metric dimension", data["dimension"]))
+        return cls(**data)
 
     def to_yaml(self):
         return yaml.safe_dump(self.to_dict(), sort_keys=False)

@@ -76,6 +76,9 @@ MALFORMED_CLAIMS = {
     "upper-bound-without-value": _edited(target={"kind": "upper_bound"}),
     "exceeds-without-value": _edited(target={"kind": "exceeds"}),
     "unknown-tolerance-kind": _edited(tolerance_kind="relativ"),
+    "relative-tolerance-on-a-zero-target": _edited(tolerance_kind="relative"),
+    "relative-tolerance-on-an-exceeds-target": _edited(
+        target={"kind": "exceeds", "value": 1.0}, tolerance_kind="relative"),
     "parameter-the-quantity-does-not-read": _edited(parameters={"stepp": 3}),
     "null-parameters": _edited(parameters=None),
     "null-target-value": _edited(target={"kind": "constant", "value": None}),
@@ -89,13 +92,17 @@ MALFORMED_CLAIMS = {
     "metric-kind-without-spec": _edited(metric="euclidean"),
     "null-tolerance": _edited(tolerance=None),
     "bare-string-record": "flat-cartan",
+    # berwald_quadratic reads no parameters, so any `step` is refused
     "text-step": _edited(quantity="berwald_quadratic", parameters={"step": "abc"}),
+    "retired-step": _edited(quantity="berwald_quadratic", parameters={"step": 1e-4}),
+    "text-floor": _edited(quantity="phi_convexity", parameters={"floor": "abc"}),
     "number-t-span": _edited(quantity="phi_constancy", parameters={"t_span": 5}),
     "fractional-nodes": _edited(quantity="phi_constancy", parameters={"nodes": 2.7}),
     "short-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [1.0]}),
     "boolean-tolerance": _edited(tolerance=True),
     "boolean-target-value": _edited(target={"kind": "upper_bound", "value": False}),
     "boolean-step": _edited(quantity="berwald_quadratic", parameters={"step": True}),
+    "boolean-floor": _edited(quantity="phi_convexity", parameters={"floor": True}),
     "boolean-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [True, False]}),
     "nan-tolerance": _edited(tolerance=float("nan")),
     "infinite-c": _edited(metric={"kind": "funk_ball_shifted", "dimension": 2},

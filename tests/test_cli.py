@@ -68,6 +68,15 @@ def test_eval_curvature_requires_flag_edge(capsys):
     assert "u" in err
 
 
+@pytest.mark.parametrize("quantity", ["F", "g"])
+def test_eval_flag_edge_of_another_quantity_is_a_usage_error(capsys, quantity):
+    code, out, err = run_cli(capsys, "eval", "--metric", FUNK,
+                             "--x", "0.1,0.2", "--y", "0.5,-0.3",
+                             "--u", "0,1", "--quantity", quantity)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --u ")
+
+
 def test_eval_s_curvature_of_pure_funk(capsys):
     plain = "{kind: funk_ball_shifted, dimension: 2, parameters: {a: [0.0, 0.0]}}"
     code, out, _ = run_cli(capsys, "eval", "--metric", plain,

@@ -135,6 +135,36 @@ def test_claim_validation_rejects_unknown_target_kind():
         _claim(target={"kind": "approximately_vibes", "value": 0.0})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: _claim(tolerance=True),
+    lambda: _claim(tolerance=float("nan")),
+    lambda: _claim(target={"kind": "constant", "value": float("nan")}),
+    lambda: SamplePlan(margin=float("nan")),
+    lambda: zoo.MetricSpec("euclidean", True),
+], ids=["boolean-tolerance", "nan-tolerance", "nan-target-value", "nan-margin",
+        "boolean-dimension"])
+def test_a_record_built_in_python_passes_the_number_gates(build):
+    """Claims, sample plans and metric specs check their numbers when they
+    are built, not only when read from a claim file."""
+    with pytest.raises(InvalidParameterError):
+        build()
+
+
+@pytest.mark.parametrize("spec", [
+    zoo.MetricSpec("funk_ball_shifted", 2, {"a": [0.3, 0.0]}),
+    zoo.MetricSpec("incomplete_slab", 3),
+], ids=["funk-shifted", "slab"])
+def test_berwald_claim_fails_on_a_metric_that_is_not_berwald(spec):
+    """Comparing G_yy at two directions tells a spray that is not quadratic
+    from rounding at every sample."""
+    report = run_claim(_claim(
+        id="not-berwald", metric=spec, quantity="berwald_quadratic",
+        target={"kind": "zero"}, tolerance=1e-7, tolerance_kind="absolute",
+        samples=SamplePlan(count=25, seed=3)))
+    assert not report.passed and report.count == 25
+    assert report.stats["min"] > 1e-2
+
+
 def test_malformed_claim_is_refused_when_built(malformed_claim_yaml):
     with pytest.raises(InvalidParameterError):
         load_claims(io.StringIO(malformed_claim_yaml))
