@@ -310,27 +310,13 @@ def phi_second_differences(torsion, floor=1e-9):
 
 def trace_to_csv(torsion_or_trace, path_or_buffer):
     """Columnar CSV export: t, position, velocity, then phi/residual if present."""
-    import io
-
-    if isinstance(torsion_or_trace, TorsionTrace):
-        trace = torsion_or_trace.trace
-        extra_names = ["phi", "residual"]
-        extras = np.stack([torsion_or_trace.phi_of_t,
-                           torsion_or_trace.residual_of_t], axis=1)
-    else:
-        trace = torsion_or_trace
-        extra_names = []
-        extras = np.empty((len(trace.times), 0))
+    torsion = torsion_or_trace if isinstance(torsion_or_trace, TorsionTrace) else None
+    trace = torsion.trace if torsion else torsion_or_trace
     n = trace.positions.shape[1]
-    header = (["t"] + [f"x{i+1}" for i in range(n)]
-              + [f"y{i+1}" for i in range(n)] + extra_names)
-    table = np.column_stack([trace.times, trace.positions, trace.velocities, extras])
-    own = isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__")
-    buf = open(path_or_buffer, "w") if own else path_or_buffer
-    try:
-        buf.write(",".join(header) + "\n")
-        for row in table:
-            buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
-    finally:
-        if own:
-            buf.close()
+    header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)]
+    columns = [trace.times, trace.positions, trace.velocities]
+    if torsion:
+        header += ["phi", "residual"]
+        columns += [torsion.phi_of_t, torsion.residual_of_t]
+    np.savetxt(path_or_buffer, np.column_stack(columns), fmt="%.12g", delimiter=",",
+               header=",".join(header), comments="")

@@ -337,17 +337,9 @@ def seed(point, directions, order):
     coeffs = np.zeros((len(point), _num_coeffs(m, order)) + batch)
     coeffs[:, 0] = point
     slopes = np.asarray(directions, dtype=np.float64).T
-    coeffs[:, _unit_positions(m, order)] = slopes.reshape(slopes.shape + (1,) * len(batch))
+    # the graded order puts the first partials e_0 ... e_{m-1} at positions 1 ... m
+    coeffs[:, 1:m + 1] = slopes.reshape(slopes.shape + (1,) * len(batch))
     return [Jet(c, m, order) for c in coeffs]
-
-
-@lru_cache(maxsize=None)
-def _unit_positions(ndir, order):
-    """Coefficient positions of the first partials along each direction."""
-    _, position = _index_table(ndir, order)
-    units = np.array([position[tuple(int(i == d) for i in range(ndir))] for d in range(ndir)])
-    units.setflags(write=False)
-    return units
 
 
 def extract(jet, multi_index):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureToleranceError
+from .errors import InvalidParameterError, QuadratureToleranceError
 
 CIRCLE_NODES = 512
 GAUSS_NODES = 128
@@ -39,17 +39,17 @@ def sphere_rule(n, level=0):
 
     `level` halves the node count once per unit (used for convergence
     checks); weights always sum to the sphere area.  Returns
-    (points, weights).
+    (points, weights), both read-only: the cache hands the same arrays to
+    every caller.
     """
     if n < 2:
-        raise ValueError("sphere quadrature requires n >= 2")
+        raise InvalidParameterError(f"sphere quadrature requires n >= 2, not {n}")
     if n == 2:
         k = CIRCLE_NODES >> level
         theta = 2.0 * np.pi * np.arange(k) / k
         points = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(k, 2.0 * np.pi / k)
-        return points, weights
-    if n == 3:
+    elif n == 3:
         kg = GAUSS_NODES >> level
         ka = AZIMUTH_NODES >> level
         mu, wmu = np.polynomial.legendre.leggauss(kg)
@@ -61,15 +61,17 @@ def sphere_rule(n, level=0):
             np.outer(mu, np.ones(ka)).ravel(),
         ], axis=1)
         weights = np.outer(wmu, np.full(ka, 2.0 * np.pi / ka)).ravel()
-        return points, weights
-    from scipy.stats import norm, qmc  # a slow import that only n >= 4 needs
+    else:
+        from scipy.stats import norm, qmc  # a slow import that only n >= 4 needs
 
-    sampler = qmc.Sobol(d=n, scramble=True, seed=20240 + n + level)
-    u = sampler.random_base2(QMC_LOG2_NODES - level)
-    z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    weights = np.full(z.shape[0], sphere_area(n) / z.shape[0])
-    return z, weights
+        sampler = qmc.Sobol(d=n, scramble=True, seed=20240 + n + level)
+        u = sampler.random_base2(QMC_LOG2_NODES - level)
+        points = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        weights = np.full(points.shape[0], sphere_area(n) / points.shape[0])
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 def on_sphere(n, estimate, tol=None):

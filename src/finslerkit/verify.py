@@ -51,8 +51,9 @@ class SamplePlan:
     def __post_init__(self):
         for name, gate in (("count", _integer), ("margin", _number), ("seed", _integer)):
             object.__setattr__(self, name, gate(f"sample {name}", getattr(self, name)))
-        if self.count < 1:
-            raise InvalidParameterError(f"sample count must be at least 1, not {self.count}")
+        if self.count < 1 or not 0.0 <= self.margin < 1.0 or self.seed < 0:
+            raise InvalidParameterError(
+                f"a sample plan needs count >= 1, margin in [0, 1) and seed >= 0: {self}")
 
     def draw(self, metric):
         rng = np.random.default_rng(self.seed)
@@ -78,6 +79,13 @@ class Claim:
     reference: str = ""
 
     def __post_init__(self):
+        for name, record in (("metric", MetricSpec), ("samples", SamplePlan)):
+            if not isinstance(getattr(self, name), record):
+                raise InvalidParameterError(
+                    f"claim {name} must be a {record.__name__}, not {getattr(self, name)!r}")
+        if self.metric.dimension < 2:
+            raise InvalidParameterError(
+                f"claim metric needs dimension >= 2, not {self.metric.dimension}")
         quantity = _QUANTITIES.get(self.quantity)
         if quantity is None:
             raise InvalidParameterError(f"unknown quantity {self.quantity!r}")

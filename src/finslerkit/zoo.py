@@ -41,6 +41,8 @@ class MetricSpec:
             raise InvalidParameterError(
                 f"metric spec parameters must be a mapping, not {self.parameters!r}")
         object.__setattr__(self, "dimension", _integer("metric dimension", self.dimension))
+        if self.dimension < 1:
+            raise InvalidParameterError(f"metric dimension {self.dimension} is below 1")
 
     def to_dict(self):
         return {"kind": self.kind, "dimension": int(self.dimension),
@@ -149,16 +151,15 @@ def make_minkowski(dimension=2, b=None):
     )
 
 
-RIEMANN_MODELS = ("flat", "sphere", "hyperbolic_disk", "custom")
+RIEMANN_MODELS = ("flat", "sphere", "hyperbolic_disk")
 
 
-def make_riemannian(model="flat", dimension=2, matrix_field=None, domain=None):
-    """F = sqrt(a_ij(x) y^i y^j) for the named space form or a custom field."""
+def make_riemannian(model="flat", dimension=2):
+    """F = sqrt(a_ij(x) y^i y^j) for a named space form: the flat metric, the
+    round sphere in its stereographic chart, or the Poincare disk.  A metric
+    of one's own goes in as a MetricField."""
     if model not in RIEMANN_MODELS:
         raise InvalidParameterError(f"unknown Riemannian model {model!r}")
-    if model != "custom" and (matrix_field is not None or domain is not None):
-        raise InvalidParameterError(
-            f"matrix_field and domain apply to the custom model, not {model!r}")
     dom = Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension))
     if model == "flat":
         def qform(x, y):
@@ -167,26 +168,12 @@ def make_riemannian(model="flat", dimension=2, matrix_field=None, domain=None):
         def qform(x, y):  # stereographic chart of the unit sphere
             c = 1.0 + _dot(x, x)
             return 4.0 * _dot(y, y) / (c * c)
-    elif model == "hyperbolic_disk":
+    else:
         dom = Ball(dimension)
 
         def qform(x, y):  # Poincare disk
             c = 1.0 - _dot(x, x)
             return 4.0 * _dot(y, y) / (c * c)
-    else:
-        if matrix_field is None:
-            raise InvalidParameterError("custom model requires a matrix_field callable")
-        dom = domain or Box(-np.ones(dimension), np.ones(dimension))
-
-        def qform(x, y):
-            a = matrix_field(x)
-            acc = None
-            for i in range(dimension):
-                for j in range(dimension):
-                    term = a[i][j] * y[i] * y[j]
-                    acc = term if acc is None else acc + term
-            return acc
-        _check_spd(qform, dom, dimension)
     spec = MetricSpec("riemannian", dimension, {"model": model})
     return MetricField(
         dimension=dimension,
@@ -206,19 +193,11 @@ def _half_hessian(qform, x, n):
     return np.broadcast_to(0.5 * hessian(q, range(n)).value, x.shape[:-1] + (n, n))
 
 
-def _check_spd(qform, dom, n):
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        x = dom.sample_interior(rng)
-        a = _half_hessian(qform, x, n)
-        if np.min(np.linalg.eigvalsh(a)) <= 0.0:
-            raise InvalidParameterError(f"matrix field not positive definite at x={x}")
-
-
-def make_randers(model="flat", dimension=2, b=None, matrix_field=None, domain=None):
-    """Randers metric F = alpha + beta with the ||beta||_x < 1 gate sampled
-    at 200 interior points."""
-    base = make_riemannian(model, dimension, matrix_field, domain)
+def make_randers(model="flat", dimension=2, b=None):
+    """Randers metric F = alpha + beta over the Riemannian `model` alpha,
+    with beta = <b, y> and the ||beta||_x < 1 gate sampled at 200 interior
+    points."""
+    base = make_riemannian(model, dimension)
     # ||beta||_x < 1 is gated below, at sampled points; |b| may exceed 1
     b = _vector("b", b, dimension, lead=0.5, unit_ball=False)
     qform = base.extras["quadratic_form"]
@@ -291,7 +270,8 @@ def _theta_root(phi, x, y, tol=1e-13, max_iter=80):
     Vectorized over trailing axes of the x and y components.  The residual
     r(theta) = theta - phi(y + theta x) is strictly increasing (slope at
     least 1 - phi(x) > 0 inside the chart), so the root is unique and
-    bracketed by [0, phi(y) / (1 - phi(x))].
+    bracketed by [0, phi(y) / (1 - phi(x))].  Returns the root and the
+    slope of r there, both from the last Newton pass.
     """
     x = [np.asarray(c, dtype=float) for c in x]
     phi_x = np.asarray(phi(x), dtype=float)
@@ -309,12 +289,12 @@ def _theta_root(phi, x, y, tol=1e-13, max_iter=80):
         tj = Jet(np.stack([theta, np.ones_like(theta)]), 1, 1)
         r = tj - phi([yc + tj * xc for yc, xc in zip(y, x)])
         res = np.asarray(r.value, dtype=float)
+        slope = np.asarray(deriv(r, 0).value, dtype=float)
         done |= np.abs(res) <= tol * scale
         if np.all(done):
-            return theta if theta.ndim else float(theta)
+            return (theta if theta.ndim else float(theta)), slope
         lo = np.where(res < 0.0, theta, lo)
         hi = np.where(res > 0.0, theta, hi)
-        slope = np.asarray(deriv(r, 0).value, dtype=float)
         step = np.divide(res, slope, out=np.zeros_like(res), where=slope > 0.0)
         candidate = theta - step
         bad = (candidate <= lo) | (candidate >= hi) | ~np.isfinite(candidate)
@@ -334,12 +314,8 @@ def _theta_jet(phi, x, y):
     ndir, order = template.ndir, template.order
     xv = [value(c) for c in x]
     yv = [np.asarray(value(c), dtype=float) for c in y]
-    theta0 = np.asarray(_theta_root(phi, xv, yv), dtype=float)
-    # scalar slope of theta - phi(y + theta x) at the root
-    tj = Jet(np.stack([theta0, np.ones_like(theta0)]), 1, 1)
-    slope = np.asarray(deriv(tj - phi([yc + tj * xc for yc, xc in zip(yv, xv)]), 0).value,
-                       dtype=float)
-    theta = Jet.constant(theta0, ndir, order)
+    theta0, slope = _theta_root(phi, xv, yv)
+    theta = Jet.constant(np.asarray(theta0, dtype=float), ndir, order)
     for _ in range(order + 2):
         residual = theta - phi([yc + theta * xc for yc, xc in zip(y, x)])
         theta = theta - residual / slope
@@ -354,8 +330,8 @@ def _theta_jet(phi, x, y):
 def make_funk_implicit(phi=None, dimension=2, b=None):
     """Funk metric of the unit phi-ball, solved from theta = phi(y + theta x).
 
-    phi may be "euclidean" (default), "randers" with a drift b, or any
-    jet-evaluable Minkowski norm callable.
+    phi is "euclidean" (default) or "randers" with a drift b; any other
+    phi, a callable included, raises InvalidParameterError.
     """
     if b is not None and phi != "randers":
         raise InvalidParameterError(f"a drift b applies to phi = 'randers', not {phi!r}")
@@ -374,17 +350,13 @@ def make_funk_implicit(phi=None, dimension=2, b=None):
 
         def phi_fn(v):
             return jsqrt(_dot(v, v)) + _dot(b, v)
-    elif callable(phi):
-        params["phi"] = "callable"
-        half_width = 2.0
-        phi_fn = phi
     else:
         raise InvalidParameterError(f"unsupported Minkowski norm {phi!r}")
 
     def evaluate(x, y):
         if any(isinstance(c, Jet) for c in list(x) + list(y)):
             return _theta_jet(phi_fn, x, y)
-        return _theta_root(phi_fn, x, y)
+        return _theta_root(phi_fn, x, y)[0]
 
     spec = MetricSpec("funk_implicit", dimension, params)
     return MetricField(

@@ -1,10 +1,30 @@
-"""Shared fixtures and finite-difference helpers."""
+"""Shared fixtures, finite-difference helpers and a test deadline."""
+
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 import yaml
 
 from finslerkit import zoo
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test once the block has run `seconds` of wall time.  The
+    failure is not an Exception, so no `except` in the code under test
+    swallows it."""
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def richardson_derivative(fun, x, direction, order=1, step=1e-3):
@@ -107,6 +127,16 @@ MALFORMED_CLAIMS = {
     "nan-tolerance": _edited(tolerance=float("nan")),
     "infinite-c": _edited(metric={"kind": "funk_ball_shifted", "dimension": 2},
                           quantity="closed_one_form", parameters={"c": float("inf")}),
+    # no flag and no sphere in one dimension: the flag pole draw never ends
+    "one-dimensional-flag-curvature": _edited(metric={"kind": "euclidean", "dimension": 1},
+                                              quantity="flag_curvature"),
+    "one-dimensional-s-curvature": _edited(metric={"kind": "euclidean", "dimension": 1},
+                                           quantity="s_curvature"),
+    "zero-dimensional-metric": _edited(metric={"kind": "euclidean", "dimension": 0}),
+    "negative-dimensional-metric": _edited(metric={"kind": "euclidean", "dimension": -1}),
+    "negative-seed": _edited(samples={"count": 5, "seed": -1}),
+    "unit-margin": _edited(samples={"count": 5, "margin": 1.0}),
+    "negative-margin": _edited(samples={"count": 5, "margin": -0.1}),
 }
 
 

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import deadline
 
 from finslerkit import cli, verify, zoo
 from finslerkit.errors import DegenerateMetricError, DomainError
@@ -154,7 +155,8 @@ def test_suite_on_a_malformed_claim_file_is_a_usage_error(tmp_path, capsys,
                                                          malformed_claim_yaml):
     path = tmp_path / "claims.yaml"
     path.write_text(malformed_claim_yaml)
-    code, out, err = run_cli(capsys, "suite", "--file", str(path))
+    with deadline(30):
+        code, out, err = run_cli(capsys, "suite", "--file", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

@@ -1,11 +1,11 @@
 """Geodesic integration, covariant transport, and torsion traces."""
 
+import io
 import logging
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import deadline
 
 from finslerkit import flow, zoo
 from finslerkit.errors import DomainError, InvalidParameterError, ResolutionError
@@ -256,28 +256,13 @@ def test_jacobi_field_reconstructs_torsion_with_few_bundles(funk_shifted,
     assert np.abs(V - tt.I_of_t).max() <= 1e-10 * scale
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the block once `seconds` of wall time pass."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("x0", [[2.0, 0.0], [1.0 - 5e-10, 0.0]],
                          ids=["outside-the-chart", "inside-the-exit-band"])
 def test_start_not_inside_the_exit_margin_is_a_domain_error(funk_shifted, x0):
     """Either start would stall the solver at t = 0: outside the chart the
     right-hand side is NaN from the first step, and inside the 1e-9 band
     the exit event never sees the margin cross."""
-    with _deadline(1.0), pytest.raises(DomainError, match="margin"):
+    with deadline(1.0), pytest.raises(DomainError, match="margin"):
         integrate_geodesic(funk_shifted, np.array(x0), np.array([1.0, 0.0]),
                            (0.0, 1.0))
 
@@ -290,7 +275,7 @@ def test_a_solve_without_a_finite_span_and_positive_tolerance_is_refused(funk_sh
                                                                          solve):
     """A NaN end time would keep the solver stepping for ever."""
     trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
-    with _deadline(5.0), pytest.raises(InvalidParameterError):
+    with deadline(5.0), pytest.raises(InvalidParameterError):
         solve(funk_shifted, trace)
 
 
@@ -306,7 +291,7 @@ def test_geodesic_solve_that_stops_short_is_a_resolution_error(funk_shifted,
         return solve_ivp(rhs, *args, **kwargs)
 
     monkeypatch.setattr(flow, "solve_ivp", poisoned_solve_ivp)
-    with _deadline(30.0), pytest.raises(ResolutionError, match="stopped at t = 0.5"):
+    with deadline(30.0), pytest.raises(ResolutionError, match="stopped at t = 0.5"):
         integrate_geodesic(funk_shifted, np.array([0.1, -0.2]),
                            np.array([0.8, 0.5]), (0.0, 1.0), nodes=33)
 
@@ -320,3 +305,18 @@ def test_implicit_funk_torsion_trace_near_the_chart_edge():
               for m in (zoo.make_funk_implicit(), zoo.make_funk_shifted([0.0, 0.0]))]
     implicit, closed = (tt.phi_of_t for tt in traces)
     assert np.abs(implicit - closed).max() <= 1e-10 * closed.max()
+
+
+def test_trace_csv_prints_each_value_to_twelve_digits(tmp_path):
+    """One header row, then %.12g values: signed zeros, non-finite values
+    and exponents as Python prints them, the same to a path or a buffer."""
+    column = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e14, 1.0 / 3.0])
+    trace = flow.GeodesicTrace(times=column, positions=column[:, None],
+                               velocities=-column[:, None], speed_drift=0.0)
+    buffer = io.StringIO()
+    flow.trace_to_csv(trace, buffer)
+    assert buffer.getvalue() == ("t,x1,y1\n0,0,-0\n-0,-0,0\nnan,nan,nan\ninf,inf,-inf\n"
+                                 "-inf,-inf,inf\n1e+14,1e+14,-1e+14\n"
+                                 "0.333333333333,0.333333333333,-0.333333333333\n")
+    flow.trace_to_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text() == buffer.getvalue()

@@ -7,13 +7,14 @@ import pytest
 
 from finslerkit import flow, geometry, zoo
 from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError,
-                               OutOfOrderError, QuadratureToleranceError)
+                               InvalidParameterError, OutOfOrderError,
+                               QuadratureToleranceError)
 from finslerkit.geometry import (TangentSample, cartan_norm, distortion,
                                  flag_curvature, fundamental_tensor,
                                  mean_cartan, mean_landsberg, riemann,
                                  s_curvature, spray, volume_density)
 from finslerkit.jets import extract, jsqrt, seed, value
-from finslerkit.quadrature import ball_volume
+from finslerkit.quadrature import ball_volume, sphere_rule
 
 CONST_SPD = np.array([[2.0, 0.3], [0.3, 1.5]])
 
@@ -40,10 +41,13 @@ RANDERS_GRID_DENSITY = 0.6495083510
 
 
 def _const_riemannian():
-    return zoo.make_riemannian(
-        model="custom",
-        matrix_field=lambda x: CONST_SPD,
-        domain=zoo.Box(np.full(2, -2.0), np.full(2, 2.0)))
+    """F = sqrt(y^T A y) for the constant SPD matrix A, as a MetricField."""
+    a = CONST_SPD
+    return geometry.MetricField(
+        dimension=2, domain=zoo.Box(np.full(2, -2.0), np.full(2, 2.0)),
+        evaluate=lambda x, y: jsqrt(a[0, 0] * y[0] * y[0] + 2.0 * a[0, 1] * y[0] * y[1]
+                                    + a[1, 1] * y[1] * y[1]),
+        name="const_riemannian")
 
 
 def _sample(metric, seed_=0, count=1):
@@ -396,6 +400,21 @@ def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, 
     batches.clear()
     s_curvature(m, at)
     assert [b for b in batches if b > 1] == [nodes]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("level", [0, 1])
+def test_cached_sphere_rules_are_read_only(n, level):
+    """Every caller gets the same cached arrays, so none may edit them."""
+    for table in sphere_rule(n, level):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_no_sphere_rule_below_the_circle(n):
+    with pytest.raises(InvalidParameterError):
+        sphere_rule(n)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -140,12 +140,33 @@ def test_claim_validation_rejects_unknown_target_kind():
     lambda: _claim(tolerance=float("nan")),
     lambda: _claim(target={"kind": "constant", "value": float("nan")}),
     lambda: SamplePlan(margin=float("nan")),
+    lambda: SamplePlan(margin=1.0),
+    lambda: SamplePlan(seed=-1),
     lambda: zoo.MetricSpec("euclidean", True),
+    lambda: zoo.MetricSpec("euclidean", 0),
+    lambda: zoo.MetricSpec("euclidean", -1),
 ], ids=["boolean-tolerance", "nan-tolerance", "nan-target-value", "nan-margin",
-        "boolean-dimension"])
+        "unit-margin", "negative-seed", "boolean-dimension", "zero-dimension",
+        "negative-dimension"])
 def test_a_record_built_in_python_passes_the_number_gates(build):
     """Claims, sample plans and metric specs check their numbers when they
     are built, not only when read from a claim file."""
+    with pytest.raises(InvalidParameterError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _claim(samples={"count": 3}),
+    lambda: _claim(metric={"kind": "euclidean", "dimension": 2}),
+    lambda: _claim(metric={"kind": "euclidean", "dimension": 2},
+                   parameters={"u": [1.0, 0.0]}),
+    lambda: _claim(metric=zoo.MetricSpec("euclidean", 1)),
+], ids=["samples-mapping", "metric-mapping", "metric-mapping-with-parameter",
+        "one-dimensional-metric"])
+def test_a_claim_built_in_python_checks_its_nested_records(build):
+    """A claim takes a MetricSpec of dimension at least 2 and a SamplePlan;
+    anything else is refused when the claim is built, not midway through
+    run_claim."""
     with pytest.raises(InvalidParameterError):
         build()
 

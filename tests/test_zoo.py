@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from finslerkit import geometry, verify, zoo
-from finslerkit.errors import (DegenerateMetricError, InvalidParameterError,
-                               InvalidProfileError)
+from finslerkit.errors import InvalidParameterError, InvalidProfileError
 from finslerkit.geometry import TangentSample
 from finslerkit.jets import Jet, extract, jsqrt, seed, value
 
@@ -23,13 +22,6 @@ def test_randers_rejects_unit_one_form():
 def test_funk_rejects_shift_outside_ball():
     with pytest.raises(InvalidParameterError):
         zoo.make_funk_shifted([1.2, 0.0])
-
-
-def test_riemannian_rejects_non_spd_matrix():
-    bad = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises((InvalidParameterError, DegenerateMetricError)):
-        zoo.make_riemannian(model="custom", matrix_field=lambda x: bad,
-                            domain=zoo.Box(np.full(2, -1.0), np.full(2, 1.0)))
 
 
 def test_profile_gate_rejects_negative_epsilon():
@@ -217,13 +209,10 @@ def test_spec_input_that_would_be_ignored_is_rejected(spec):
         zoo.build_metric(spec)
 
 
-@pytest.mark.parametrize("model", ["flat", "sphere", "hyperbolic_disk"])
-@pytest.mark.parametrize("extra", [{"domain": zoo.Ball(2)},
-                                   {"matrix_field": lambda x: np.eye(2)}],
-                         ids=["domain", "matrix_field"])
-def test_space_forms_reject_custom_model_arguments(model, extra):
-    with pytest.raises(InvalidParameterError):
-        zoo.make_riemannian(model, 2, **extra)
+def test_a_callable_minkowski_norm_is_refused():
+    """A user's own metric goes in as a MetricField, not as a callable phi."""
+    with pytest.raises(InvalidParameterError, match="unsupported Minkowski norm"):
+        zoo.make_funk_implicit(phi=lambda v: jsqrt(v[0] * v[0] + v[1] * v[1]))
 
 
 def test_kinds_follow_the_spec_table_in_order():
