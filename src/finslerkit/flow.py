@@ -12,9 +12,12 @@ of a trace must halve with the requested tolerance, and `_solver_tol`
 is tuned to that pair's error response (see there).  Jacobi fields use
 the 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 II.10), which needs about a third of RK45's right-hand sides at the same
-tolerance; each right-hand side is a full curvature bundle.  Every solve
-logs its method, right-hand-side evaluations, accepted steps and status
-at DEBUG level on the ``finslerkit.flow`` logger.
+tolerance.  A Jacobi field is the variation field of a family of
+geodesics, so it solves the linearised spray equation, which needs G, N
+and dG/dx but no curvature: each of its right-hand sides is one need-"N"
+bundle (see geometry.py).  Every solve logs its method, right-hand-side
+evaluations, accepted steps and status at DEBUG level on the
+``finslerkit.flow`` logger.
 
 A trace is evaluated as one (K, n) stack of its nodes: one bundle (see
 geometry.py) for `torsion_trace` or `connection_along`, one evaluation of
@@ -80,6 +83,17 @@ def _solve(caller, rhs, t_span, state0, method, tol, events=None):
     return sol
 
 
+def _start_vector(caller, name, v, n):
+    """`v` as n finite floats, or InvalidParameterError."""
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (n,) or not np.all(np.isfinite(arr)):
+        raise InvalidParameterError(f"{caller}: {name} = {v!r} is not {n} finite numbers")
+    return arr
+
+
 def chebyshev_nodes(a, b, count=TRACE_NODES):
     """Chebyshev points of the second kind on [a, b], increasing."""
     k = np.arange(count)
@@ -130,13 +144,14 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     """Integrate the spray ODE; stops with an exit flag, at `exit_time`, where
     the chart margin falls to EXIT_MARGIN.  A start whose margin is not
     above EXIT_MARGIN raises DomainError; a stalled solve ResolutionError;
-    fewer than 2 `nodes` InvalidParameterError.
+    fewer than 2 `nodes`, or an x0 or y0 that is not n finite numbers,
+    InvalidParameterError.
     """
     if nodes < 2:
         raise InvalidParameterError(f"a geodesic trace needs at least 2 nodes, not {nodes}")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
     n = metric.dimension
+    x0 = _start_vector("integrate_geodesic", "x0", x0, n)
+    y0 = _start_vector("integrate_geodesic", "y0", y0, n)
     margin = metric.domain.margin(x0)
     if not margin > EXIT_MARGIN:  # outside, or NaN
         raise DomainError(f"geodesic start {x0} has chart margin {margin:.3g} in "
@@ -228,32 +243,39 @@ def torsion_trace(metric, trace, check_tol=1e-5):
 
 
 def jacobi_propagate(metric, trace, V0, DV0, tol=1e-10):
-    """Integrate the Jacobi equation D^2 V + R(V) = 0 along the trace.
+    """Integrate the Jacobi equation D^2 V + R(V) = 0 along the trace, from
+    V(0) = V0 and DV(0) = DV0.
 
-    Returns V at the trace nodes.  The geodesic is re-integrated jointly so
-    the curvature operator is evaluated on the exact current state.  A solve
-    that stops before the end of the trace raises ResolutionError.
+    Returns V at the trace nodes.  The solve runs the linearised spray
+    equation V'' = -2 G_x V - 2 N V' instead, jointly with the geodesic
+    itself so that G, N and G_x are evaluated on the exact current state:
+    one need-"N" bundle per right-hand side, from V'(0) = DV0 - N V0.  A V0
+    or DV0 that is not n finite numbers raises InvalidParameterError, a
+    solve that stops before the end of the trace ResolutionError.
     """
     n = metric.dimension
+    V0 = _start_vector("jacobi_propagate", "V0", V0, n)
+    DV0 = _start_vector("jacobi_propagate", "DV0", DV0, n)
     x0, y0 = trace.positions[0], trace.velocities[0]
-    V0 = np.asarray(V0, dtype=float)
-    # the integrated state w is the covariant derivative itself
-    W0 = np.asarray(DV0, dtype=float)
+    start = local_geometry(metric, TangentSample(x0, y0), "N")
+    state0 = np.concatenate([x0, y0, V0, DV0 - start.N @ V0])
+    # solve_ivp's first right-hand side is at the start state: the start
+    # bundle serves it
+    unused = [start]
 
     def rhs(t, state):
-        x, y, v, w = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
-        try:
-            lg = local_geometry(metric, TangentSample(x, y), "R")
-        except DomainError:  # outside, or NaN
-            return np.full(4 * n, np.nan)
-        return np.concatenate([
-            y, -2.0 * lg.G,
-            w - lg.N @ v,
-            -lg.R @ v - lg.N @ w,
-        ])
+        x, y, v, u = state[:n], state[n:2 * n], state[2 * n:3 * n], state[3 * n:]
+        if unused and np.array_equal(state, state0):
+            lg = unused.pop()
+        else:
+            try:
+                lg = local_geometry(metric, TangentSample(x, y), "N")
+            except DomainError:  # outside, or NaN
+                return np.full(4 * n, np.nan)
+        return np.concatenate([y, -2.0 * lg.G, u, -2.0 * (lg.G_x @ v + lg.N @ u)])
 
     sol = _solve("jacobi_propagate", rhs, (trace.times[0], trace.times[-1]),
-                 np.concatenate([x0, y0, V0, W0]), "DOP853", tol)
+                 state0, "DOP853", tol)
     states = sol.sol(trace.times)
     return states[2 * n:3 * n].T.copy()
 

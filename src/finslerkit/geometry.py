@@ -15,7 +15,7 @@ seeding and the jet order of F^2:
     "g"    n tangent                2       F, g, g^-1
     "I"    n tangent                3       ... and I
     "G"    2n chart and tangent     2       F, g, g^-1, G
-    "N"    2n chart and tangent     3       ... and N, I
+    "N"    2n chart and tangent     3       ... and N, G_x, I
     "R"    2n chart and tangent     4       ... and the y-Hessian of G, R, J
 
 Quantities that differentiate in y only are seeded in the tangent
@@ -359,6 +359,11 @@ class LocalGeometry:
         return partials(self._G, range(self.n))
 
     @cached_property
+    def G_x(self):
+        """dG^i / dx^k, indexed [..., i, k]."""
+        return self._G_x.value
+
+    @cached_property
     def G_xy(self):
         """d^2 G^i / dx^k dy^j, indexed [..., i, k, j]."""
         return partials(self._G_x, self._y).value
@@ -367,7 +372,7 @@ class LocalGeometry:
     def R(self):
         """R^i_k = 2 G^i_{x^k} - y^j G^i_{x^j y^k} + 2 G^j G^i_{y^j y^k}
         - N^i_j N^j_k."""
-        return (2.0 * self._G_x.value
+        return (2.0 * self.G_x
                 - np.einsum("...j,...ijk->...ik", self.at.y, self.G_xy)
                 + 2.0 * np.einsum("...j,...ijk->...ik", self.G, self.G_yy)
                 - self.N @ self.N)

@@ -6,12 +6,14 @@ import logging
 import numpy as np
 import pytest
 from conftest import deadline
+from scipy.integrate import solve_ivp
 
 from finslerkit import flow, zoo
 from finslerkit.errors import DomainError, InvalidParameterError, ResolutionError
 from finslerkit.flow import (covariant_derivative_along, growth_estimate,
                              integrate_geodesic, jacobi_propagate,
                              torsion_trace)
+from finslerkit.geometry import TangentSample, local_geometry
 
 
 def test_minkowski_geodesics_are_straight():
@@ -254,6 +256,78 @@ def test_jacobi_field_reconstructs_torsion_with_few_bundles(funk_shifted,
     assert len(bundles) <= 200
     scale = np.abs(tt.I_of_t).max()
     assert np.abs(V - tt.I_of_t).max() <= 1e-10 * scale
+
+
+def test_jacobi_field_builds_only_spray_bundles(funk_shifted, monkeypatch):
+    """Each right-hand side reads G, N and G_x: no curvature bundle."""
+    tr = _funk_trace(funk_shifted)
+    needs = []
+    real = flow.local_geometry
+    monkeypatch.setattr(flow, "local_geometry",
+                        lambda metric, at, need: needs.append(need) or real(metric, at, need))
+    jacobi_propagate(funk_shifted, tr, np.array([0.0, 1.0]), np.array([0.3, 0.2]),
+                     tol=1e-6)
+    assert needs and set(needs) == {"N"}
+
+
+def _curvature_jacobi(metric, trace, V0, DV0, tol=1e-10):
+    """V at the trace nodes from the Jacobi equation written with the
+    curvature operator: V' = W - N V, W' = -R V - N W with W = DV."""
+    n = metric.dimension
+
+    def rhs(t, state):
+        x, y, v, w = np.split(state, 4)
+        lg = local_geometry(metric, TangentSample(x, y), "R")
+        return np.concatenate([y, -2.0 * lg.G, w - lg.N @ v, -lg.R @ v - lg.N @ w])
+
+    inner = flow._solver_tol(tol)
+    state0 = np.concatenate([trace.positions[0], trace.velocities[0], V0, DV0])
+    sol = solve_ivp(rhs, (trace.times[0], trace.times[-1]), state0, method="DOP853",
+                    rtol=inner, atol=inner, dense_output=True)
+    assert sol.success
+    return sol.sol(trace.times)[2 * n:3 * n].T
+
+
+@pytest.mark.parametrize("case", ["funk_shifted", "szabo"])
+def test_jacobi_field_matches_the_curvature_form(case, request):
+    """The linearised spray and D^2 V + R(V) = 0 give the same field."""
+    metric = request.getfixturevalue(case)
+    rng = np.random.default_rng(41)
+    n = metric.dimension
+    x0 = metric.domain.sample_interior(rng, margin=0.3)
+    y0 = rng.standard_normal(n)
+    y0 /= float(metric.evaluate(x0, y0))
+    V0, DV0 = rng.standard_normal(n), rng.standard_normal(n)
+    tr = integrate_geodesic(metric, x0, y0, (0.0, 0.5), nodes=17)
+    V = jacobi_propagate(metric, tr, V0, DV0)
+    want = _curvature_jacobi(metric, tr, V0, DV0)
+    assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("x0, y0", [
+    ([0.1, -0.2, 0.0], [0.8, 0.5]),
+    ([0.1, -0.2], [0.8, 0.5, 0.0]),
+    ([0.1, -0.2], [np.nan, 0.5]),
+    ([0.1, np.inf], [0.8, 0.5]),
+    ([[0.1, -0.2]], [0.8, 0.5]),
+    (None, [0.8, 0.5]),
+], ids=["x0-of-3", "y0-of-3", "nan-in-y0", "inf-in-x0", "x0-of-shape-1x2", "no-x0"])
+def test_malformed_geodesic_start_is_an_invalid_parameter(funk_shifted, x0, y0):
+    with pytest.raises(InvalidParameterError, match="finite numbers"):
+        integrate_geodesic(funk_shifted, x0, y0, (0.0, 0.5), nodes=9)
+
+
+@pytest.mark.parametrize("V0, DV0", [
+    ([0.0, 1.0, 0.0], [0.0, 0.0]),
+    ([0.0, 1.0], [0.0]),
+    (np.eye(2), [0.0, 0.0]),
+    ([0.0, np.nan], [0.0, 0.0]),
+    ([0.0, 1.0], "ab"),
+], ids=["V0-of-3", "DV0-of-1", "V0-of-shape-2x2", "nan-in-V0", "text-DV0"])
+def test_malformed_jacobi_start_is_an_invalid_parameter(funk_shifted, V0, DV0):
+    trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    with pytest.raises(InvalidParameterError, match="finite numbers"):
+        jacobi_propagate(funk_shifted, trace, V0, DV0)
 
 
 @pytest.mark.parametrize("x0", [[2.0, 0.0], [1.0 - 5e-10, 0.0]],

@@ -1,6 +1,7 @@
 """Pointwise identities that every zoo kind satisfies, for one sample and
 for a stack: the y-homogeneity degree of each tensor, I.y = 0, R y = 0,
-and the mixed partial G_xy against a central difference of N in x."""
+and the x-derivatives G_x and G_xy against central differences of G and
+N in x."""
 
 import numpy as np
 import pytest
@@ -65,3 +66,15 @@ def test_G_xy_is_the_x_derivative_of_N(metric, stacked):
 
     for k, e in enumerate(np.eye(metric.dimension)):
         assert _close(G_xy[..., :, k, :], richardson_derivative(N, x, e), 1e-7)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_G_x_is_the_x_derivative_of_G(metric, stacked):
+    x, y = _samples(metric, stacked)
+    G_x = local_geometry(metric, TangentSample(x, y), "N").G_x  # [..., i, k]
+
+    def G(p):
+        return local_geometry(metric, TangentSample(p, y), "G").G
+
+    for k, e in enumerate(np.eye(metric.dimension)):
+        assert _close(G_x[..., :, k], richardson_derivative(G, x, e), 1e-7)
