@@ -30,7 +30,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, InvalidParameterError, ResolutionError
 from .geometry import TangentSample, _mv, _vmv, cartan_norm, local_geometry
@@ -43,6 +42,14 @@ TRACE_NODES = 257
 EXIT_MARGIN = 1e-9
 
 _log = logging.getLogger(__name__)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first solve: the import
+    costs about half a second that commands without a flow need not pay."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def _solver_tol(tol):

@@ -444,7 +444,7 @@ def volume_density(metric, x, tol=None):
 
     def f_ball(points, weights):
         f = np.asarray(metric.evaluate(x, list(points.T)), dtype=float)
-        return float(weights @ (f ** (-n) / n))
+        return float(np.sum(weights * f ** (-n))) / n
 
     return ball_volume(n) / on_sphere(n, f_ball, tol=tol)
 
@@ -473,22 +473,29 @@ def _density_slope(metric, x, y, points, weights, jacobian=False):
     F^{-n} dOmega is the F-ball volume.  With `jacobian`, x is seeded at
     order 2 and the slope's x-gradient y . dv comes from the same values
     of F: dv = (Int F_xx F^{-(n+1)} - (n+1) Int F_x F_x^T F^{-(n+2)}) / B
-    + v v^T."""
+    + v v^T.
+
+    v is integrated once and then contracted with y, so a stack of y costs
+    no more node work than one y.  Every sum over the nodes runs on the
+    calling thread (numpy's pairwise np.sum, and einsum without `optimize`,
+    never BLAS), so the bits do not depend on the BLAS thread count.  The
+    caller's `tol`, which on_sphere checks, must be positive and finite."""
     n, order = metric.dimension, 2 if jacobian else 1
     fj = metric.evaluate(seed(x, list(np.eye(n)), order), list(points.T))
     if not isinstance(fj, Jet):  # metric independent of x
         fj = Jet.constant(fj, n, order)
     fvals = fj.value
     grad = np.stack([deriv(fj, d).value for d in range(n)])
-    denom = float(weights @ fvals ** (-n)) / n
-    slope = ((y @ grad) * fvals ** (-(n + 1))) @ weights / denom
+    ball = weights * fvals ** (-n)
+    denom = float(np.sum(ball)) / n
+    w = ball / (denom * fvals)
+    v = np.sum(grad * w, axis=-1)
+    slope = np.sum(y * v, axis=-1)
     if not jacobian:
         return slope
-    w = weights * fvals ** (-(n + 1)) / denom
-    v = grad @ w
     hess = hessian(fj, range(n)).value
-    dv = (np.einsum("p,pkm->km", w, hess) - (n + 1) * (grad * (w / fvals)) @ grad.T
-          + np.outer(v, v))
+    dv = (np.einsum("p,pkm->km", w, hess)
+          - (n + 1) * np.einsum("kp,mp->km", grad * (w / fvals), grad) + np.outer(v, v))
     return slope, y @ dv
 
 

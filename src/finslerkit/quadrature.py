@@ -4,8 +4,13 @@ Rule selection by dimension: periodic trapezoid on the circle (spectrally
 accurate for smooth integrands), Gauss-Legendre x trapezoid product rule
 on S^2, and scrambled-Sobol quasi-Monte Carlo for n >= 4.  Every rule has
 a half-size level-1 companion, and the gap between the two is the error
-estimate `on_sphere` checks.  Node tables are built once and cached
-read-only.
+estimate `on_sphere` checks; its `tol` must be positive and finite.  Node
+tables are built once and cached read-only.
+
+The estimates that callers pass to `on_sphere` sum over the nodes with
+numpy (pairwise `np.sum`, and `einsum` without `optimize`) on the calling
+thread, never with BLAS, so no second BLAS thread spins and the bits do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -79,8 +84,11 @@ def on_sphere(n, estimate, tol=None):
 
     With `tol` set, the estimate is repeated on the level-1 (half-size)
     rule, and a gap above tol * max(1, |value|) raises
-    QuadratureToleranceError carrying the value and the gap.
+    QuadratureToleranceError carrying the value and the gap.  A `tol`
+    that is not a positive finite number raises InvalidParameterError.
     """
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise InvalidParameterError(f"quadrature tolerance {tol} is not positive and finite")
     value = estimate(*sphere_rule(n))
     if tol is not None:
         error = abs(estimate(*sphere_rule(n, level=1)) - value)

@@ -520,7 +520,10 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3):
 
 
 def run_suite(claims, parallelism=1):
-    """Run claims (possibly in parallel) and merge reports by claim id."""
+    """Run claims (possibly in parallel) and merge reports by claim id.
+    A `parallelism` below 1 raises InvalidParameterError."""
+    if parallelism < 1:
+        raise InvalidParameterError(f"parallelism {parallelism} is below 1")
     if parallelism > 1 and len(claims) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             reports = list(pool.map(run_claim, claims))

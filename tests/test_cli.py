@@ -162,6 +162,16 @@ def test_suite_on_a_malformed_claim_file_is_a_usage_error(tmp_path, capsys,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_suite_with_fewer_than_one_job_is_a_usage_error(tmp_path, capsys, jobs):
+    """--jobs below 1 exits 2 instead of quietly running the claims serially."""
+    path = tmp_path / "claims.yaml"
+    path.write_text(CLAIMS_YAML)
+    code, out, err = run_cli(capsys, "suite", "--file", str(path), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_suite_seed_override_is_deterministic(tmp_path, capsys):
     path = tmp_path / "claims.yaml"
     path.write_text(CLAIMS_YAML)
@@ -328,15 +338,20 @@ def test_eval_of_a_spec_with_null_values_is_a_usage_error(capsys, spec, point):
     assert err.startswith("error: ")
 
 
-def test_cli_import_leaves_scipy_stats_to_the_sobol_rule():
-    """scipy.stats (about half a second to import) is loaded only when an
-    n >= 4 sphere rule is first built, not when the CLI starts."""
+@pytest.mark.parametrize("module,first_use", [
+    ("scipy.stats", "from finslerkit.quadrature import sphere_rule; sphere_rule(4)"),
+    ("scipy.integrate", "from finslerkit import flow, zoo; flow.integrate_geodesic("
+                        "zoo.make_funk_shifted([0.3, 0.0]), [0.1, 0.2], [0.5, -0.3], (0, 0.1))"),
+], ids=["scipy.stats", "scipy.integrate"])
+def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, first_use):
+    """scipy.stats and scipy.integrate (each about half a second to import)
+    are loaded only when an n >= 4 sphere rule is first built or a flow
+    first solves, not when the CLI starts."""
     import finslerkit
     root = os.path.dirname(os.path.dirname(finslerkit.__file__))
     code = (f"import sys; sys.path.insert(0, {root!r}); import finslerkit.cli; "
-            "from finslerkit.quadrature import sphere_rule; "
-            "print('scipy.stats' in sys.modules); sphere_rule(4); "
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules); {first_use}; "
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert out.stdout.split() == ["False", "True"], out.stderr

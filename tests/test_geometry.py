@@ -1,6 +1,9 @@
 """Pointwise differential-geometric quantities."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -400,6 +403,54 @@ def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, 
     batches.clear()
     s_curvature(m, at)
     assert [b for b in batches if b > 1] == [nodes]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0],
+                         ids=["nan", "inf", "negative", "zero"])
+def test_a_quadrature_tolerance_that_is_not_positive_and_finite_is_refused(funk_shifted, tol):
+    """Such a `tol` is neither ignored nor read as a failed quadrature."""
+    at = _sample(funk_shifted, seed_=16)
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        s_curvature(funk_shifted, at, tol=tol)
+    with pytest.raises(InvalidParameterError, match="positive and finite"):
+        volume_density(funk_shifted, at.x, tol=tol)
+
+
+_SPHERE_SUMS = """
+import sys
+sys.path.insert(0, {root!r})
+import numpy as np
+from finslerkit import verify, zoo
+from finslerkit.geometry import TangentSample, s_curvature, volume_density
+for metric in (zoo.make_funk_shifted([0.3, 0.0]), zoo.make_szabo_epsilon(eps=0.5),
+               zoo.make_funk_shifted([0.3, 0.0, 0.1], dimension=3),
+               zoo.make_funk_shifted([0.3, 0.0, 0.0, 0.1], dimension=4)):
+    rng = np.random.default_rng(3)
+    x = metric.domain.sample_interior(rng, margin=0.1)
+    dirs = verify._fit_directions(rng, metric.dimension)
+    gamma, coeff = verify._gamma_fit(metric, 0.5, x, dirs)
+    values = [s_curvature(metric, TangentSample(x, dirs[0])), volume_density(metric, x),
+              *gamma, *coeff.ravel()]
+    print(metric.name, *(float(v).hex() for v in values))
+"""
+
+
+def test_sphere_sums_do_not_depend_on_the_blas_thread_count():
+    """S, sigma_F and the closed-1-form fit (the Jacobian path) for n = 2,
+    3 and 4 have the same bits with one BLAS thread and with two: every
+    sum over a sphere rule's nodes runs on the calling thread."""
+    root = os.path.dirname(os.path.dirname(geometry.__file__))
+    runs = [subprocess.Popen([sys.executable, "-c", _SPHERE_SUMS.format(root=root)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        outputs.append(out.splitlines())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

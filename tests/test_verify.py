@@ -125,6 +125,12 @@ def test_parallel_run_matches_serial():
     assert s == p
 
 
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_fewer_than_one_worker_is_refused(parallelism):
+    with pytest.raises(InvalidParameterError):
+        run_suite([_claim()], parallelism=parallelism)
+
+
 def test_claim_validation_rejects_unknown_quantity():
     with pytest.raises(InvalidParameterError):
         _claim(quantity="regret")
