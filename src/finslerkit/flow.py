@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, ResolutionError
-from .geometry import TangentSample, _mv, _vmv, cartan_norm, local_geometry
+from .geometry import (TangentSample, _cartan_norms, _check_domain, _mv, _positive_count,
+                       _scan_size, _vmv, local_geometry)
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
 TRACE_NODES = 257
@@ -71,11 +72,11 @@ def _solver_tol(tol):
 
 def _solve(caller, rhs, t_span, state0, method, tol, events=None):
     """solve_ivp with dense output at the per-step tolerance for `tol`,
-    logged at DEBUG level.  A `tol` that is not positive or a time span that
-    is not finite raises InvalidParameterError, a solve that stops short
+    logged at DEBUG level.  A `tol` outside (0, 1) or a time span that is
+    not finite raises InvalidParameterError, a solve that stops short
     ResolutionError."""
-    if not tol > 0.0:
-        raise InvalidParameterError(f"{caller}: tolerance {tol} is not positive")
+    if not 0.0 < tol < 1.0:  # also NaN and inf
+        raise InvalidParameterError(f"{caller}: tolerance {tol} is not in (0, 1)")
     if not np.all(np.isfinite(t_span)):  # solve_ivp would never reach a NaN end
         raise InvalidParameterError(f"{caller}: time span {t_span} is not finite")
     inner = _solver_tol(tol)
@@ -291,34 +292,47 @@ def growth_estimate(metric, p, radii, directions=12, seed=0, refine=False,
                     coarse=None, nodes=65):
     """Running suprema of the Cartan norm over forward geodesic balls.
 
-    Shoots unit-speed geodesics from `p`, records the Cartan norm at points
-    with forward distance below each radius, and returns (radius, supremum)
-    pairs.  Forward distance along the shot geodesics stands in for the
-    symmetrized distance; incomplete charts give a partial result with a
-    coverage flag.  `coarse` and `nodes` trade accuracy for speed.
+    Shoots `directions` unit-speed geodesics from `p`, records the Cartan
+    norm at points with forward distance below each radius, and returns
+    (radius, supremum) pairs.  Forward distance along the shot geodesics
+    stands in for the symmetrized distance; incomplete charts give a
+    partial result with a coverage flag.  `coarse` and `nodes` trade
+    accuracy for speed.  The coarse scans of `p` and of every trace node
+    share stacked bundles (see geometry.cartan_norm); with `refine`, each
+    point then ascends alone.  `radii` must be one or more finite numbers,
+    none negative, and `directions` a positive whole number, or
+    InvalidParameterError.
     """
-    p = np.asarray(p, dtype=float)
+    try:
+        radii = np.sort(np.asarray(radii, dtype=float))
+    except (TypeError, ValueError):
+        radii = np.array(np.nan)
+    if not (radii.ndim == 1 and radii.size and np.all(np.isfinite(radii))
+            and radii[0] >= 0.0):
+        raise InvalidParameterError(
+            f"growth_estimate: radii must be finite numbers, none negative, not {radii}")
+    directions = _positive_count("growth_estimate: directions", directions)
     n = metric.dimension
+    coarse = _scan_size(coarse, n)
+    p = np.asarray(p, dtype=float)
+    _check_domain(metric, p)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.asarray(sorted(radii), dtype=float)
-    r_max = float(radii[-1])
-    records = [(0.0, cartan_norm(metric, p, coarse=coarse, refine=refine).value)]
+    times, points = [np.zeros(1)], [p[None]]
     full_coverage = True
     for d in dirs:
         y0 = d / float(metric.evaluate(p, d))
-        trace = integrate_geodesic(metric, p, y0, (0.0, r_max), tol=1e-9,
+        trace = integrate_geodesic(metric, p, y0, (0.0, float(radii[-1])), tol=1e-9,
                                    nodes=nodes)
         if trace.exit:
             full_coverage = False
-        for t, pos in zip(trace.times[1:], trace.positions[1:]):
-            records.append((float(t),
-                            cartan_norm(metric, pos, coarse=coarse,
-                                        refine=refine).value))
+        times.append(trace.times[1:])
+        points.append(trace.positions[1:])
+    norms = _cartan_norms(metric, np.concatenate(points), coarse, refine)
+    records = sorted(zip(np.concatenate(times).tolist(), (r.value for r in norms)))
     out = []
     best = 0.0
-    records.sort()
     idx = 0
     for r in radii:
         while idx < len(records) and records[idx][0] <= r:

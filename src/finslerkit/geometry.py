@@ -35,8 +35,8 @@ numpy's einsum and matmul keep each sample laid out as it is alone
 (`jets.outermost`), because numpy picks its summation kernels by memory
 layout.  The public functions below whose results are arrays
 (fundamental_tensor, spray, riemann, flag_curvature, mean_cartan,
-mean_landsberg) accept stacks too, and cartan_norm's coarse scan is one
-stack of all its directions.
+mean_landsberg) accept stacks too, and cartan_norm's coarse scan and
+each step of its ascent are one stack of directions each.
 
 A bundle passes one gate when it is built: for every sample the point
 lies in the chart, y is not zero, F > 0 and g has a Cholesky factor, or
@@ -63,7 +63,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
-                     FinslerError, OutOfOrderError)
+                     FinslerError, InvalidParameterError, OutOfOrderError)
 from .jets import Jet, contract, deriv, hessian, outermost, partials, seed, value
 from .quadrature import ball_volume, on_sphere
 
@@ -197,7 +197,10 @@ def local_geometry(metric, at, need):
 
 
 def _gated(metric, at, need):
-    for x in (at.x if at.x.ndim > 1 else [at.x]):
+    points = [at.x]
+    if at.x.ndim > 1:  # a run of equal rows (a scan at one point) once
+        points = at.x[np.r_[True, np.any(at.x[1:] != at.x[:-1], axis=1)]]
+    for x in points:
         _check_domain(metric, x)
     if not at.y.any(axis=-1).all():
         raise DegenerateMetricError(f"tangent direction y = {at.y} is zero",
@@ -513,60 +516,127 @@ def s_curvature(metric, at, tol=None):
     return on_sphere(metric.dimension, s_value, tol=tol)
 
 
+#: Most rows in one bundle of a stacked Cartan-norm scan.
+SCAN_ROWS = 4096
+
+#: Step length at which the n >= 3 Cartan-norm ascent stops.
+ASCENT_STEP_FLOOR = 1e-7
+
+
 def cartan_norm(metric, x, coarse=None, refine=True):
     """sup over the indicatrix of ||I||_g, with the maximizing direction.
 
-    Coarse sphere scan, one bundle over all `coarse` directions, followed
-    by local ascent. ||I||_g is homogeneous of degree -1 in y, so each
-    Euclidean unit direction is rescaled to the indicatrix (F = 1) before
-    the norm is taken.
+    Coarse sphere scan, one bundle over all `coarse` directions (up to
+    SCAN_ROWS of them), followed by local ascent. ||I||_g is homogeneous
+    of degree -1 in y, so each Euclidean unit direction is rescaled to the
+    indicatrix (F = 1) before the norm is taken.  `coarse` is a positive
+    whole number, or None for 96 directions (n = 2) or 192 (n >= 3);
+    anything else raises InvalidParameterError.
 
     The ascent (`refine=True`) depends on the dimension.  For n = 2 the
     scan is over equally spaced angles and the direction is refined by a
     bounded scalar search over the angle between the best angle's two
-    neighbours.  For n >= 3 Nelder-Mead runs on an unnormalised vector d
-    from the best scanned direction and reads the norm at d/|d|.
+    neighbours.  For n >= 3 a compass search (Hooke & Jeeves 1961; Torczon
+    1997) climbs on the unit sphere from the best scanned direction d.
+    Each step polls normalize(d +- s t_i) for s in {2h, h, h/2} along an
+    orthonormal basis t_1 ... t_{n-1} of the tangent space at d (the QR
+    factor of [d | I] gives it), all 6(n - 1) directions as one stack, so
+    one bundle per step.  If the highest poll is strictly higher than d,
+    the search moves there and h becomes its s: the 2h rung lets the step
+    grow again along a flat ridge.  Otherwise h shrinks eightfold, to just
+    below the rungs already polled.  h starts at the mean scan spacing
+    sqrt(4 pi / coarse), and the search stops once h < ASCENT_STEP_FLOOR.
     """
     _check_domain(metric, x)
-    n = metric.dimension
+    coarse = _scan_size(coarse, metric.dimension)
     x = np.asarray(x, dtype=float)
+    return _cartan_norms(metric, x[None], coarse, refine)[0]
 
-    def norm_at(directions):
-        """||I||_g F at one direction, or at each of a (K, n) stack."""
-        at = TangentSample(np.broadcast_to(x, np.shape(directions)), directions)
-        lg = local_geometry(metric, at, "I")
-        return lg.conorm(lg.I) * lg.F
 
+def _positive_count(what, value):
+    """`value` as an int of at least 1; a bool, a float or any other type
+    raises InvalidParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameterError(f"{what} must be a positive whole number, not {value!r}")
+    return int(value)
+
+
+def _scan_size(coarse, n):
+    """cartan_norm's `coarse`, checked, with None read as its default."""
     if coarse is None:
-        coarse = 96 if n == 2 else 192
-    rng = np.random.default_rng(12345)
+        return 96 if n == 2 else 192
+    return _positive_count("cartan_norm: coarse", coarse)
+
+
+def _norm_at(metric, x, directions):
+    """||I||_g F at one direction, or at each row of a (K, n) stack of
+    directions; `x` is one point or a (K, n) stack of them."""
+    at = TangentSample(np.broadcast_to(x, np.shape(directions)), directions)
+    lg = local_geometry(metric, at, "I")
+    return lg.conorm(lg.I) * lg.F
+
+
+def _cartan_norms(metric, points, coarse, refine):
+    """cartan_norm at each row of a (P, n) stack of chart points.
+
+    The scans of all points share stacked bundles of at most SCAN_ROWS
+    rows, each row bit for bit as alone; each point then ascends alone.
+    """
+    n = metric.dimension
     if n == 2:
         angles = 2.0 * np.pi * np.arange(coarse) / coarse
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     else:
-        dirs = rng.standard_normal((coarse, n))
+        dirs = np.random.default_rng(12345).standard_normal((coarse, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    values = norm_at(dirs)
-    best = int(np.argmax(values))
-    best_dir, best_val = dirs[best], values[best]
-    if refine and n == 2:
-        from scipy.optimize import minimize_scalar
+    xs = np.repeat(points, coarse, axis=0)
+    ys = np.tile(dirs, (len(points), 1))
+    values = np.concatenate([_norm_at(metric, xs[k:k + SCAN_ROWS], ys[k:k + SCAN_ROWS])
+                             for k in range(0, len(xs), SCAN_ROWS)])
+    results = []
+    for x, scan in zip(points, values.reshape(len(points), coarse)):
+        best = int(np.argmax(scan))
+        best_dir, best_val = dirs[best], scan[best]
+        if refine and n == 2:
+            best_dir, best_val = _angle_ascent(metric, x, angles[best], coarse,
+                                               best_dir, best_val)
+        elif refine:
+            best_dir, best_val = _compass_ascent(metric, x, np.sqrt(4.0 * np.pi / coarse),
+                                                 best_dir, best_val)
+        results.append(CartanNormResult(value=float(best_val), direction=best_dir))
+    return results
 
-        def on_circle(angle):
-            return np.array([np.cos(angle), np.sin(angle)])
 
-        spacing = 2.0 * np.pi / coarse
-        res = minimize_scalar(lambda a: -norm_at(on_circle(a)), method="bounded",
-                              bounds=(angles[best] - spacing, angles[best] + spacing),
-                              options={"xatol": 1e-10})
-        refined = on_circle(res.x)
-    elif refine:
-        from scipy.optimize import minimize
+def _angle_ascent(metric, x, angle, coarse, best_dir, best_val):
+    """The n = 2 ascent: a bounded search over the angle within one scan
+    spacing of `angle`; the scanned best unless it finds a higher value."""
+    from scipy.optimize import minimize_scalar
 
-        res = minimize(lambda d: -norm_at(d / np.linalg.norm(d)), best_dir,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-        refined = res.x / np.linalg.norm(res.x)
-    if refine and -res.fun > best_val:
-        best_val, best_dir = -res.fun, refined
-    return CartanNormResult(value=float(best_val), direction=best_dir)
+    def on_circle(angle):
+        return np.array([np.cos(angle), np.sin(angle)])
+
+    spacing = 2.0 * np.pi / coarse
+    res = minimize_scalar(lambda a: -_norm_at(metric, x, on_circle(a)), method="bounded",
+                          bounds=(angle - spacing, angle + spacing),
+                          options={"xatol": 1e-10})
+    if -res.fun > best_val:
+        return on_circle(res.x), -res.fun
+    return best_dir, best_val
+
+
+def _compass_ascent(metric, x, h, best_dir, best_val):
+    """The n >= 3 ascent: compass search on the sphere (see cartan_norm)."""
+    n = len(best_dir)
+    while h >= ASCENT_STEP_FLOOR:
+        tangents = np.linalg.qr(np.column_stack([best_dir, np.eye(n)]))[0][:, 1:].T
+        steps = (2.0 * h, h, 0.5 * h)
+        poll = best_dir + np.concatenate([sign * s * tangents
+                                          for s in steps for sign in (1.0, -1.0)])
+        poll /= np.linalg.norm(poll, axis=1, keepdims=True)
+        values = _norm_at(metric, x, poll)
+        k = int(np.argmax(values))
+        if values[k] > best_val:
+            best_dir, best_val, h = poll[k], values[k], steps[k // (2 * (n - 1))]
+        else:
+            h *= 0.125
+    return best_dir, best_val

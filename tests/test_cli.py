@@ -231,6 +231,16 @@ def test_geodesic_from_outside_the_chart_is_a_usage_error(capsys):
     assert err.startswith("error: ") and "margin" in err
 
 
+@pytest.mark.parametrize("tol", ["1e300", "1"])
+def test_geodesic_tolerance_outside_the_unit_interval_is_a_usage_error(capsys, tol):
+    """1e300 used to escape as an OverflowError."""
+    with deadline(10.0):
+        code, out, err = run_cli(capsys, "geodesic", "--metric", FUNK,
+                                 "--x", "0.1,0.2", "--y", "0.5,-0.3", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "tolerance" in err
+
+
 def test_bad_metric_spec_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval",
                            "--metric", "{kind: bogus, dimension: 2}",

@@ -2,6 +2,9 @@
 
 import io
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -351,6 +354,72 @@ def test_a_solve_without_a_finite_span_and_positive_tolerance_is_refused(funk_sh
     trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
     with deadline(5.0), pytest.raises(InvalidParameterError):
         solve(funk_shifted, trace)
+
+
+@pytest.mark.parametrize("tol", [1.0, 5.0, 1e300])
+@pytest.mark.parametrize("solve", [
+    lambda m, tr, tol: integrate_geodesic(m, tr.positions[0], tr.velocities[0],
+                                          (0.0, 0.5), tol=tol),
+    lambda m, tr, tol: jacobi_propagate(m, tr, [1.0, 0.0], [0.0, 0.0], tol=tol),
+], ids=["geodesic", "jacobi"])
+def test_a_tolerance_not_below_one_is_refused(funk_shifted, solve, tol):
+    """1e300 used to overflow in the per-step tolerance, and a tolerance of
+    1 or more asks for no accuracy at all."""
+    trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    with deadline(5.0), pytest.raises(InvalidParameterError, match=r"not in \(0, 1\)"):
+        solve(funk_shifted, trace, tol)
+
+
+_INFINITE_TOL = """
+import sys
+sys.path.insert(0, {root!r})
+from finslerkit import flow, zoo
+m = zoo.make_funk_shifted([0.3, 0.0])
+trace = flow.integrate_geodesic(m, (0, 0), (1, 0), (0, 1), nodes=9)
+for solve in (lambda: flow.integrate_geodesic(m, (0, 0), (1, 0), (0, 1), tol=float("inf")),
+              lambda: flow.jacobi_propagate(m, trace, (0, 1), (0, 0), tol=float("inf"))):
+    try:
+        solve()
+        print("returned")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_an_infinite_tolerance_is_refused_within_a_deadline():
+    """A geodesic solve at tol = inf used to run for minutes; it runs in a
+    child process, killed at the deadline, so a hang fails the test."""
+    root = os.path.dirname(os.path.dirname(flow.__file__))
+    try:
+        out = subprocess.run([sys.executable, "-c", _INFINITE_TOL.format(root=root)],
+                             capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("no result within 30 s")
+    assert out.stdout.split() == ["InvalidParameterError"] * 2, out.stderr
+
+
+@pytest.mark.parametrize("arguments, name", [
+    ({"radii": []}, "radii"),
+    ({"radii": [-1.0]}, "radii"),
+    ({"radii": [0.5, np.nan]}, "radii"),
+    ({"radii": [np.nan]}, "radii"),
+    ({"directions": 0}, "directions"),
+    ({"directions": -2}, "directions"),
+    ({"directions": 1.5}, "directions"),
+    ({"coarse": 0}, "coarse"),
+    ({"coarse": -3}, "coarse"),
+    ({"coarse": 1.5}, "coarse"),
+    ({"coarse": True}, "coarse"),
+], ids=["no-radii", "negative-radius", "nan-among-radii", "nan-radius", "no-directions",
+        "negative-directions", "fractional-directions", "coarse-0", "coarse-negative",
+        "coarse-fractional", "coarse-true"])
+def test_growth_estimate_refuses_malformed_arguments_by_name(funk_plain, arguments, name):
+    """Each used to raise a bare numpy or Python error, return a record
+    from the centre alone, run on silently or, for a negative radius,
+    never return."""
+    kwargs = {"radii": [0.5], "directions": 2, "coarse": 16, "nodes": 9, **arguments}
+    with deadline(5.0), pytest.raises(InvalidParameterError, match=name):
+        growth_estimate(funk_plain, np.zeros(2), **kwargs)
 
 
 def test_geodesic_solve_that_stops_short_is_a_resolution_error(funk_shifted,

@@ -238,3 +238,50 @@ def test_traces_and_scans_match_a_per_node_loop_bit_for_bit(spec):
     scan = geometry.cartan_norm(m, x, coarse=24, refine=False)
     assert scan.value == value
     assert np.array_equal(scan.direction, direction)
+
+
+def _per_node_growth(metric, p, radii, directions, refine, coarse, nodes):
+    """growth_estimate from one cartan_norm call per trace node."""
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((directions, metric.dimension))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    records = [(0.0, geometry.cartan_norm(metric, p, coarse=coarse, refine=refine).value)]
+    covered = True
+    for d in dirs:
+        trace = flow.integrate_geodesic(metric, p, d / float(metric.evaluate(p, d)),
+                                        (0.0, max(radii)), tol=1e-9, nodes=nodes)
+        covered = covered and not trace.exit
+        records += [(float(t), geometry.cartan_norm(metric, x, coarse=coarse,
+                                                    refine=refine).value)
+                    for t, x in zip(trace.times[1:], trace.positions[1:])]
+    return [(float(r), max([0.0] + [v for t, v in records if t <= r]))
+            for r in sorted(radii)], covered
+
+
+@pytest.mark.parametrize("fixture, p, radii, refine, coarse, nodes", [
+    ("funk_shifted", [0.1, -0.1], [0.6, 0.3], False, None, 33),
+    ("funk_shifted", [0.1, -0.1], [0.3, 0.6], True, 24, 9),
+    ("szabo", [0.1, 0.2, 0.3], [0.2, 0.5], False, None, 17),
+    ("szabo", [0.1, 0.2, 0.3], [0.5], True, 48, 5),
+    ("slab", [0.1, 0.2, 0.3], [0.2, 2.0], False, 96, 17),
+], ids=["funk", "funk-refined", "szabo", "szabo-refined", "slab-exits"])
+def test_growth_estimate_scans_stacked_match_a_per_node_loop_bit_for_bit(
+        request, monkeypatch, fixture, p, radii, refine, coarse, nodes):
+    """growth_estimate scans the centre and every trace node in bundles of
+    at most SCAN_ROWS rows, and its records are bit for bit those of one
+    cartan_norm call per node."""
+    metric = request.getfixturevalue(fixture)
+    p = np.array(p)
+    want = _per_node_growth(metric, p, radii, 3, refine, coarse, nodes)
+    rows = []
+    real = geometry.local_geometry
+    monkeypatch.setattr(geometry, "local_geometry",
+                        lambda metric, at, need: rows.append(len(at.x)) or real(metric, at, need))
+    got = flow.growth_estimate(metric, p, radii, directions=3, refine=refine,
+                               coarse=coarse, nodes=nodes)
+    assert got == want
+    assert max(rows) <= geometry.SCAN_ROWS
+    if not refine:
+        scanned = (1 + 3 * (nodes - 1)) * (coarse or (96 if metric.dimension == 2 else 192))
+        assert rows == [min(geometry.SCAN_ROWS, scanned - k)
+                        for k in range(0, scanned, geometry.SCAN_ROWS)]
