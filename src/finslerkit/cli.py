@@ -16,11 +16,11 @@ import numpy as np
 import yaml
 
 from . import flow, verify
-from .errors import DomainError, FinslerError
+from .errors import DomainError, FinslerError, _vector
 from .geometry import (TangentSample, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        s_curvature, spray, volume_density)
-from .zoo import KINDS, MetricSpec, _vector, build_metric, default_specs
+from .zoo import KINDS, MetricSpec, build_metric, default_specs
 
 #: --quantity -> its value at a tangent sample `at`, given the flag edge u
 EVAL_QUANTITIES = {
@@ -46,7 +46,7 @@ def _load_spec(text):
 
 def _numbers(text, name, count):
     """The comma-separated option `name` as `count` finite numbers."""
-    return _vector(name, text.split(","), count, unit_ball=False)
+    return _vector(name, text.split(","), count)
 
 
 def _fmt(v):

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, ResolutionError
-from .geometry import (TangentSample, _cartan_norms, _check_domain, _mv, _positive_count,
-                       _scan_size, _vmv, local_geometry)
+from .errors import DomainError, ResolutionError, _integer, _number, _vector
+from .geometry import (TangentSample, _cartan_norms, _check_domain, _mv, _scan_size, _vmv,
+                       local_geometry)
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
 TRACE_NODES = 257
@@ -72,13 +72,11 @@ def _solver_tol(tol):
 
 def _solve(caller, rhs, t_span, state0, method, tol, events=None):
     """solve_ivp with dense output at the per-step tolerance for `tol`,
-    logged at DEBUG level.  A `tol` outside (0, 1) or a time span that is
-    not finite raises InvalidParameterError, a solve that stops short
-    ResolutionError."""
-    if not 0.0 < tol < 1.0:  # also NaN and inf
-        raise InvalidParameterError(f"{caller}: tolerance {tol} is not in (0, 1)")
-    if not np.all(np.isfinite(t_span)):  # solve_ivp would never reach a NaN end
-        raise InvalidParameterError(f"{caller}: time span {t_span} is not finite")
+    logged at DEBUG level.  A `tol` outside (0, 1) or a `t_span` that is not
+    two finite numbers (solve_ivp would never reach a NaN end) raises
+    InvalidParameterError, a solve that stops short ResolutionError."""
+    tol = _number(f"{caller}: tolerance", tol, above=0.0, below=1.0)
+    t_span = _vector(f"{caller}: t_span", t_span, 2)
     inner = _solver_tol(tol)
     sol = solve_ivp(rhs, t_span, state0, method=method, rtol=inner, atol=inner,
                     dense_output=True, events=events)
@@ -89,17 +87,6 @@ def _solve(caller, rhs, t_span, state0, method, tol, events=None):
             f"{caller}: solve stopped at t = {sol.t[-1]:.6g} of {t_span[1]:.6g}: "
             f"{sol.message}")
     return sol
-
-
-def _start_vector(caller, name, v, n):
-    """`v` as n finite floats, or InvalidParameterError."""
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (n,) or not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{caller}: {name} = {v!r} is not {n} finite numbers")
-    return arr
 
 
 def chebyshev_nodes(a, b, count=TRACE_NODES):
@@ -152,14 +139,13 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     """Integrate the spray ODE; stops with an exit flag, at `exit_time`, where
     the chart margin falls to EXIT_MARGIN.  A start whose margin is not
     above EXIT_MARGIN raises DomainError; a stalled solve ResolutionError;
-    fewer than 2 `nodes`, or an x0 or y0 that is not n finite numbers,
-    InvalidParameterError.
+    `nodes` that is not an integer of at least 2, an x0 or y0 that is not n
+    finite numbers, or a `t_span` that is not two, InvalidParameterError.
     """
-    if nodes < 2:
-        raise InvalidParameterError(f"a geodesic trace needs at least 2 nodes, not {nodes}")
+    nodes = _integer("integrate_geodesic: nodes", nodes, least=2)
     n = metric.dimension
-    x0 = _start_vector("integrate_geodesic", "x0", x0, n)
-    y0 = _start_vector("integrate_geodesic", "y0", y0, n)
+    x0 = _vector("integrate_geodesic: x0", x0, n)
+    y0 = _vector("integrate_geodesic: y0", y0, n)
     margin = metric.domain.margin(x0)
     if not margin > EXIT_MARGIN:  # outside, or NaN
         raise DomainError(f"geodesic start {x0} has chart margin {margin:.3g} in "
@@ -180,8 +166,8 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     sol = _solve("integrate_geodesic", rhs, t_span, np.concatenate([x0, y0]),
                  "RK45", tol, events=near_boundary)
     exited = bool(sol.t_events[0].size)
-    t_end = float(sol.t_events[0][0]) if exited else t_span[1]
-    times = chebyshev_nodes(t_span[0], t_end, nodes)
+    t_end = float(sol.t[-1])  # the end of t_span, or the exit time
+    times = chebyshev_nodes(sol.t[0], t_end, nodes)
     states = sol.sol(times)
     positions = states[:n].T.copy()
     velocities = states[n:].T.copy()
@@ -203,8 +189,11 @@ def covariant_derivative_along(metric, trace, X_of_t, connections=None, tol=None
     """D_{sigma-dot} X along the trace: spectral d/dt plus the N-connection term.
 
     With `tol` set, the derivative is recomputed on the nested half grid and
-    a disagreement above `tol` raises ResolutionError.
+    a disagreement above `tol` raises ResolutionError; a `tol` that is not
+    positive and finite raises InvalidParameterError.
     """
+    if tol is not None:
+        tol = _number("covariant_derivative_along: tol", tol, above=0.0)
     X = np.asarray(X_of_t, dtype=float)
     d = trace.diff_matrix
     if connections is None:
@@ -227,7 +216,12 @@ def torsion_trace(metric, trace, check_tol=1e-5):
     vector (the two agree along geodesics) and is cross-checked against the
     spectral derivative of the transported components; D^2 I takes one
     spectral derivative of DI.  The residual is the g-norm of D^2 I + R(I).
+    Route disagreement above `check_tol` raises ResolutionError; None turns
+    the check off, and a `check_tol` that is not positive and finite raises
+    InvalidParameterError.
     """
+    if check_tol is not None:
+        check_tol = _number("torsion_trace: check_tol", check_tol, above=0.0)
     lg = local_geometry(metric, TangentSample(trace.positions, trace.velocities), "R")
     I, J = _mv(lg.g_inverse, lg.I), _mv(lg.g_inverse, lg.J)
     phi = np.sqrt(np.maximum(_vmv(I, lg.g, I), 0.0))
@@ -262,8 +256,8 @@ def jacobi_propagate(metric, trace, V0, DV0, tol=1e-10):
     solve that stops before the end of the trace ResolutionError.
     """
     n = metric.dimension
-    V0 = _start_vector("jacobi_propagate", "V0", V0, n)
-    DV0 = _start_vector("jacobi_propagate", "DV0", DV0, n)
+    V0 = _vector("jacobi_propagate: V0", V0, n)
+    DV0 = _vector("jacobi_propagate: DV0", DV0, n)
     x0, y0 = trace.positions[0], trace.velocities[0]
     start = local_geometry(metric, TangentSample(x0, y0), "N")
     state0 = np.concatenate([x0, y0, V0, DV0 - start.N @ V0])
@@ -299,22 +293,17 @@ def growth_estimate(metric, p, radii, directions=12, seed=0, refine=False,
     partial result with a coverage flag.  `coarse` and `nodes` trade
     accuracy for speed.  The coarse scans of `p` and of every trace node
     share stacked bundles (see geometry.cartan_norm); with `refine`, each
-    point then ascends alone.  `radii` must be one or more finite numbers,
-    none negative, and `directions` a positive whole number, or
-    InvalidParameterError.
+    point then ascends alone.  `p` must be n finite numbers, `radii` one or
+    more finite numbers, none negative, `directions` an integer of at least
+    1 and `nodes` one of at least 2, or InvalidParameterError.
     """
-    try:
-        radii = np.sort(np.asarray(radii, dtype=float))
-    except (TypeError, ValueError):
-        radii = np.array(np.nan)
-    if not (radii.ndim == 1 and radii.size and np.all(np.isfinite(radii))
-            and radii[0] >= 0.0):
-        raise InvalidParameterError(
-            f"growth_estimate: radii must be finite numbers, none negative, not {radii}")
-    directions = _positive_count("growth_estimate: directions", directions)
+    radii = np.sort(_vector("growth_estimate: radii", radii, None))
+    _number("growth_estimate: smallest of the radii", radii[0], least=0.0)
+    directions = _integer("growth_estimate: directions", directions, least=1)
+    nodes = _integer("growth_estimate: nodes", nodes, least=2)
     n = metric.dimension
     coarse = _scan_size(coarse, n)
-    p = np.asarray(p, dtype=float)
+    p = _vector("growth_estimate: p", p, n)
     _check_domain(metric, p)
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((directions, n))
@@ -343,7 +332,9 @@ def growth_estimate(metric, p, radii, directions=12, seed=0, refine=False,
 
 
 def phi_second_differences(torsion, floor=1e-9):
-    """Discrete second derivative of phi where phi > floor (uneven grid)."""
+    """Discrete second derivative of phi where phi > floor (uneven grid);
+    a `floor` that is not a finite number raises InvalidParameterError."""
+    floor = _number("phi_second_differences: floor", floor)
     t, phi = torsion.trace.times, torsion.phi_of_t
     h1, h2 = t[1:-1] - t[:-2], t[2:] - t[1:-1]
     second = 2.0 * (h1 * phi[2:] - (h1 + h2) * phi[1:-1] + h2 * phi[:-2]) \

@@ -63,7 +63,8 @@ from scipy.linalg.lapack import dpotrs
 
 from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
-                     FinslerError, InvalidParameterError, OutOfOrderError)
+                     FinslerError, InvalidParameterError, OutOfOrderError, _integer,
+                     _vector)
 from .jets import Jet, contract, deriv, hessian, outermost, partials, seed, value
 from .quadrature import ball_volume, on_sphere
 
@@ -184,7 +185,13 @@ _NEEDS = {"g": (False, 2), "I": (False, 3), "G": (True, 2), "N": (True, 3),
 
 def local_geometry(metric, at, need):
     """The LocalGeometry of `metric` at `at`, one sample or a (K, n) stack,
-    able to give every quantity up to `need` (see the module docstring)."""
+    able to give every quantity up to `need` (see the module docstring).
+    An x and y of different shapes, or whose last axis is not n, raise
+    InvalidParameterError."""
+    if at.x.shape != at.y.shape or at.x.shape[-1:] != (metric.dimension,):
+        raise InvalidParameterError(
+            f"a tangent sample needs x and y of one shape (n,) or (K, n) with "
+            f"n = {metric.dimension}, not {at.x.shape} and {at.y.shape}")
     try:
         return _gated(metric, at, need)
     except FinslerError:
@@ -425,9 +432,12 @@ def riemann(metric, at):
 
 
 def flag_curvature(metric, at, u):
-    """Flag curvature K(P, y) for the flag P = span{y, u}; `u` has the
-    shape of `at.y`."""
+    """Flag curvature K(P, y) for the flag P = span{y, u}; a `u` that is
+    not finite numbers of the shape of `at.y` raises InvalidParameterError."""
     u = np.asarray(u, dtype=float)
+    if u.shape != at.y.shape or not np.isfinite(u).all():
+        raise InvalidParameterError(
+            f"flag_curvature: u = {u} is not finite numbers of y's shape {at.y.shape}")
     lg = local_geometry(metric, at, "R")
     g, y = lg.g, at.y
     gyy = _vmv(y, g, y)
@@ -440,10 +450,11 @@ def flag_curvature(metric, at, u):
 
 
 def volume_density(metric, x, tol=None):
-    """Busemann-Hausdorff density: unit-ball volume over the F-ball volume."""
-    _check_domain(metric, x)
+    """Busemann-Hausdorff density: unit-ball volume over the F-ball volume;
+    an `x` that is not n finite numbers raises InvalidParameterError."""
     n = metric.dimension
-    x = np.asarray(x, dtype=float)
+    x = _vector("volume_density: x", x, n)
+    _check_domain(metric, x)
 
     def f_ball(points, weights):
         f = np.asarray(metric.evaluate(x, list(points.T)), dtype=float)
@@ -546,26 +557,19 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     grow again along a flat ridge.  Otherwise h shrinks eightfold, to just
     below the rungs already polled.  h starts at the mean scan spacing
     sqrt(4 pi / coarse), and the search stops once h < ASCENT_STEP_FLOOR.
+    An `x` that is not n finite numbers raises InvalidParameterError.
     """
+    x = _vector("cartan_norm: x", x, metric.dimension)
     _check_domain(metric, x)
     coarse = _scan_size(coarse, metric.dimension)
-    x = np.asarray(x, dtype=float)
     return _cartan_norms(metric, x[None], coarse, refine)[0]
-
-
-def _positive_count(what, value):
-    """`value` as an int of at least 1; a bool, a float or any other type
-    raises InvalidParameterError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidParameterError(f"{what} must be a positive whole number, not {value!r}")
-    return int(value)
 
 
 def _scan_size(coarse, n):
     """cartan_norm's `coarse`, checked, with None read as its default."""
     if coarse is None:
         return 96 if n == 2 else 192
-    return _positive_count("cartan_norm: coarse", coarse)
+    return _integer("cartan_norm: coarse", coarse, least=1)
 
 
 def _norm_at(metric, x, directions):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureToleranceError
+from .errors import InvalidParameterError, QuadratureToleranceError, _number
 
 CIRCLE_NODES = 512
 GAUSS_NODES = 128
@@ -87,8 +87,8 @@ def on_sphere(n, estimate, tol=None):
     QuadratureToleranceError carrying the value and the gap.  A `tol`
     that is not a positive finite number raises InvalidParameterError.
     """
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise InvalidParameterError(f"quadrature tolerance {tol} is not positive and finite")
+    if tol is not None:
+        tol = _number("quadrature tolerance", tol, above=0.0)
     value = estimate(*sphere_rule(n))
     if tol is not None:
         error = abs(estimate(*sphere_rule(n, level=1)) - value)

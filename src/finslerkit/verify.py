@@ -5,7 +5,7 @@ plan.  run_claim evaluates the quantity over the plan and compares against
 the target; run_suite executes many claims with deterministic aggregation.
 Each quantity is declared once, in _QUANTITIES.  A malformed claim raises
 InvalidParameterError when it is built (its own, metric, sample plan and
-target records all pass zoo._check_keys); metric constructor or geometry
+target records all pass errors._check_keys); metric constructor or geometry
 errors become failed reports, never crashes.
 
 run_claim first draws every sample's random input (a flag pole, a
@@ -28,12 +28,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .errors import FinslerError, InvalidParameterError
+from .errors import (FinslerError, InvalidParameterError, _check_keys, _integer, _number,
+                     _vector)
 from .geometry import (TangentSample, _density_slope, _dot, _mv, _phase_jets, _vmv,
                        flag_curvature, fundamental_tensor, local_geometry, s_curvature)
 from .jets import partials
 from .quadrature import on_sphere
-from .zoo import MetricSpec, _check_keys, _integer, _number, _vector, build_metric
+from .zoo import MetricSpec, build_metric
 from . import flow
 
 TARGET_KINDS = ("constant", "zero", "upper_bound", "exceeds")
@@ -49,11 +50,10 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self):
-        for name, gate in (("count", _integer), ("margin", _number), ("seed", _integer)):
-            object.__setattr__(self, name, gate(f"sample {name}", getattr(self, name)))
-        if self.count < 1 or not 0.0 <= self.margin < 1.0 or self.seed < 0:
-            raise InvalidParameterError(
-                f"a sample plan needs count >= 1, margin in [0, 1) and seed >= 0: {self}")
+        object.__setattr__(self, "count", _integer("sample count", self.count, least=1))
+        object.__setattr__(self, "margin",
+                           _number("sample margin", self.margin, least=0.0, below=1.0))
+        object.__setattr__(self, "seed", _integer("sample seed", self.seed, least=0))
 
     def draw(self, metric):
         rng = np.random.default_rng(self.seed)
@@ -83,9 +83,7 @@ class Claim:
             if not isinstance(getattr(self, name), record):
                 raise InvalidParameterError(
                     f"claim {name} must be a {record.__name__}, not {getattr(self, name)!r}")
-        if self.metric.dimension < 2:
-            raise InvalidParameterError(
-                f"claim metric needs dimension >= 2, not {self.metric.dimension}")
+        _integer("claim metric dimension", self.metric.dimension, least=2)
         quantity = _QUANTITIES.get(self.quantity)
         if quantity is None:
             raise InvalidParameterError(f"unknown quantity {self.quantity!r}")
@@ -98,9 +96,7 @@ class Claim:
         if "value" in self.target:
             object.__setattr__(self, "target", {
                 **self.target, "value": _number("target value", self.target["value"])})
-        object.__setattr__(self, "tolerance", _number("tolerance", self.tolerance))
-        if self.tolerance <= 0.0:
-            raise InvalidParameterError("tolerance must be positive")
+        object.__setattr__(self, "tolerance", _number("tolerance", self.tolerance, above=0.0))
         if self.tolerance_kind not in ("absolute", "relative"):
             raise InvalidParameterError(f"unknown tolerance_kind {self.tolerance_kind!r}")
         if self.tolerance_kind == "relative" and kind != "constant":
@@ -137,7 +133,7 @@ def _count(what, value, n):
 def _numbers(count=None):
     """A converter to a list of `count` numbers, n when count is None."""
     def convert(what, value, n):
-        return _vector(what, value, n if count is None else count, unit_ball=False).tolist()
+        return _vector(what, value, n if count is None else count).tolist()
     return convert
 
 
@@ -521,9 +517,9 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3):
 
 def run_suite(claims, parallelism=1):
     """Run claims (possibly in parallel) and merge reports by claim id.
-    A `parallelism` below 1 raises InvalidParameterError."""
-    if parallelism < 1:
-        raise InvalidParameterError(f"parallelism {parallelism} is below 1")
+    A `parallelism` that is not an integer of at least 1 raises
+    InvalidParameterError."""
+    parallelism = _integer("parallelism", parallelism, least=1)
     if parallelism > 1 and len(claims) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             reports = list(pool.map(run_claim, claims))

@@ -13,7 +13,8 @@ import numpy as np
 import yaml
 
 from .domains import Ball, Box, DiskCylinder, Domain, product_domain
-from .errors import ImplicitSolveError, InvalidParameterError, InvalidProfileError
+from .errors import (ImplicitSolveError, InvalidParameterError, InvalidProfileError,
+                     _check_keys, _integer, _number, _vector)
 from .geometry import MetricField
 from .jets import Jet, deriv, extract, hessian, jsqrt, jwhere, seed, value
 
@@ -40,9 +41,8 @@ class MetricSpec:
         if not isinstance(self.parameters, dict):
             raise InvalidParameterError(
                 f"metric spec parameters must be a mapping, not {self.parameters!r}")
-        object.__setattr__(self, "dimension", _integer("metric dimension", self.dimension))
-        if self.dimension < 1:
-            raise InvalidParameterError(f"metric dimension {self.dimension} is below 1")
+        object.__setattr__(self, "dimension",
+                           _integer("metric dimension", self.dimension, least=1))
 
     def to_dict(self):
         return {"kind": self.kind, "dimension": int(self.dimension),
@@ -60,56 +60,6 @@ class MetricSpec:
     @classmethod
     def from_yaml(cls, text):
         return cls.from_dict(yaml.safe_load(text))
-
-
-def _check_keys(what, data, known, required=()):
-    """Refuse a `what` record that is not a mapping, has a key not in
-    `known` or a null value, or lacks a `required` key."""
-    if not isinstance(data, dict):
-        raise InvalidParameterError(f"{what} must be a mapping, not {data!r}")
-    unknown = [k for k in data if k not in known]
-    if unknown:
-        raise InvalidParameterError(f"unknown {what} keys: {unknown}; known: {list(known)}")
-    missing = [k for k in required if k not in data]
-    if missing:
-        raise InvalidParameterError(f"{what} lacks keys: {missing}")
-    null = [k for k, v in data.items() if v is None]
-    if null:
-        raise InvalidParameterError(f"{what} keys {null} are null")
-
-
-def _integer(what, value):
-    """`value` as an int; a bool, a float or any other type raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{what} must be an integer, not {value!r}")
-    return int(value)
-
-
-def _number(what, value):
-    """`value` as a finite float: numeric strings included, since YAML reads
-    1e-6 as one; a bool, which YAML reads from true and false, is not."""
-    try:
-        number = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
-        number = np.nan
-    if not np.isfinite(number):
-        raise InvalidParameterError(f"{what} must be a finite number, not {value!r}")
-    return number
-
-
-def _vector(name, v, dimension, lead=0.0, unit_ball=True):
-    """The spec vector `name` as `dimension` finite numbers (see _number), by
-    default (lead, 0, ..., 0).  With `unit_ball`, |v| < 1 as well."""
-    if v is None:
-        v = [lead] + [0.0] * (dimension - 1)
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if not isinstance(v, (list, tuple)) or len(v) != dimension:
-        raise InvalidParameterError(f"{name} = {v!r} is not {dimension} finite numbers")
-    arr = np.array([_number(f"{name} entry", c) for c in v])
-    if unit_ball and np.linalg.norm(arr) >= 1.0:
-        raise InvalidParameterError(f"|{name}| = {np.linalg.norm(arr):.3f} must be < 1")
-    return arr
 
 
 def _plain(obj):
@@ -140,7 +90,7 @@ def make_euclidean(dimension=2):
 
 def make_minkowski(dimension=2, b=None):
     """Locally Minkowski (x-independent) Randers-type norm |y| + <b, y>."""
-    b = _vector("b", b, dimension, lead=0.4)
+    b = _vector("b", b, dimension, lead=0.4, unit_ball=True)
     spec = MetricSpec("minkowski", dimension, {"b": b})
     return MetricField(
         dimension=dimension,
@@ -199,7 +149,7 @@ def make_randers(model="flat", dimension=2, b=None):
     points."""
     base = make_riemannian(model, dimension)
     # ||beta||_x < 1 is gated below, at sampled points; |b| may exceed 1
-    b = _vector("b", b, dimension, lead=0.5, unit_ball=False)
+    b = _vector("b", b, dimension, lead=0.5)
     qform = base.extras["quadratic_form"]
 
     def beta_norm(x):
@@ -230,7 +180,7 @@ def make_randers(model="flat", dimension=2, b=None):
 
 def make_funk_shifted(a=None, dimension=2):
     """Shifted Funk family on the unit ball (closed form)."""
-    a = _vector("a", a, dimension)
+    a = _vector("a", a, dimension, lead=0.0, unit_ball=True)
 
     def evaluate(x, y):
         xx = _dot(x, x)
@@ -343,7 +293,7 @@ def make_funk_implicit(phi=None, dimension=2, b=None):
         def phi_fn(v):
             return jsqrt(_dot(v, v))
     elif phi == "randers":
-        b = _vector("b", b, dimension, lead=0.3)
+        b = _vector("b", b, dimension, lead=0.3, unit_ball=True)
         params["phi"] = "randers"
         params["b"] = b
         half_width = 1.0 / (1.0 - np.linalg.norm(b))

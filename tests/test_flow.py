@@ -314,7 +314,9 @@ def test_jacobi_field_matches_the_curvature_form(case, request):
     ([0.1, np.inf], [0.8, 0.5]),
     ([[0.1, -0.2]], [0.8, 0.5]),
     (None, [0.8, 0.5]),
-], ids=["x0-of-3", "y0-of-3", "nan-in-y0", "inf-in-x0", "x0-of-shape-1x2", "no-x0"])
+    ([0.1, -0.2], [True, 0.5]),
+], ids=["x0-of-3", "y0-of-3", "nan-in-y0", "inf-in-x0", "x0-of-shape-1x2", "no-x0",
+        "boolean-in-y0"])
 def test_malformed_geodesic_start_is_an_invalid_parameter(funk_shifted, x0, y0):
     with pytest.raises(InvalidParameterError, match="finite numbers"):
         integrate_geodesic(funk_shifted, x0, y0, (0.0, 0.5), nodes=9)
@@ -326,7 +328,8 @@ def test_malformed_geodesic_start_is_an_invalid_parameter(funk_shifted, x0, y0):
     (np.eye(2), [0.0, 0.0]),
     ([0.0, np.nan], [0.0, 0.0]),
     ([0.0, 1.0], "ab"),
-], ids=["V0-of-3", "DV0-of-1", "V0-of-shape-2x2", "nan-in-V0", "text-DV0"])
+    ([True, 1.0], [0.0, 0.0]),
+], ids=["V0-of-3", "DV0-of-1", "V0-of-shape-2x2", "nan-in-V0", "text-DV0", "boolean-in-V0"])
 def test_malformed_jacobi_start_is_an_invalid_parameter(funk_shifted, V0, DV0):
     trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
     with pytest.raises(InvalidParameterError, match="finite numbers"):
@@ -347,7 +350,12 @@ def test_start_not_inside_the_exit_margin_is_a_domain_error(funk_shifted, x0):
 @pytest.mark.parametrize("solve", [
     lambda m, tr: integrate_geodesic(m, tr.positions[0], tr.velocities[0], (0.0, np.nan)),
     lambda m, tr: jacobi_propagate(m, tr, [1.0, 0.0], [0.0, 0.0], tol=0.0),
-], ids=["geodesic-to-nan", "jacobi-at-zero-tolerance"])
+    lambda m, tr: integrate_geodesic(m, tr.positions[0], tr.velocities[0], (0.0,)),
+    lambda m, tr: integrate_geodesic(m, tr.positions[0], tr.velocities[0], (0.0, 0.2, 0.4)),
+    lambda m, tr: integrate_geodesic(m, tr.positions[0], tr.velocities[0], 0.2),
+    lambda m, tr: integrate_geodesic(m, tr.positions[0], tr.velocities[0], (0.0, True)),
+], ids=["geodesic-to-nan", "jacobi-at-zero-tolerance", "span-of-1", "span-of-3",
+        "scalar-span", "boolean-span-end"])
 def test_a_solve_without_a_finite_span_and_positive_tolerance_is_refused(funk_shifted,
                                                                          solve):
     """A NaN end time would keep the solver stepping for ever."""
@@ -410,9 +418,12 @@ def test_an_infinite_tolerance_is_refused_within_a_deadline():
     ({"coarse": -3}, "coarse"),
     ({"coarse": 1.5}, "coarse"),
     ({"coarse": True}, "coarse"),
+    ({"nodes": 2.5}, "nodes"),
+    ({"nodes": np.float64(9.0)}, "nodes"),
+    ({"nodes": "9"}, "nodes"),
 ], ids=["no-radii", "negative-radius", "nan-among-radii", "nan-radius", "no-directions",
         "negative-directions", "fractional-directions", "coarse-0", "coarse-negative",
-        "coarse-fractional", "coarse-true"])
+        "coarse-fractional", "coarse-true", "fractional-nodes", "float64-nodes", "text-nodes"])
 def test_growth_estimate_refuses_malformed_arguments_by_name(funk_plain, arguments, name):
     """Each used to raise a bare numpy or Python error, return a record
     from the centre alone, run on silently or, for a negative radius,
@@ -420,6 +431,43 @@ def test_growth_estimate_refuses_malformed_arguments_by_name(funk_plain, argumen
     kwargs = {"radii": [0.5], "directions": 2, "coarse": 16, "nodes": 9, **arguments}
     with deadline(5.0), pytest.raises(InvalidParameterError, match=name):
         growth_estimate(funk_plain, np.zeros(2), **kwargs)
+
+
+@pytest.mark.parametrize("nodes", [2.5, np.float64(9.0), "9"],
+                         ids=["fractional", "float64", "text"])
+def test_geodesic_nodes_that_are_not_an_integer_are_refused(funk_shifted, nodes):
+    """nodes=2.5 used to give a 3-node trace with a repeated time, and "9"
+    raised a bare TypeError."""
+    with pytest.raises(InvalidParameterError, match="nodes"):
+        integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.2), nodes=nodes)
+
+
+def test_a_time_span_of_numeric_strings_reads_as_numbers(funk_shifted):
+    """As the CLI's --t-span and a claim's t_span are read."""
+    want = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.2), nodes=9)
+    got = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], ("0", "0.2"), nodes=9)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.positions, want.positions)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, tr: torsion_trace(m, tr, check_tol=np.nan),
+    lambda m, tr: torsion_trace(m, tr, check_tol=np.inf),
+    lambda m, tr: torsion_trace(m, tr, check_tol=-1.0),
+    lambda m, tr: covariant_derivative_along(m, tr, tr.velocities, tol=np.nan),
+    lambda m, tr: covariant_derivative_along(m, tr, tr.velocities, tol=0.0),
+    lambda m, tr: flow.phi_second_differences(torsion_trace(m, tr, check_tol=None),
+                                              floor=np.nan),
+    lambda m, tr: flow.phi_second_differences(torsion_trace(m, tr, check_tol=None),
+                                              floor=np.inf),
+], ids=["nan-check-tol", "infinite-check-tol", "negative-check-tol", "nan-tol",
+        "zero-tol", "nan-floor", "infinite-floor"])
+def test_a_threshold_that_switches_its_check_off_is_refused(funk_shifted, call):
+    """A NaN or infinite tolerance used to skip its check, a negative one to
+    fail it whatever the trace, and a NaN floor to keep no sample at all."""
+    trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    with pytest.raises(InvalidParameterError):
+        call(funk_shifted, trace)
 
 
 def test_geodesic_solve_that_stops_short_is_a_resolution_error(funk_shifted,

@@ -433,6 +433,65 @@ def test_cartan_norm_refuses_a_scan_size_that_is_not_a_positive_whole_number(
         cartan_norm(metric, x, coarse=coarse, refine=False)
 
 
+_VIEWS = {
+    "local_geometry": lambda m, at: local_geometry(m, at, "R").R,
+    "fundamental_tensor": fundamental_tensor,
+    "spray": spray,
+    "riemann": riemann,
+    "flag_curvature": lambda m, at: flag_curvature(m, at, at.y),
+    "mean_cartan": mean_cartan,
+    "mean_landsberg": mean_landsberg,
+    "s_curvature": s_curvature,
+    "distortion": distortion,
+}
+
+
+@pytest.mark.parametrize("view", list(_VIEWS))
+@pytest.mark.parametrize("x, y", [
+    (np.full(2, 0.1), np.ones(3)),
+    (np.full(3, 0.1), np.ones(3)),
+    (np.full((4, 2), 0.1), np.ones((3, 2))),
+    (np.full((2, 3), 0.1), np.ones((2, 3))),
+    (0.1, 1.0),
+], ids=["y-of-3", "both-of-3", "stacks-of-4-and-3", "stack-of-3-vectors", "scalars"])
+def test_a_tangent_sample_of_the_wrong_shape_is_refused_by_every_view(funk_shifted, view,
+                                                                      x, y):
+    """x and y must share one shape, (n,) or (K, n); each view used to raise
+    a bare numpy error or read the wrong coordinates."""
+    with pytest.raises(InvalidParameterError, match="tangent sample"):
+        _VIEWS[view](funk_shifted, TangentSample(x, y))
+
+
+@pytest.mark.parametrize("y, u", [
+    ([1.0, 0.0], [np.nan, 1.0]),
+    ([1.0, 0.0], [0.0, 1.0, 0.0]),
+    ([1.0, 0.0], [[0.0, 1.0]]),
+    (np.eye(2)[[0, 1, 0]], np.eye(2)[[1, 0]]),
+], ids=["nan", "of-3", "of-shape-1x2", "stack-of-2-for-3"])
+def test_a_flag_edge_that_is_not_finite_numbers_of_the_pole_shape_is_refused(
+        funk_shifted, y, u):
+    """A NaN edge used to give a NaN curvature."""
+    at = TangentSample(np.full(np.shape(y), 0.1), y)
+    with pytest.raises(InvalidParameterError, match="flag_curvature: u"):
+        flag_curvature(funk_shifted, at, u)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda m, x: volume_density(m, x), "volume_density: x"),
+    (lambda m, x: cartan_norm(m, x, coarse=16, refine=False), "cartan_norm: x"),
+    (lambda m, x: flow.growth_estimate(m, x, [0.5], directions=2, coarse=16, nodes=9),
+     "growth_estimate: p"),
+], ids=["volume_density", "cartan_norm", "growth_estimate"])
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), [np.nan, 0.0], [True, 0.0]],
+                         ids=["of-3", "of-1", "nan", "boolean"])
+def test_a_point_that_is_not_n_finite_numbers_is_refused_by_name(funk_shifted, call, name,
+                                                                 x):
+    """volume_density on the plane at a point of R^3 used to return a number,
+    and growth_estimate refused it only in its first geodesic."""
+    with pytest.raises(InvalidParameterError, match=f"{name} = .* finite numbers"):
+        call(funk_shifted, x)
+
+
 @pytest.mark.parametrize("fixture,nodes", [("funk_shifted", 512), ("szabo", 32768)])
 def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, nodes):
     """With tol=None, volume_density and s_curvature evaluate F on the
@@ -453,8 +512,8 @@ def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, 
     assert [b for b in batches if b > 1] == [nodes]
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0],
-                         ids=["nan", "inf", "negative", "zero"])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True],
+                         ids=["nan", "inf", "negative", "zero", "true"])
 def test_a_quadrature_tolerance_that_is_not_positive_and_finite_is_refused(funk_shifted, tol):
     """Such a `tol` is neither ignored nor read as a failed quadrature."""
     at = _sample(funk_shifted, seed_=16)

@@ -125,7 +125,7 @@ def test_parallel_run_matches_serial():
     assert s == p
 
 
-@pytest.mark.parametrize("parallelism", [0, -1])
+@pytest.mark.parametrize("parallelism", [0, -1, 1.5, True])
 def test_fewer_than_one_worker_is_refused(parallelism):
     with pytest.raises(InvalidParameterError):
         run_suite([_claim()], parallelism=parallelism)
