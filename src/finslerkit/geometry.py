@@ -164,7 +164,7 @@ def _y_jets(metric, x, y, order):
     """F, F^2 and the tangent coordinates as jets seeded in the n tangent
     coordinate directions."""
     n = metric.dimension
-    yj = seed(y.T, list(np.eye(n)), order)
+    yj = seed(y.T, np.eye(n), order)
     f = metric.evaluate(_coordinates(x), yj)
     return f, f * f, yj
 
@@ -173,7 +173,7 @@ def _phase_jets(metric, x, y, order):
     """F, F^2 and the tangent coordinates as jets seeded in the 2n chart and
     tangent coordinate directions, chart directions first."""
     n = metric.dimension
-    js = seed(np.concatenate([x, y], axis=-1).T, list(np.eye(2 * n)), order)
+    js = seed(np.concatenate([x, y], axis=-1).T, np.eye(2 * n), order)
     f = metric.evaluate(js[:n], js[n:])
     return f, f * f, js[n:]
 
@@ -220,6 +220,19 @@ def _gated(metric, at, need):
                                     x=at.x, y=at.y)
     lg._cholesky  # raises DegenerateMetricError unless g is positive definite
     return lg
+
+
+class _cached(cached_property):
+    """functools.cached_property without the lock that Python 3.11 takes
+    on every first read (Python 3.12 dropped it).  A bundle's quantities
+    are pure functions of its jets, so two threads that read one at once
+    store the same value."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def _scalar(v):
@@ -277,20 +290,20 @@ class LocalGeometry:
         """The seeded directions of the tangent coordinates."""
         return range(self.f2.ndir - self.n, self.f2.ndir)
 
-    @cached_property
+    @_cached
     def F(self):
         return _scalar(value(self.f))
 
-    @cached_property
+    @_cached
     def _g(self):
         return hessian(self.f2, self._y) * 0.5
 
-    @cached_property
+    @_cached
     def g(self):
         """g_ij = 1/2 d^2 F^2 / dy^i dy^j."""
         return outermost(self._g.value, 0, len(self._samples))
 
-    @cached_property
+    @_cached
     def _cholesky(self):
         try:
             return np.linalg.cholesky(self.g)
@@ -299,7 +312,7 @@ class LocalGeometry:
                 "fundamental tensor not positive definite",
                 x=self.at.x, y=self.at.y) from None
 
-    @cached_property
+    @_cached
     def g_inverse(self):
         w = np.linalg.solve(self._cholesky, np.eye(self.n))
         return w.swapaxes(-1, -2) @ w
@@ -316,28 +329,36 @@ class LocalGeometry:
         lead = len(samples)
         tail = "abcdef"[:len(b.batch_shape) - lead - 1]
 
+        def sample_solve(chol, coeffs, shape):
+            zs, info = dpotrs(chol, coeffs.swapaxes(0, 1).reshape(n, -1), lower=1)
+            if info != 0:
+                raise ValueError(f"dpotrs: illegal value in argument {-info}")
+            return zs.T.reshape(shape)
+
         def value_solve(jet):
             # each sample's solve keeps the layout LAPACK returns for one
             # sample (upper index fastest), with the samples outermost, so
             # a stacked sample computes exactly as it does alone
             z = np.empty(samples + jet.coeffs.shape[:1] + jet.batch_shape[lead + 1:] + (n,))
-            for s in product(*map(range, samples)):
-                c = jet.coeffs[(slice(None),) + s].swapaxes(0, 1)
-                zs, info = dpotrs(factor[s], c.reshape(n, -1), lower=1)
-                if info != 0:
-                    raise ValueError(f"dpotrs: illegal value in argument {-info}")
-                z[s] = zs.T.reshape(z.shape[lead:])
+            if lead:
+                for s in product(*map(range, samples)):
+                    z[s] = sample_solve(factor[s], jet.coeffs[(slice(None),) + s],
+                                        z.shape[lead:])
+            else:  # one sample: no index loop
+                z[...] = sample_solve(factor, jet.coeffs, z.shape)
             # back to (coefficient, samples, upper index, rest)
             axes = (lead, *range(lead), z.ndim - 1, *range(lead + 1, z.ndim - 1))
             return Jet(z.transpose(axes), jet.ndir, jet.order)
 
-        dg = self._g - self.g
         z = value_solve(b)
-        for _ in range(min(dg.order, b.order)):
-            z = value_solve(b - contract(f"...ij,...j{tail}->...i{tail}", dg, z))
+        sweeps = min(self._g.order, b.order)
+        if sweeps:
+            dg = self._g - self.g
+            for _ in range(sweeps):
+                z = value_solve(b - contract(f"...ij,...j{tail}->...i{tail}", dg, z))
         return z
 
-    @cached_property
+    @_cached
     def _G(self):
         """G^i = 1/4 g^{il} (F^2_{x^k y^l} y^k - F^2_{x^l})."""
         n, f2 = self.n, self.f2
@@ -350,35 +371,35 @@ class LocalGeometry:
         rhs = (contract("...k,...kl->...l", y, f2_xy) - f2_x) * 0.25
         return self._solve(rhs)
 
-    @cached_property
+    @_cached
     def G(self):
         return self._G.value
 
-    @cached_property
+    @_cached
     def N(self):
         """N^i_j = dG^i/dy^j."""
         return partials(self._G, self._y).value
 
-    @cached_property
+    @_cached
     def G_yy(self):
         """d^2 G^i / dy^j dy^k, indexed [..., i, j, k]."""
         return hessian(self._G, self._y).value
 
-    @cached_property
+    @_cached
     def _G_x(self):
         return partials(self._G, range(self.n))
 
-    @cached_property
+    @_cached
     def G_x(self):
         """dG^i / dx^k, indexed [..., i, k]."""
         return self._G_x.value
 
-    @cached_property
+    @_cached
     def G_xy(self):
         """d^2 G^i / dx^k dy^j, indexed [..., i, k, j]."""
         return partials(self._G_x, self._y).value
 
-    @cached_property
+    @_cached
     def R(self):
         """R^i_k = 2 G^i_{x^k} - y^j G^i_{x^j y^k} + 2 G^j G^i_{y^j y^k}
         - N^i_j N^j_k."""
@@ -387,18 +408,18 @@ class LocalGeometry:
                 + 2.0 * np.einsum("...j,...ijk->...ik", self.G, self.G_yy)
                 - self.N @ self.N)
 
-    @cached_property
+    @_cached
     def _I(self):
         g_inv_dg = self._solve(partials(self._g, self._y))  # [..., l, k, i]
         return Jet(0.5 * np.einsum("z...lli->z...i", g_inv_dg.coeffs),
                    g_inv_dg.ndir, g_inv_dg.order)
 
-    @cached_property
+    @_cached
     def I(self):
         """Mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i (covariant)."""
         return self._I.value
 
-    @cached_property
+    @_cached
     def J(self):
         """Mean Landsberg torsion J_i = y^m I_i,x^m - 2 G^m I_i,y^m - I_m N^m_i,
         the y-contracted horizontal derivative of I (covariant)."""
@@ -464,9 +485,13 @@ def volume_density(metric, x, tol=None):
 
 
 def distortion(metric, at, tol=None):
-    """tau = ln( sqrt(det g) / sigma_F )."""
+    """tau = ln( sqrt(det g) / sigma_F ), for one sample or, one value per
+    sample, for a (K, n) stack; sigma_F takes one quadrature per point."""
     _, logdet = np.linalg.slogdet(fundamental_tensor(metric, at).g)
-    return 0.5 * logdet - np.log(volume_density(metric, at.x, tol=tol))
+    if at.x.ndim == 1:
+        return 0.5 * logdet - np.log(volume_density(metric, at.x, tol=tol))
+    density = [volume_density(metric, x, tol=tol) for x in at.x]
+    return 0.5 * logdet - np.log(density)
 
 
 def mean_cartan(metric, at):

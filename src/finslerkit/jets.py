@@ -12,9 +12,15 @@ same number of directions.  Truncating a jet is a slice; that keeps mixed-
 order products cheap.  Coefficient arrays may carry trailing batch axes,
 which lets quadrature rules push whole node sets through one evaluation.
 
-Batch axes broadcast by one rule: `_pad` gives a coefficient array unit
-batch axes after its coefficient axis, and numpy broadcasting does the
-rest.  Operands of equal shape, and scalar operands, skip it.
+Which path an operand takes:
+
+* Two jets of one order and one number of axes, as in nearly every step
+  of a metric's F, combine their coefficient arrays directly.
+* Jets of different orders are truncated to the lower one first
+  (`_coerce`), and a jet with fewer batch axes gets unit batch axes after
+  its coefficient axis (`_pad`); numpy broadcasting does the rest.
+* A Python float or np.float64 acts on the coefficient array as it is;
+  any other scalar or array goes through np.asarray and `_pad`.
 
 One table, `_mul_table`, lists the terms a[i] * b[j] of a product, one
 per pair of multi-indices whose orders sum to at most the truncation
@@ -32,8 +38,10 @@ np.add.reduceat, which rounds batched terms differently.
 
 One table, `_partials_table`, gathers partials along seeded coordinate
 axes; `deriv` is its one-direction case.  A composition (sqrt, exp, log,
-pow, reciprocal) starts its Horner sweep by scaling, not by a product
-with a constant jet, which saves one full batched product each.
+pow, reciprocal) runs its Horner sweep on coefficient arrays with the
+same product table: it starts by scaling, not by a product with a
+constant jet, which saves one full batched product each, and adds each
+series coefficient into the value part in place.
 """
 
 from __future__ import annotations
@@ -51,10 +59,11 @@ MAX_DIRECTIONS = 8
 # Terms x batch entries from which a batched product sums rank by rank
 # instead of through np.bincount.  Timed on a 2-core Xeon with numpy 2.4
 # over 1-6 directions, orders 1-4 and batches of 8-4096 nodes: from this
-# size up the rank sum was 1.2-7x faster in every shape; below it, its
-# Python loop over up to 16 ranks can cost more than the one scatter
-# (order 4 in 4 directions over 33 nodes: 0.15 ms against 0.10 ms).
-_RANK_SUM_MIN = 32768
+# size up the rank sum was faster in 68 of 71 shapes and at most 5 %
+# slower in the other three; below it, it lost in half the shapes, by up
+# to 1.6x where a high order meets a short batch (order 4 in 4 directions
+# over 33 nodes, 16335 entries: 0.11 ms against 0.077 ms).
+_RANK_SUM_MIN = 20480
 
 
 def _compositions(total, m):
@@ -154,6 +163,33 @@ def _pad(coeffs, ndim):
     return coeffs.reshape(coeffs.shape[:1] + (1,) * missing + coeffs.shape[1:])
 
 
+def _product(ca, cb, ndir, order):
+    """Coefficients of the product of two jets of `order` over `ndir`
+    directions, from coefficient arrays of one number of axes (see the
+    module docstring)."""
+    ia, ib, ic, starts = _mul_table(ndir, order)
+    if ca.ndim == 1:
+        return np.bincount(ic, weights=ca[ia] * cb[ib], minlength=len(starts))
+    # each operand is gathered before the multiply broadcasts it, so a
+    # smaller operand is never copied out to the common shape
+    if len(ia) * math.prod(map(max, ca.shape[1:], cb.shape[1:])) >= _RANK_SUM_MIN:
+        ranks, inverse = _rank_table(ndir, order)
+        (_, ia, ib), *later = ranks
+        acc = ca[ia] * cb[ib]
+        acc += 0.0  # bincount sums from +0.0, so a lone -0.0 term gives +0.0
+        for m, ia, ib in later:
+            acc[:m] += ca[ia] * cb[ib]
+        return acc[inverse]
+    terms = ca[ia] * cb[ib]
+    batch = terms.shape[1:]
+    size = math.prod(batch)
+    # output index ic * size + batch position: each output entry sums
+    # its terms in table order, as the unbatched bincount does
+    index = (ic[:, None] * size + np.arange(size)).ravel()
+    out = np.bincount(index, weights=terms.ravel(), minlength=len(starts) * size)
+    return out.reshape((len(starts),) + batch)
+
+
 class Jet:
     """Truncated Taylor value over `ndir` seeded directions.
 
@@ -189,9 +225,6 @@ class Jet:
             return self
         return Jet(self.coeffs[: _num_coeffs(self.ndir, order)], self.ndir, order)
 
-    def copy(self):
-        return Jet(self.coeffs.copy(), self.ndir, self.order)
-
     def _coerce(self, other):
         """Align two jets to a common order; returns (a, b, order)."""
         if other.ndir != self.ndir:
@@ -199,22 +232,32 @@ class Jet:
         order = min(self.order, other.order)
         return self.truncated(order), other.truncated(order), order
 
+    def _aligned(self, other):
+        """(a, b, order): the coefficients of this jet and of `other` at
+        their common order, as arrays of one number of axes.  Two jets of
+        one order and one number of axes give their arrays as they are."""
+        ca, cb, order = self.coeffs, other.coeffs, self.order
+        if other.order != order or other.ndir != self.ndir:
+            a, b, order = self._coerce(other)
+            ca, cb = a.coeffs, b.coeffs
+        if ca.ndim != cb.ndim:
+            nd = max(ca.ndim, cb.ndim)
+            ca, cb = _pad(ca, nd), _pad(cb, nd)
+        return ca, cb, order
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b, order = self._coerce(other)
-            ca, cb = a.coeffs, b.coeffs
-            if ca.shape != cb.shape:
-                nd = max(ca.ndim, cb.ndim)
-                ca, cb = _pad(ca, nd), _pad(cb, nd)
+            ca, cb, order = self._aligned(other)
             return Jet(ca + cb, self.ndir, order)
-        other = np.asarray(other, dtype=np.float64)
         out = self.coeffs
-        if other.ndim and other.shape != out.shape[1:]:
-            out = np.broadcast_arrays(_pad(out, other.ndim + 1), other)[0]
+        if not isinstance(other, float):
+            other = np.asarray(other, dtype=np.float64)
+            if other.ndim and other.shape != out.shape[1:]:
+                out = np.broadcast_arrays(_pad(out, other.ndim + 1), other)[0]
         out = out.copy()
-        out[0] = out[0] + other
+        out[0] += other
         return Jet(out, self.ndir, self.order)
 
     __radd__ = __add__
@@ -223,48 +266,34 @@ class Jet:
         return Jet(-self.coeffs, self.ndir, self.order)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
+        if isinstance(other, Jet):
+            ca, cb, order = self._aligned(other)
+            return Jet(ca - cb, self.ndir, order)
+        return self + (-other if isinstance(other, float) else -np.asarray(other))
 
     def __rsub__(self, other):
+        if isinstance(other, float):
+            out = -self.coeffs
+            out[0] += other
+            return Jet(out, self.ndir, self.order)
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            other = np.asarray(other, dtype=np.float64)
-            return Jet(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order)
-        a, b, order = self._coerce(other)
-        ca, cb = a.coeffs, b.coeffs
-        ia, ib, ic, _ = _mul_table(self.ndir, order)
-        count = _num_coeffs(self.ndir, order)
-        if ca.ndim == 1 == cb.ndim:
-            return Jet(np.bincount(ic, weights=ca[ia] * cb[ib], minlength=count),
-                       self.ndir, order)
-        nd = max(ca.ndim, cb.ndim)
-        ca, cb = _pad(ca, nd), _pad(cb, nd)
-        # each operand is gathered before the multiply broadcasts it, so a
-        # smaller operand is never copied out to the common shape
-        if len(ia) * math.prod(map(max, ca.shape[1:], cb.shape[1:])) >= _RANK_SUM_MIN:
-            ranks, inverse = _rank_table(self.ndir, order)
-            (_, ia, ib), *later = ranks
-            acc = ca[ia] * cb[ib]
-            acc += 0.0  # bincount sums from +0.0, so a lone -0.0 term gives +0.0
-            for m, ia, ib in later:
-                acc[:m] += ca[ia] * cb[ib]
-            return Jet(acc[inverse], self.ndir, order)
-        terms = ca[ia] * cb[ib]
-        batch = terms.shape[1:]
-        size = math.prod(batch)
-        # output index ic * size + batch position: each output entry sums
-        # its terms in table order, as the unbatched bincount does
-        index = (ic[:, None] * size + np.arange(size)).ravel()
-        out = np.bincount(index, weights=terms.ravel(), minlength=count * size)
-        return Jet(out.reshape((count,) + batch), self.ndir, order)
+        if isinstance(other, Jet):
+            ca, cb, order = self._aligned(other)
+            return Jet(_product(ca, cb, self.ndir, order), self.ndir, order)
+        if isinstance(other, float):
+            return Jet(self.coeffs * other, self.ndir, self.order)
+        other = np.asarray(other, dtype=np.float64)
+        return Jet(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
+        if isinstance(other, float):
+            return Jet(self.coeffs / other, self.ndir, self.order)
         other = np.asarray(other, dtype=np.float64)
         return Jet(_pad(self.coeffs, other.ndim + 1) / other, self.ndir, self.order)
 
@@ -291,15 +320,18 @@ class Jet:
 
     def _compose(self, series):
         """Evaluate sum_k series[k] * (self - value)^k by Horner, as
-        c_0 + h (c_1 + h (... + h c_n)): the innermost step scales h instead
-        of multiplying it by a constant jet.  At order 0, h is zero and this
-        reduces to c_0."""
-        h = self.copy()
-        h.coeffs[0] = np.zeros(self.batch_shape)
-        result = h * series[-1]
+        c_0 + h (c_1 + h (... + h c_n)), on coefficient arrays: the
+        innermost step scales h instead of multiplying it by a constant
+        jet, and each c_k is added into the value part in place.  At order
+        0, h is zero and this reduces to c_0."""
+        h = self.coeffs.copy()
+        h[0] = 0.0
+        r = h * series[-1]
         for k in range(len(series) - 2, 0, -1):
-            result = (result + series[k]) * h
-        return result + series[0]
+            r[0] += series[k]
+            r = _product(r, h, self.ndir, self.order)
+        r[0] += series[0]
+        return Jet(r, self.ndir, self.order)
 
     def _reciprocal(self):
         v = self.value
@@ -377,9 +409,8 @@ def deriv(jet, direction):
 def jwhere(mask, a, b):
     """`np.where` for two jets: `mask` (over the batch axes) picks a's or b's
     coefficients, node by node."""
-    a, b, order = a._coerce(b)
-    nd = max(a.coeffs.ndim, b.coeffs.ndim)
-    return Jet(np.where(mask, _pad(a.coeffs, nd), _pad(b.coeffs, nd)), a.ndir, order)
+    ca, cb, order = a._aligned(b)
+    return Jet(np.where(mask, ca, cb), a.ndir, order)
 
 
 def value(x):
@@ -397,7 +428,10 @@ def partials(jet, directions):
     if jet.order < 1:
         raise OutOfOrderError("cannot differentiate an order-0 jet")
     src, fac = _partials_table(jet.ndir, jet.order, tuple(directions))
-    coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * len(jet.batch_shape))
+    batch = jet.coeffs.ndim - 1
+    if not batch:
+        return Jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1)
+    coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * batch)
     axes = (0,) + tuple(range(2, coeffs.ndim)) + (1,)
     return Jet(coeffs.transpose(axes), jet.ndir, jet.order - 1)
 
@@ -432,16 +466,26 @@ def contract(subscripts, a, b):
     jet products: `contract("ij,jk->ik", a, b)` multiplies jet-valued
     matrices.  Axes under an ellipsis ("...ij") are batch axes that each
     index computes as it would alone (see `outermost`)."""
-    operands, out = subscripts.split("->")
+    spec, tails = _contraction(subscripts)
     a, b, order = a._coerce(b)
     ia, ib, _, starts = _mul_table(a.ndir, order)
     gathered = [a.coeffs[ia], b.coeffs[ib]]
-    for k, sub in enumerate(operands.split(",")):
-        count = gathered[k].ndim - 1 - (len(sub) - 3) if "..." in sub else 0
+    for k, tail in enumerate(tails):
+        count = gathered[k].ndim - 1 - tail if tail is not None else 0
         if count:
             gathered[k] = outermost(gathered[k], 1, count)
-    terms = np.einsum(f"Z{operands.replace(',', ',Z')}->Z{out}", *gathered)
+    terms = np.einsum(spec, *gathered)
     return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order)
+
+
+@lru_cache(maxsize=None)
+def _contraction(subscripts):
+    """`contract`'s einsum subscripts over a leading term axis Z, and for
+    each operand the number of tensor axes after its ellipsis (None without
+    one)."""
+    operands, out = subscripts.split("->")
+    tails = tuple(len(sub) - 3 if "..." in sub else None for sub in operands.split(","))
+    return f"Z{operands.replace(',', ',Z')}->Z{out}", tails
 
 
 # -- lifted smooth primitives ----------------------------------------------

@@ -126,8 +126,14 @@ def _real(what, value, n):
     return _number(what, value)
 
 
-def _count(what, value, n):
-    return _integer(what, value)
+def _nodes(what, value, n):
+    """A trace's node count, at least 2 as integrate_geodesic needs."""
+    return _integer(what, value, least=2)
+
+
+def _ode_tol(what, value, n):
+    """A solver tolerance in (0, 1), as the flow's solves need."""
+    return _number(what, value, above=0.0, below=1.0)
 
 
 def _numbers(count=None):
@@ -363,8 +369,8 @@ def _eval_closed_one_form(metric, at, dirs, params):
 
 def _along_geodesic(evaluate, **parameters):
     """A quantity read off _geodesic_torsion, with its parameters."""
-    return _Quantity(evaluate, parameters={"t_span": _numbers(2), "ode_tol": _real,
-                                           "nodes": _count, **parameters})
+    return _Quantity(evaluate, parameters={"t_span": _numbers(2), "ode_tol": _ode_tol,
+                                           "nodes": _nodes, **parameters})
 
 
 _QUANTITIES = {

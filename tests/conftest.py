@@ -118,6 +118,10 @@ MALFORMED_CLAIMS = {
     "text-floor": _edited(quantity="phi_convexity", parameters={"floor": "abc"}),
     "number-t-span": _edited(quantity="phi_constancy", parameters={"t_span": 5}),
     "fractional-nodes": _edited(quantity="phi_constancy", parameters={"nodes": 2.7}),
+    # the flow needs at least 2 trace nodes and a solver tolerance in (0, 1)
+    "one-node-trace": _edited(quantity="phi_constancy", parameters={"nodes": 1}),
+    "large-ode-tol": _edited(quantity="sskk1_residual", parameters={"ode_tol": 5.0}),
+    "zero-ode-tol": _edited(quantity="phi_convexity", parameters={"ode_tol": 0.0}),
     "short-flag-edge": _edited(quantity="flag_curvature", parameters={"u": [1.0]}),
     "boolean-tolerance": _edited(tolerance=True),
     "boolean-target-value": _edited(target={"kind": "upper_bound", "value": False}),

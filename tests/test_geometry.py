@@ -587,3 +587,22 @@ def test_volume_density_honours_quadrature_tolerance(n):
     assert err.value.error > 0.0
     assert volume_density(m, x) == pytest.approx(
         ball_volume(n) / err.value.estimate, rel=1e-15)
+
+
+def test_a_single_sample_spray_bundle_truncates_a_handful_of_jets(monkeypatch):
+    """Jets of one order combine without truncation, so an unbatched need-G
+    bundle truncates only where orders really differ (in the spray's
+    contraction), not at every sum and product."""
+    from finslerkit import jets
+
+    calls = []
+    truncated = jets.Jet.truncated
+
+    def counted(self, order):
+        calls.append(order)
+        return truncated(self, order)
+
+    monkeypatch.setattr(jets.Jet, "truncated", counted)
+    m = zoo.build_metric(zoo.MetricSpec("funk_ball_shifted", 2, {"a": [0.3, 0.0]}))
+    local_geometry(m, TangentSample([0.1, 0.2], [0.6, -0.4]), "G").G
+    assert 0 < len(calls) <= 6

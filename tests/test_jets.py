@@ -404,3 +404,107 @@ def test_lifted_primitives_of_a_large_batch_match_mpmath():
             want, bound = _mp_compose(reference, distinct[:, k], ndir, order)
             err = np.abs(got[:, pick == k] - want[:, None])
             assert np.all(err <= 1e-14 * bound[:, None]), name
+
+
+# -- the direct coefficient paths, at special values ----------------------------
+
+def _specials(rng, shape):
+    """Coefficients of `shape`: uniform, with a quarter of them +-0.0 and a
+    tenth +-inf or NaN."""
+    c = rng.uniform(-1.0, 1.0, shape)
+    pick = rng.random(shape)
+    c[pick < 0.25] = np.copysign(0.0, rng.uniform(-1.0, 1.0, shape))[pick < 0.25]
+    odd = pick > 0.9
+    c[odd] = rng.choice([np.inf, -np.inf, np.nan], odd.sum())
+    return c
+
+
+def _same_bits(got, want):
+    """NaN where `want` is NaN, whatever its sign, and the bits of `want`
+    everywhere else."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+_KERNEL_CASES = [(1, 1, ()), (2, 2, ()), (3, 3, ()), (4, 4, ()), (2, 3, (3,)),
+                 (3, 2, (2, 3)), (3, 4, (33,)), (2, 1, (4096,))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ndir, order, shape", _KERNEL_CASES)
+def test_ring_operations_at_special_coefficients(ndir, order, shape):
+    """Sums, differences and products with coefficients +-0.0, +-inf and
+    NaN are the coefficient arithmetic they stand for, bit for bit: for
+    jets of one order and shape, for a jet of higher order (truncated to
+    the lower) and for an unbatched jet against a batched one."""
+    rng = np.random.default_rng(7 * ndir + order)
+    n = jets._num_coeffs(ndir, order)
+    ca, cb = _specials(rng, (n,) + shape), _specials(rng, (n,) + shape)
+    a, b = jets.Jet(ca, ndir, order), jets.Jet(cb, ndir, order)
+    _same_bits((a + b).coeffs, ca + cb)
+    _same_bits((a - b).coeffs, ca - cb)
+    _same_bits((a * b).coeffs, _ref_mul(ca, cb, ndir, order))
+    top = min(order + 1, jets.MAX_ORDER)
+    high = jets.Jet(_specials(rng, (jets._num_coeffs(ndir, top),) + shape), ndir, top)
+    low = high.coeffs[:n]
+    for got, want in (((a + high), ca + low), ((high + a), low + ca), ((a - high), ca - low),
+                      ((high - a), low - ca), ((a * high), _ref_mul(ca, low, ndir, order)),
+                      ((high * a), _ref_mul(low, ca, ndir, order))):
+        assert got.order == order
+        _same_bits(got.coeffs, want)
+    one = _specials(rng, (n,))
+    lone = jets.Jet(one, ndir, order)
+    wide = one.reshape((n,) + (1,) * len(shape))
+    _same_bits((lone + b).coeffs, np.broadcast_to(wide, cb.shape) + cb)
+    _same_bits((b - lone).coeffs, cb - wide)
+    _same_bits((lone * b).coeffs, _ref_mul(one, cb, ndir, order))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(), (3,)])
+@pytest.mark.parametrize("c", [2.5, -0.0, 0.0, np.inf, -np.inf, np.nan])
+def test_float_scalars_match_0d_array_scalars(shape, c):
+    """A Python float and an np.float64 act on a jet bit for bit as the
+    same number as a 0-d array does, in every ring operation."""
+    rng = np.random.default_rng(3)
+    a = jets.Jet(_specials(rng, (jets._num_coeffs(2, 3),) + shape), 2, 3)
+    z = np.array(c)
+    for s in (c, np.float64(c)):
+        for got, want in ((a + s, a + z), (s + a, z + a), (a - s, a - z), (s - a, z - a),
+                          (a * s, a * z), (s * a, z * a), (a / s, a / z)):
+            assert type(got) is jets.Jet and got.order == 3
+            _same_bits(got.coeffs, want.coeffs)
+
+
+def _operator_horner(x, series):
+    """sum_k series[k] (x - value)^k by Horner through the Jet operators."""
+    h = jets.Jet(x.coeffs.copy(), x.ndir, x.order)
+    h.coeffs[0] = np.zeros(x.batch_shape)
+    result = h * series[-1]
+    for k in range(len(series) - 2, 0, -1):
+        result = (result + series[k]) * h
+    return result + series[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ndir, order, shape", _KERNEL_CASES + [(2, 3, (2048,)), (4, 0, ())])
+def test_compose_matches_a_horner_sweep_through_the_jet_operators(ndir, order, shape):
+    """_compose runs its Horner sweep on coefficient arrays; it gives, bit
+    for bit, what the same sweep gives through Jet's +, * and scaling, on
+    either product reducer and at special coefficients."""
+    rng = np.random.default_rng(11 * ndir + order)
+    coeffs = _specials(rng, (jets._num_coeffs(ndir, order),) + shape)
+    coeffs[0] = rng.uniform(0.5, 2.0, shape)
+    x = jets.Jet(coeffs, ndir, order)
+    series = [np.float64(rng.uniform(-2.0, 2.0)) if shape == ()
+              else rng.uniform(-2.0, 2.0, shape) for _ in range(order + 1)]
+    got = x._compose(series)
+    assert got.order == order
+    _same_bits(got.coeffs, _operator_horner(x, series).coeffs)
+    sqrt_series = [np.sqrt(x.value)]
+    for k in range(1, order + 1):
+        sqrt_series.append(sqrt_series[-1] * (0.5 - (k - 1)) / (k * x.value))
+    _same_bits(jsqrt(x).coeffs, _operator_horner(x, sqrt_series).coeffs)

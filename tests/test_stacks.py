@@ -62,15 +62,35 @@ def test_stacked_quantities_agree_with_single_samples(spec):
     assert checked >= 6
 
 
-@pytest.mark.parametrize("kind", ["funk_ball_shifted", "incomplete_slab", "szabo_epsilon"])
+#: need -> the quantities a bundle of that need gives
+_READABLE = {"G": ("F", "g", "g_inverse", "G"),
+             "N": ("F", "g", "g_inverse", "G", "N", "G_x", "I"),
+             "R": ("F", "g", "g_inverse", "G", "N", "G_x", "I", "G_yy", "G_xy", "R", "J")}
+
+
+@pytest.mark.parametrize("kind", [s.kind for s in zoo.default_specs()])
 def test_a_stacked_sample_gets_its_tensors_bit_for_bit(kind):
+    """Each sample of a stack reads every quantity of needs G, N and R bit
+    for bit as its unbatched bundle does."""
     m = zoo.build_metric(next(s for s in zoo.default_specs() if s.kind == kind))
     at = _stack(m, 5, seed_=8)
-    stacked = local_geometry(m, at, "R")
+    for need, names in _READABLE.items():
+        stacked = local_geometry(m, at, need)
+        for k, one in enumerate(_samples(at)):
+            alone = local_geometry(m, one, need)
+            for name in names:
+                assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), \
+                    (need, name)
+
+
+@pytest.mark.parametrize("spec", zoo.default_specs(), ids=lambda s: s.kind)
+def test_distortion_of_a_stack_gives_each_sample_its_own_value(spec):
+    m = zoo.build_metric(spec)
+    at = _stack(m, 3, seed_=4)
+    stacked = geometry.distortion(m, at)
+    assert stacked.shape == (3,)
     for k, one in enumerate(_samples(at)):
-        alone = local_geometry(m, one, "R")
-        for name in ("F", "g", "g_inverse", "G", "N", "G_yy", "R", "I", "J"):
-            assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), name
+        assert stacked[k] == geometry.distortion(m, one)
 
 
 def test_result_helpers_give_one_value_per_stacked_sample(funk_shifted):
