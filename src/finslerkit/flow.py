@@ -5,7 +5,8 @@ are re-sampled on a fixed Chebyshev grid so that time derivatives of
 quantities along the trace can be taken with a spectral differentiation
 matrix (the torsion diagnostics need two of them).  A geodesic exits where
 the chart margin falls to EXIT_MARGIN; a start not farther inside raises
-DomainError, and a solve that stops short raises ResolutionError.
+DomainError, and a solve that stops short, or would take more than
+RHS_BUDGET right-hand sides, raises ResolutionError.
 
 Geodesics use the 5(4) Dormand-Prince pair (RK45): the torsion residual
 of a trace must halve with the requested tolerance, and `_solver_tol`
@@ -42,6 +43,13 @@ TRACE_NODES = 257
 #: are approached asymptotically (the margin flattens instead of crossing 0).
 EXIT_MARGIN = 1e-9
 
+#: Right-hand sides after which a solve raises ResolutionError instead of
+#: creeping on towards a chart edge it cannot resolve.  The largest solves
+#: that finish take 1,952 in the tests, 4,832 in the shipped suite at seeds
+#: 1-10 (3,758 at seeds 11-30) and 182 in the transport benchmark at seeds
+#: 1-10.
+RHS_BUDGET = 10_000
+
 _log = logging.getLogger(__name__)
 
 
@@ -70,15 +78,29 @@ def _solver_tol(tol):
     return max(tol ** 1.5, 1e-13)
 
 
-def _solve(caller, rhs, t_span, state0, method, tol, events=None):
+def _solve(caller, metric, rhs, t_span, state0, method, tol, events=None):
     """solve_ivp with dense output at the per-step tolerance for `tol`,
-    logged at DEBUG level.  A `tol` outside (0, 1) or a `t_span` that is not
-    two finite numbers (solve_ivp would never reach a NaN end) raises
-    InvalidParameterError, a solve that stops short ResolutionError."""
+    logged at DEBUG level; the state starts with the chart point.  A `tol`
+    outside (0, 1) or a `t_span` that is not two finite numbers (solve_ivp
+    would never reach a NaN end) raises InvalidParameterError, a solve that
+    stops short or would take more than RHS_BUDGET right-hand sides
+    ResolutionError."""
     tol = _number(f"{caller}: tolerance", tol, above=0.0, below=1.0)
     t_span = _vector(f"{caller}: t_span", t_span, 2)
     inner = _solver_tol(tol)
-    sol = solve_ivp(rhs, t_span, state0, method=method, rtol=inner, atol=inner,
+    count = 0
+
+    def counted(t, state):
+        nonlocal count
+        count += 1
+        if count > RHS_BUDGET:
+            margin = metric.domain.margin(state[:metric.dimension])
+            raise ResolutionError(
+                f"{caller}: solve gave up at t = {t:.6g} of {t_span[1]:.6g}, chart "
+                f"margin {margin:.3g}, after {RHS_BUDGET} right-hand sides")
+        return rhs(t, state)
+
+    sol = solve_ivp(counted, t_span, state0, method=method, rtol=inner, atol=inner,
                     dense_output=True, events=events)
     _log.debug("%s: %s nfev=%d steps=%d status=%d", caller, method,
                sol.nfev, len(sol.t) - 1, sol.status)
@@ -163,7 +185,7 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
 
     near_boundary.terminal = True
     near_boundary.direction = -1
-    sol = _solve("integrate_geodesic", rhs, t_span, np.concatenate([x0, y0]),
+    sol = _solve("integrate_geodesic", metric, rhs, t_span, np.concatenate([x0, y0]),
                  "RK45", tol, events=near_boundary)
     exited = bool(sol.t_events[0].size)
     t_end = float(sol.t[-1])  # the end of t_span, or the exit time
@@ -276,7 +298,7 @@ def jacobi_propagate(metric, trace, V0, DV0, tol=1e-10):
                 return np.full(4 * n, np.nan)
         return np.concatenate([y, -2.0 * lg.G, u, -2.0 * (lg.G_x @ v + lg.N @ u)])
 
-    sol = _solve("jacobi_propagate", rhs, (trace.times[0], trace.times[-1]),
+    sol = _solve("jacobi_propagate", metric, rhs, (trace.times[0], trace.times[-1]),
                  state0, "DOP853", tol)
     states = sol.sol(trace.times)
     return states[2 * n:3 * n].T.copy()

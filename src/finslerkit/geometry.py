@@ -35,8 +35,10 @@ numpy's einsum and matmul keep each sample laid out as it is alone
 (`jets.outermost`), because numpy picks its summation kernels by memory
 layout.  The public functions below whose results are arrays
 (fundamental_tensor, spray, riemann, flag_curvature, mean_cartan,
-mean_landsberg) accept stacks too, and cartan_norm's coarse scan and
-each step of its ascent are one stack of directions each.
+mean_landsberg, distortion) accept stacks too, and cartan_norm's coarse
+scan and each step of its ascent are one stack of directions each;
+s_curvature takes one sample and volume_density one point.  A stack has
+one sample axis: x and y of shape (K1, K2, n) are refused.
 
 A bundle passes one gate when it is built: for every sample the point
 lies in the chart, y is not zero, F > 0 and g has a Cholesky factor, or
@@ -56,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -87,9 +88,6 @@ class MetricField:
     name: str = "metric"
     spec: object = None
     extras: dict = field(default_factory=dict)
-
-    def __call__(self, x, y):
-        return self.evaluate(x, y)
 
 
 @dataclass(frozen=True)
@@ -186,9 +184,10 @@ _NEEDS = {"g": (False, 2), "I": (False, 3), "G": (True, 2), "N": (True, 3),
 def local_geometry(metric, at, need):
     """The LocalGeometry of `metric` at `at`, one sample or a (K, n) stack,
     able to give every quantity up to `need` (see the module docstring).
-    An x and y of different shapes, or whose last axis is not n, raise
-    InvalidParameterError."""
-    if at.x.shape != at.y.shape or at.x.shape[-1:] != (metric.dimension,):
+    An x and y of different shapes, of more than one sample axis, or whose
+    last axis is not n, raise InvalidParameterError."""
+    if (at.x.shape != at.y.shape or at.x.ndim not in (1, 2)
+            or at.x.shape[-1] != metric.dimension):
         raise InvalidParameterError(
             f"a tangent sample needs x and y of one shape (n,) or (K, n) with "
             f"n = {metric.dimension}, not {at.x.shape} and {at.y.shape}")
@@ -341,9 +340,8 @@ class LocalGeometry:
             # a stacked sample computes exactly as it does alone
             z = np.empty(samples + jet.coeffs.shape[:1] + jet.batch_shape[lead + 1:] + (n,))
             if lead:
-                for s in product(*map(range, samples)):
-                    z[s] = sample_solve(factor[s], jet.coeffs[(slice(None),) + s],
-                                        z.shape[lead:])
+                for k in range(samples[0]):
+                    z[k] = sample_solve(factor[k], jet.coeffs[:, k], z.shape[1:])
             else:  # one sample: no index loop
                 z[...] = sample_solve(factor, jet.coeffs, z.shape)
             # back to (coefficient, samples, upper index, rest)
@@ -543,7 +541,12 @@ def s_curvature(metric, at, tol=None):
     _density_slope: the quadrature integrand differentiated analytically,
     not volume_density by finite differences.  With `tol` set, a quadrature
     error above tol * max(1, |S|) raises QuadratureToleranceError (see
-    on_sphere)."""
+    on_sphere).  S takes one tangent sample: a stack raises
+    InvalidParameterError."""
+    if at.x.ndim != 1 or at.y.ndim != 1:
+        raise InvalidParameterError(
+            f"s_curvature takes one tangent sample, x and y of shape (n,), not "
+            f"{at.x.shape} and {at.y.shape}")
     trace_n = float(np.trace(local_geometry(metric, at, "N").N))
 
     def s_value(points, weights):

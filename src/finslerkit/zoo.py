@@ -77,28 +77,17 @@ def _plain(obj):
 # -- simple norms and Riemannian models --------------------------------------
 
 def make_euclidean(dimension=2):
-    spec = MetricSpec("euclidean", dimension)
-    return MetricField(
-        dimension=dimension,
-        domain=Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension)),
-        evaluate=lambda x, y: jsqrt(_dot(y, y)),
-        name="euclidean",
-        spec=spec,
-        extras={"quadratic_form": lambda x, y: _dot(y, y)},
-    )
+    """The flat riemannian metric |y| under its own kind name."""
+    return replace(make_riemannian("flat", dimension), name="euclidean",
+                   spec=MetricSpec("euclidean", dimension))
 
 
 def make_minkowski(dimension=2, b=None):
-    """Locally Minkowski (x-independent) Randers-type norm |y| + <b, y>."""
+    """Locally Minkowski (x-independent) Randers-type norm |y| + <b, y>: the
+    flat randers metric under its own kind name."""
     b = _vector("b", b, dimension, lead=0.4, unit_ball=True)
-    spec = MetricSpec("minkowski", dimension, {"b": b})
-    return MetricField(
-        dimension=dimension,
-        domain=Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension)),
-        evaluate=lambda x, y: jsqrt(_dot(y, y)) + _dot(b, y),
-        name="minkowski",
-        spec=spec,
-    )
+    return replace(make_randers("flat", dimension, b), name="minkowski",
+                   spec=MetricSpec("minkowski", dimension, {"b": b}))
 
 
 RIEMANN_MODELS = ("flat", "sphere", "hyperbolic_disk")
@@ -131,7 +120,7 @@ def make_riemannian(model="flat", dimension=2):
         evaluate=lambda x, y: jsqrt(qform(x, y)),
         name=f"riemannian[{model}]",
         spec=spec,
-        extras={"quadratic_form": qform, "model": model},
+        extras={"quadratic_form": qform},
     )
 
 
@@ -172,7 +161,7 @@ def make_randers(model="flat", dimension=2, b=None):
         evaluate=lambda x, y: jsqrt(qform(x, y)) + _dot(b, y),
         name=f"randers[{model}]",
         spec=spec,
-        extras={"quadratic_form": qform, "beta_norm": beta_norm, "b": b},
+        extras={"quadratic_form": qform, "beta_norm": beta_norm},
     )
 
 
@@ -280,28 +269,24 @@ def _theta_jet(phi, x, y):
 def make_funk_implicit(phi=None, dimension=2, b=None):
     """Funk metric of the unit phi-ball, solved from theta = phi(y + theta x).
 
-    phi is "euclidean" (default) or "randers" with a drift b; any other
-    phi, a callable included, raises InvalidParameterError.
+    phi is "euclidean" (default), the norm of make_euclidean, or "randers"
+    with a drift b, the norm of make_minkowski; any other phi, a callable
+    included, raises InvalidParameterError.
     """
     if b is not None and phi != "randers":
         raise InvalidParameterError(f"a drift b applies to phi = 'randers', not {phi!r}")
-    params = {}
     if phi is None or phi == "euclidean":
-        params["phi"] = "euclidean"
-        half_width = 1.0
-
-        def phi_fn(v):
-            return jsqrt(_dot(v, v))
+        params = {"phi": "euclidean"}
+        norm, half_width = make_euclidean(dimension), 1.0
     elif phi == "randers":
         b = _vector("b", b, dimension, lead=0.3, unit_ball=True)
-        params["phi"] = "randers"
-        params["b"] = b
-        half_width = 1.0 / (1.0 - np.linalg.norm(b))
-
-        def phi_fn(v):
-            return jsqrt(_dot(v, v)) + _dot(b, v)
+        params = {"phi": "randers", "b": b}
+        norm, half_width = make_minkowski(dimension, b), 1.0 / (1.0 - np.linalg.norm(b))
     else:
         raise InvalidParameterError(f"unsupported Minkowski norm {phi!r}")
+
+    def phi_fn(v):  # a norm does not read x
+        return norm.evaluate(None, v)
 
     def evaluate(x, y):
         if any(isinstance(c, Jet) for c in list(x) + list(y)):
@@ -313,7 +298,6 @@ def make_funk_implicit(phi=None, dimension=2, b=None):
         dimension=dimension,
         domain=_PhiDomain(dimension, phi_fn, half_width),
         evaluate=evaluate, name="funk_implicit", spec=spec,
-        extras={"phi": phi_fn},
     )
 
 

@@ -406,6 +406,48 @@ def test_an_infinite_tolerance_is_refused_within_a_deadline():
     assert out.stdout.split() == ["InvalidParameterError"] * 2, out.stderr
 
 
+_STALLING_START = """
+import sys
+sys.path.insert(0, {root!r})
+from finslerkit import flow, zoo
+from finslerkit.errors import ResolutionError
+try:
+    flow.integrate_geodesic(zoo.make_funk_implicit(), (0.1, 0.0), (8.0, 0.3), (0.0, 3.0),
+                            tol=1e-10)
+    print("returned")
+except ResolutionError as exc:
+    print(exc)
+"""
+
+
+def test_a_solve_that_stalls_at_the_chart_edge_gives_up_within_a_deadline():
+    """On the implicit Funk chart this start creeps towards the edge, where
+    theta = phi(y + theta x) loses precision, and used to take 25,000
+    right-hand sides in 12 s without returning.  It runs in a child
+    process, killed at the deadline, so a hang fails the test."""
+    root = os.path.dirname(os.path.dirname(flow.__file__))
+    try:
+        out = subprocess.run([sys.executable, "-c", _STALLING_START.format(root=root)],
+                             capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("no result within 60 s")
+    assert out.stdout.startswith("integrate_geodesic: solve gave up at t = "), out.stderr
+    assert f"after {flow.RHS_BUDGET} right-hand sides" in out.stdout
+    assert "chart margin" in out.stdout
+
+
+def test_every_solve_counts_against_the_budget(funk_shifted, monkeypatch):
+    """A budget below what a short geodesic and its Jacobi field take makes
+    both raise, with the time, the chart margin and the count."""
+    trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    monkeypatch.setattr(flow, "RHS_BUDGET", 5)
+    with pytest.raises(ResolutionError, match=r"gave up at t = .* chart margin 0\.\d+.*"
+                                              r"after 5 right-hand sides"):
+        integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    with pytest.raises(ResolutionError, match="jacobi_propagate: solve gave up"):
+        jacobi_propagate(funk_shifted, trace, [1.0, 0.0], [0.0, 0.0])
+
+
 @pytest.mark.parametrize("arguments, name", [
     ({"radii": []}, "radii"),
     ({"radii": [-1.0]}, "radii"),

@@ -452,14 +452,29 @@ _VIEWS = {
     (np.full(3, 0.1), np.ones(3)),
     (np.full((4, 2), 0.1), np.ones((3, 2))),
     (np.full((2, 3), 0.1), np.ones((2, 3))),
+    (np.full((2, 3, 2), 0.1), np.ones((2, 3, 2))),
     (0.1, 1.0),
-], ids=["y-of-3", "both-of-3", "stacks-of-4-and-3", "stack-of-3-vectors", "scalars"])
+], ids=["y-of-3", "both-of-3", "stacks-of-4-and-3", "stack-of-3-vectors",
+        "two-sample-axes", "scalars"])
 def test_a_tangent_sample_of_the_wrong_shape_is_refused_by_every_view(funk_shifted, view,
                                                                       x, y):
     """x and y must share one shape, (n,) or (K, n); each view used to raise
     a bare numpy error or read the wrong coordinates."""
     with pytest.raises(InvalidParameterError, match="tangent sample"):
         _VIEWS[view](funk_shifted, TangentSample(x, y))
+
+
+def test_s_curvature_refuses_a_stack_before_building_a_bundle(funk_shifted, monkeypatch):
+    """S is one number per sample and takes one sample; a (K, n) stack
+    used to build a K-row bundle and then fail in float()."""
+    bundles = []
+    real = geometry.local_geometry
+    monkeypatch.setattr(geometry, "local_geometry",
+                        lambda *args: bundles.append(1) or real(*args))
+    at = TangentSample(np.full((3, 2), 0.1), np.eye(2)[[0, 1, 0]])
+    with pytest.raises(InvalidParameterError, match="one tangent sample"):
+        s_curvature(funk_shifted, at)
+    assert bundles == []
 
 
 @pytest.mark.parametrize("y, u", [

@@ -275,3 +275,97 @@ def test_randers_drift_norm_takes_points_and_stacks():
 def test_spec_with_null_or_mistyped_values_is_rejected(spec):
     with pytest.raises(InvalidParameterError):
         zoo.build_metric(spec)
+
+
+# -- the flat norms against the closures they were written as -------------------
+
+def _ref_dot(u, v):
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def _ref_box(dimension):
+    return zoo.Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension))
+
+
+def _ref_euclidean(dimension):
+    return geometry.MetricField(dimension=dimension, domain=_ref_box(dimension),
+                                evaluate=lambda x, y: jsqrt(_ref_dot(y, y)))
+
+
+def _ref_minkowski(dimension, b):
+    b = np.asarray(b, dtype=float)
+    return geometry.MetricField(
+        dimension=dimension, domain=_ref_box(dimension),
+        evaluate=lambda x, y: jsqrt(_ref_dot(y, y)) + _ref_dot(b, y))
+
+
+def _ref_funk_implicit(b=None):
+    """The implicit Funk metric with its gauge phi written out as a closure."""
+    if b is None:
+        half_width = 1.0
+
+        def phi(v):
+            return jsqrt(_ref_dot(v, v))
+    else:
+        b = np.asarray(b, dtype=float)
+        half_width = 1.0 / (1.0 - np.linalg.norm(b))
+
+        def phi(v):
+            return jsqrt(_ref_dot(v, v)) + _ref_dot(b, v)
+
+    def evaluate(x, y):
+        if any(isinstance(c, Jet) for c in list(x) + list(y)):
+            return zoo._theta_jet(phi, x, y)
+        return zoo._theta_root(phi, x, y)[0]
+
+    return geometry.MetricField(dimension=2, domain=zoo._PhiDomain(2, phi, half_width),
+                                evaluate=evaluate)
+
+
+_R_FIELDS = ("F", "g", "g_inverse", "G", "N", "G_yy", "G_x", "G_xy", "R", "I", "J")
+
+FLAT_NORMS = {
+    "euclidean-2": (lambda: zoo.make_euclidean(2), lambda: _ref_euclidean(2)),
+    "euclidean-3": (lambda: zoo.make_euclidean(3), lambda: _ref_euclidean(3)),
+    "minkowski-default": (lambda: zoo.make_minkowski(2),
+                          lambda: _ref_minkowski(2, [0.4, 0.0])),
+    "minkowski-3": (lambda: zoo.make_minkowski(3, [0.1, 0.2, 0.3]),
+                    lambda: _ref_minkowski(3, [0.1, 0.2, 0.3])),
+    "funk-implicit-euclidean": (lambda: zoo.make_funk_implicit(),
+                                lambda: _ref_funk_implicit()),
+    "funk-implicit-randers": (lambda: zoo.make_funk_implicit("randers"),
+                              lambda: _ref_funk_implicit([0.3, 0.0])),
+}
+
+
+@pytest.mark.parametrize("build, reference", FLAT_NORMS.values(), ids=FLAT_NORMS.keys())
+def test_flat_norms_are_bit_identical_to_their_closures(build, reference):
+    """The metrics built on the flat riemannian and randers models give
+    F and every need-"R" field bit for bit as the closures they replaced,
+    at each of 6 samples alone and as one stack."""
+    m, ref = build(), reference()
+    rng = np.random.default_rng(41)
+    x = np.array([ref.domain.sample_interior(rng, margin=0.05) for _ in range(6)])
+    at = TangentSample(x, rng.standard_normal(x.shape))
+    for sample in [at] + [TangentSample(x1, y1) for x1, y1 in zip(at.x, at.y)]:
+        got = geometry.local_geometry(m, sample, "R")
+        want = geometry.local_geometry(ref, sample, "R")
+        for name in _R_FIELDS:
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("phi, b", [(None, None), ("randers", [0.3, 0.0])])
+def test_implicit_funk_domain_is_bit_identical_to_its_closure(phi, b):
+    m, ref = zoo.make_funk_implicit(phi), _ref_funk_implicit(b)
+    draws = []
+    for domain in (m.domain, ref.domain):
+        rng = np.random.default_rng(43)
+        points = [domain.sample_interior(rng, margin=margin)
+                  for margin in (0.05, 0.2, 0.0) for _ in range(10)]
+        draws.append((np.array(points), [domain.margin(p) for p in points]))
+    assert draws[0][0].tobytes() == draws[1][0].tobytes()
+    assert draws[0][1] == draws[1][1]
