@@ -1,6 +1,6 @@
-"""Exception hierarchy for finslerkit, and the four gates (at the end) that
-check every entry point's counts, numbers, tolerances and vectors: this
-module imports nothing from the package, so every module can use them."""
+"""Exception hierarchy for finslerkit, and the gates (at the end) that
+check every entry point's counts, numbers, tolerances, vectors and flags:
+this module imports nothing from the package, so every module can use them."""
 
 import math
 
@@ -89,6 +89,14 @@ def _integer(what, value, least=None):
         rule = "an integer" if least is None else f"an integer of at least {least}"
         raise InvalidParameterError(f"{what} must be {rule}, not {value!r}")
     return int(value)
+
+
+def _flag(what, value):
+    """`value`, which must be True or False: a flag read by truthiness would
+    take "no", 2 or None for a verdict."""
+    if not isinstance(value, bool):
+        raise InvalidParameterError(f"{what} must be True or False, not {value!r}")
+    return value
 
 
 def _float(value):

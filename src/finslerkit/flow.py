@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, _integer, _number, _vector
+from .errors import (DomainError, InvalidParameterError, ResolutionError, _flag, _integer,
+                     _number, _vector)
 from .geometry import (TangentSample, _cartan_norms, _check_domain, _mv, _scan_size, _vmv,
                        local_geometry)
 
@@ -212,15 +213,22 @@ def covariant_derivative_along(metric, trace, X_of_t, connections=None, tol=None
 
     With `tol` set, the derivative is recomputed on the nested half grid and
     a disagreement above `tol` raises ResolutionError; a `tol` that is not
-    positive and finite raises InvalidParameterError.
+    positive and finite, an `X_of_t` that is not (nodes, n) or `connections`
+    that are not (nodes, n, n) raise InvalidParameterError.
     """
     if tol is not None:
         tol = _number("covariant_derivative_along: tol", tol, above=0.0)
     X = np.asarray(X_of_t, dtype=float)
-    d = trace.diff_matrix
     if connections is None:
         connections = connection_along(metric, trace)
-    dX = d @ X
+    connections = np.asarray(connections, dtype=float)
+    nodes, n = trace.positions.shape
+    for name, got, want in (("X_of_t", X, (nodes, n)),
+                            ("connections", connections, (nodes, n, n))):
+        if got.shape != want:
+            raise InvalidParameterError(
+                f"covariant_derivative_along: {name} of shape {got.shape} is not {want}")
+    dX = trace.diff_matrix @ X
     out = dX + np.einsum("kij,kj->ki", connections, X)
     if tol is not None:
         coarse = chebyshev_diff_matrix(trace.times[::2]) @ X[::2]
@@ -317,12 +325,14 @@ def growth_estimate(metric, p, radii, directions=12, seed=0, refine=False,
     share stacked bundles (see geometry.cartan_norm); with `refine`, each
     point then ascends alone.  `p` must be n finite numbers, `radii` one or
     more finite numbers, none negative, `directions` an integer of at least
-    1 and `nodes` one of at least 2, or InvalidParameterError.
+    1, `nodes` one of at least 2 and `refine` a bool, or
+    InvalidParameterError.
     """
     radii = np.sort(_vector("growth_estimate: radii", radii, None))
     _number("growth_estimate: smallest of the radii", radii[0], least=0.0)
     directions = _integer("growth_estimate: directions", directions, least=1)
     nodes = _integer("growth_estimate: nodes", nodes, least=2)
+    refine = _flag("growth_estimate: refine", refine)
     n = metric.dimension
     coarse = _scan_size(coarse, n)
     p = _vector("growth_estimate: p", p, n)

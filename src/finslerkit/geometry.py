@@ -48,7 +48,11 @@ sample raises alone.  Jet-valued g^-1 (applied to the right-hand sides
 of G and I) comes from that factor by a finite Neumann series: with
 g = g0 + dg and dg free of a value part, dg^k vanishes past the jet
 order, so g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is
-applied through the Cholesky factor of each sample, never formed.  The only
+applied through the Cholesky factor of each sample, never formed.  A stack
+is factored by one batched np.linalg.cholesky call and one sample by
+LAPACK's dpotrf directly, which skips numpy's Python-level checks and gives
+the same bits; scipy.linalg, which supplies dpotrf and the solve dpotrs,
+is imported the first time a bundle factors g.  The only
 covariant machinery materialized is the nonlinear connection; contracted
 with the geodesic velocity it agrees with the connections the covariant
 formulas need, so Christoffel symbols never appear.
@@ -60,17 +64,30 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
-                     FinslerError, InvalidParameterError, OutOfOrderError, _integer,
-                     _vector)
+                     FinslerError, InvalidParameterError, OutOfOrderError, _flag,
+                     _integer, _vector)
 from .jets import Jet, contract, deriv, hessian, outermost, partials, seed, value
 from .quadrature import ball_volume, on_sphere
 
 #: Normalized Gram-determinant threshold below which a flag is degenerate.
 FLAG_DEGENERACY_EPS = 1e-10
+
+#: scipy's LAPACK Cholesky factor and solve, bound by _load_lapack.
+dpotrf = dpotrs = None
+
+
+def _load_lapack():
+    """Bind dpotrf and dpotrs the first time a bundle factors g: importing
+    scipy.linalg costs about a third of a second that commands without a
+    bundle need not pay."""
+    global dpotrf, dpotrs
+    if dpotrs is None:
+        from scipy.linalg import lapack
+
+        dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
 
 
 @dataclass(frozen=True)
@@ -203,18 +220,19 @@ def local_geometry(metric, at, need):
 
 
 def _gated(metric, at, need):
+    one = at.x.ndim == 1  # one sample: plain scalar tests, no numpy reductions
     points = [at.x]
-    if at.x.ndim > 1:  # a run of equal rows (a scan at one point) once
+    if not one:  # a run of equal rows (a scan at one point) once
         points = at.x[np.r_[True, np.any(at.x[1:] != at.x[:-1], axis=1)]]
     for x in points:
         _check_domain(metric, x)
-    if not at.y.any(axis=-1).all():
+    if not (any(at.y.tolist()) if one else at.y.any(axis=-1).all()):
         raise DegenerateMetricError(f"tangent direction y = {at.y} is zero",
                                     x=at.x, y=at.y)
     phase, order = _NEEDS[need]
     f, f2, ys = (_phase_jets if phase else _y_jets)(metric, at.x, at.y, order)
     lg = LocalGeometry(at=at, f=f, f2=f2, ys=ys)
-    if not np.all(lg.F > 0.0):
+    if not (lg.F > 0.0 if one else np.all(lg.F > 0.0)):
         raise DegenerateMetricError(f"F = {np.min(lg.F):.6g} is not positive",
                                     x=at.x, y=at.y)
     lg._cholesky  # raises DegenerateMetricError unless g is positive definite
@@ -304,12 +322,21 @@ class LocalGeometry:
 
     @_cached
     def _cholesky(self):
-        try:
-            return np.linalg.cholesky(self.g)
-        except np.linalg.LinAlgError:
+        """The lower Cholesky factor of g (see the module docstring)."""
+        _load_lapack()
+        if self._samples:
+            try:
+                return np.linalg.cholesky(self.g)
+            except np.linalg.LinAlgError:
+                info = 1
+        else:
+            factor, info = dpotrf(self.g, lower=1, clean=1)
+            if info < 0:
+                raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        if info:
             raise DegenerateMetricError(
-                "fundamental tensor not positive definite",
-                x=self.at.x, y=self.at.y) from None
+                "fundamental tensor not positive definite", x=self.at.x, y=self.at.y)
+        return factor
 
     @_cached
     def g_inverse(self):
@@ -585,11 +612,13 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     grow again along a flat ridge.  Otherwise h shrinks eightfold, to just
     below the rungs already polled.  h starts at the mean scan spacing
     sqrt(4 pi / coarse), and the search stops once h < ASCENT_STEP_FLOOR.
-    An `x` that is not n finite numbers raises InvalidParameterError.
+    An `x` that is not n finite numbers, or a `refine` that is not a bool,
+    raises InvalidParameterError.
     """
     x = _vector("cartan_norm: x", x, metric.dimension)
     _check_domain(metric, x)
     coarse = _scan_size(coarse, metric.dimension)
+    refine = _flag("cartan_norm: refine", refine)
     return _cartan_norms(metric, x[None], coarse, refine)[0]
 
 

@@ -135,7 +135,8 @@ def _half_hessian(qform, x, n):
 def make_randers(model="flat", dimension=2, b=None):
     """Randers metric F = alpha + beta over the Riemannian `model` alpha,
     with beta = <b, y> and the ||beta||_x < 1 gate sampled at 200 interior
-    points."""
+    points, or read once at the origin on the flat model, where it is |b|
+    everywhere."""
     base = make_riemannian(model, dimension)
     # ||beta||_x < 1 is gated below, at sampled points; |b| may exceed 1
     b = _vector("b", b, dimension, lead=0.5)
@@ -148,8 +149,11 @@ def make_randers(model="flat", dimension=2, b=None):
         norm = np.sqrt(np.sum(solved * b, axis=-1))
         return float(norm) if norm.ndim == 0 else norm
 
-    rng = np.random.default_rng(11)
-    points = np.array([base.domain.sample_interior(rng) for _ in range(200)])
+    if model == "flat":  # a = I, so ||beta||_x = |b| at every point
+        points = np.zeros((1, dimension))
+    else:
+        rng = np.random.default_rng(11)
+        points = np.array([base.domain.sample_interior(rng) for _ in range(200)])
     for x, nb in zip(points, beta_norm(points)):
         if nb >= 1.0:
             raise InvalidParameterError(

@@ -348,20 +348,39 @@ def test_eval_of_a_spec_with_null_values_is_a_usage_error(capsys, spec, point):
     assert err.startswith("error: ")
 
 
+def _after_cli_import(code):
+    """Standard output of `code` run in a fresh interpreter after `import
+    finslerkit.cli`, with the package under test on the path."""
+    import finslerkit
+    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {root!r}); "
+                               f"import finslerkit.cli; {code}"],
+        capture_output=True, text=True, timeout=120)
+    return out.stdout.split(), out.stderr
+
+
 @pytest.mark.parametrize("module,first_use", [
     ("scipy.stats", "from finslerkit.quadrature import sphere_rule; sphere_rule(4)"),
     ("scipy.integrate", "from finslerkit import flow, zoo; flow.integrate_geodesic("
                         "zoo.make_funk_shifted([0.3, 0.0]), [0.1, 0.2], [0.5, -0.3], (0, 0.1))"),
-], ids=["scipy.stats", "scipy.integrate"])
+    ("scipy.linalg", "from finslerkit import geometry, zoo; geometry.fundamental_tensor("
+                     "zoo.make_funk_shifted([0.3, 0.0]), "
+                     "geometry.TangentSample([0.1, 0.2], [0.5, -0.3]))"),
+], ids=["scipy.stats", "scipy.integrate", "scipy.linalg"])
 def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, first_use):
-    """scipy.stats and scipy.integrate (each about half a second to import)
-    are loaded only when an n >= 4 sphere rule is first built or a flow
-    first solves, not when the CLI starts."""
-    import finslerkit
-    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
-    code = (f"import sys; sys.path.insert(0, {root!r}); import finslerkit.cli; "
-            f"print({module!r} in sys.modules); {first_use}; "
-            f"print({module!r} in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120)
-    assert out.stdout.split() == ["False", "True"], out.stderr
+    """scipy.stats, scipy.integrate and scipy.linalg (each a third of a
+    second or more to import) are loaded only when an n >= 4 sphere rule is
+    first built, a flow first solves or a bundle first factors g, not when
+    the CLI starts."""
+    out, err = _after_cli_import(f"print({module!r} in sys.modules); {first_use}; "
+                                 f"print({module!r} in sys.modules)")
+    assert out == ["False", "True"], err
+
+
+def test_cli_import_loads_no_scipy_module():
+    """Commands that build no bundle (zoo-list, --help, spec errors) pay
+    for numpy alone."""
+    out, err = _after_cli_import(
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out == ["[]"], err

@@ -463,9 +463,13 @@ def test_every_solve_counts_against_the_budget(funk_shifted, monkeypatch):
     ({"nodes": 2.5}, "nodes"),
     ({"nodes": np.float64(9.0)}, "nodes"),
     ({"nodes": "9"}, "nodes"),
+    ({"refine": "no"}, "refine"),
+    ({"refine": 2}, "refine"),
+    ({"refine": None}, "refine"),
 ], ids=["no-radii", "negative-radius", "nan-among-radii", "nan-radius", "no-directions",
         "negative-directions", "fractional-directions", "coarse-0", "coarse-negative",
-        "coarse-fractional", "coarse-true", "fractional-nodes", "float64-nodes", "text-nodes"])
+        "coarse-fractional", "coarse-true", "fractional-nodes", "float64-nodes", "text-nodes",
+        "text-refine", "refine-2", "refine-none"])
 def test_growth_estimate_refuses_malformed_arguments_by_name(funk_plain, arguments, name):
     """Each used to raise a bare numpy or Python error, return a record
     from the centre alone, run on silently or, for a negative radius,
@@ -510,6 +514,23 @@ def test_a_threshold_that_switches_its_check_off_is_refused(funk_shifted, call):
     trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
     with pytest.raises(InvalidParameterError):
         call(funk_shifted, trace)
+
+
+@pytest.mark.parametrize("X, connections", [
+    (lambda tr: tr.velocities[:, :1], None),
+    (lambda tr: tr.velocities[1:], None),
+    (lambda tr: tr.velocities, lambda tr: np.zeros((len(tr.times), 2, 3))),
+    (lambda tr: tr.velocities, lambda tr: np.zeros((len(tr.times) - 1, 2, 2))),
+    (lambda tr: tr.velocities, lambda tr: np.zeros((2, 2))),
+], ids=["X-of-1-column", "X-short-a-node", "connections-of-2x3", "connections-short-a-node",
+        "connections-unstacked"])
+def test_a_field_or_connections_not_shaped_as_the_trace_are_refused(funk_shifted, X,
+                                                                   connections):
+    """Each used to raise numpy's bare ValueError from a matmul or einsum."""
+    trace = integrate_geodesic(funk_shifted, [0.1, -0.2], [0.8, 0.5], (0.0, 0.5), nodes=9)
+    conns = None if connections is None else connections(trace)
+    with pytest.raises(InvalidParameterError, match="covariant_derivative_along"):
+        covariant_derivative_along(funk_shifted, trace, X(trace), connections=conns)
 
 
 def test_geodesic_solve_that_stops_short_is_a_resolution_error(funk_shifted,

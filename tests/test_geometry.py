@@ -507,6 +507,14 @@ def test_a_point_that_is_not_n_finite_numbers_is_refused_by_name(funk_shifted, c
         call(funk_shifted, x)
 
 
+@pytest.mark.parametrize("refine", ["no", 2, None, 0, np.float64(1.0)],
+                         ids=["text", "two", "none", "zero", "float64"])
+def test_a_refine_flag_that_is_not_a_bool_is_refused(funk_shifted, refine):
+    """refine="no" used to refine, since the flag was read by truthiness."""
+    with pytest.raises(InvalidParameterError, match="cartan_norm: refine"):
+        cartan_norm(funk_shifted, [0.1, 0.2], coarse=16, refine=refine)
+
+
 @pytest.mark.parametrize("fixture,nodes", [("funk_shifted", 512), ("szabo", 32768)])
 def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, nodes):
     """With tol=None, volume_density and s_curvature evaluate F on the

@@ -41,6 +41,19 @@ def _sign_changing_metric():
         name="sign_changing")
 
 
+def _nonconvex_metric():
+    """F = |y| + (1 + x^1) (y^1)^2 / |y|: positive everywhere, but its
+    indicatrix is not convex, so g is indefinite, where y points near e1
+    and x^1 > 1/2."""
+    def evaluate(x, y):
+        r = jsqrt(y[0] * y[0] + y[1] * y[1])
+        return r + (1.0 + x[0]) * y[0] * y[0] / r
+
+    return geometry.MetricField(
+        dimension=2, domain=zoo.Box(np.full(2, -1.0), np.full(2, 1.0)),
+        evaluate=evaluate, name="nonconvex")
+
+
 @pytest.mark.parametrize("spec", zoo.default_specs(), ids=lambda s: s.kind)
 def test_stacked_quantities_agree_with_single_samples(spec):
     """Every quantity run_claim evaluates on stacks gives each of 7 stacked
@@ -113,20 +126,26 @@ def test_one_sample_stays_unbatched(funk_shifted):
     assert lg.g.shape == (2, 2) and lg.R.shape == (2, 2)
 
 
-#: (x, y) rows; the middle row is the degenerate one.
+#: metric and (x, y) rows; the middle row is the degenerate one.
 DEGENERATE_MIDDLE = {
-    "F <= 0": ([[0.3, 0.1], [0.3, 0.1], [0.2, -0.4]],
+    "F <= 0": (_sign_changing_metric,
+               [[0.3, 0.1], [0.3, 0.1], [0.2, -0.4]],
                [[0.5, 0.8], [-1.0, 0.2], [0.7, 0.1]]),
-    "outside the domain": ([[0.3, 0.1], [1.5, 0.1], [0.2, -0.4]],
+    "outside the domain": (_sign_changing_metric,
+                           [[0.3, 0.1], [1.5, 0.1], [0.2, -0.4]],
                            [[0.5, 0.8], [0.5, 0.8], [0.7, 0.1]]),
+    "g not positive definite": (_nonconvex_metric,
+                                [[0.3, 0.1], [0.9, 0.1], [0.2, -0.4]],
+                                [[0.5, 0.8], [1.0, 0.1], [0.1, 0.7]]),
 }
 
 
 @pytest.mark.parametrize("need", ["g", "I", "G", "R"])
 @pytest.mark.parametrize("case", DEGENERATE_MIDDLE, ids=list(DEGENERATE_MIDDLE))
 def test_a_stack_raises_as_its_degenerate_sample_does(case, need):
-    m = _sign_changing_metric()
-    x, y = (np.array(v) for v in DEGENERATE_MIDDLE[case])
+    make, x, y = DEGENERATE_MIDDLE[case]
+    m = make()
+    x, y = np.array(x), np.array(y)
     with pytest.raises(FinslerError) as alone:
         local_geometry(m, TangentSample(x[1], y[1]), need)
     assert isinstance(alone.value, (DegenerateMetricError, DomainError))

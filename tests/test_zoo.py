@@ -255,6 +255,28 @@ def test_randers_gate_reports_its_first_failing_point():
     assert str(err.value) == "||beta||_x = 1.0057 >= 1 at x = [-6.33733048  7.70779841]"
 
 
+@pytest.mark.parametrize("b, message", [
+    ([1.2, 0.0], "||beta||_x = 1.2000 >= 1 at x = [0. 0.]"),
+    ([1.0, 0.0], "||beta||_x = 1.0000 >= 1 at x = [0. 0.]"),
+    ([0.8, 0.8], "||beta||_x = 1.1314 >= 1 at x = [0. 0.]"),
+    ([0.6, 0.0], None),
+], ids=["above-1", "at-1", "diagonal", "inside"])
+def test_a_flat_randers_gate_draws_no_points(monkeypatch, b, message):
+    """On the flat model ||beta||_x = |b| at every point, so the gate reads
+    it once, at the origin, instead of at 200 drawn points."""
+    def no_draws(self, rng, margin=0.05):
+        raise AssertionError("the flat gate drew a point")
+
+    monkeypatch.setattr(zoo.Box, "sample_interior", no_draws)
+    if message is None:
+        assert zoo.make_randers("flat", 2, b).extras["beta_norm"]([3.0, -7.0]) == 0.6
+        zoo.make_minkowski(3)
+        return
+    with pytest.raises(InvalidParameterError) as err:
+        zoo.make_randers("flat", 2, b)
+    assert str(err.value) == message
+
+
 def test_randers_drift_norm_takes_points_and_stacks():
     m = zoo.make_randers("hyperbolic_disk", b=[0.5, 0.0])
     x = np.array([[0.1, 0.2], [-0.4, 0.3], [0.0, 0.0]])
