@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, ResolutionError, _flag, _integer,
                      _number, _vector)
-from .geometry import (TangentSample, _cartan_norms, _check_domain, _mv, _scan_size, _vmv,
+from .geometry import (TangentSample, _cartan_norms, _check_domain, _gnorm, _mv, _scan_size,
                        local_geometry)
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
@@ -254,7 +254,7 @@ def torsion_trace(metric, trace, check_tol=1e-5):
         check_tol = _number("torsion_trace: check_tol", check_tol, above=0.0)
     lg = local_geometry(metric, TangentSample(trace.positions, trace.velocities), "R")
     I, J = _mv(lg.g_inverse, lg.I), _mv(lg.g_inverse, lg.J)
-    phi = np.sqrt(np.maximum(_vmv(I, lg.g, I), 0.0))
+    phi = _gnorm(I, lg.g)
     # in C order, as a loop over the nodes would store them: numpy picks
     # its einsum kernels, and so their rounding, by memory layout
     gs, conns, rops = (np.ascontiguousarray(a) for a in (lg.g, lg.N, lg.R))

@@ -69,7 +69,7 @@ from .domains import Domain
 from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
                      FinslerError, InvalidParameterError, OutOfOrderError, _flag,
                      _integer, _vector)
-from .jets import Jet, contract, deriv, hessian, outermost, partials, seed, value
+from .jets import Jet, contract, hessian, outermost, partials, seed, value
 from .quadrature import ball_volume, on_sphere
 
 #: Normalized Gram-determinant threshold below which a flag is degenerate.
@@ -121,39 +121,32 @@ class TangentSample:
 class FundamentalTensor:
     g: np.ndarray
     g_inverse: np.ndarray
-    at: TangentSample
 
     def inner(self, u, v):
         return _scalar(_vmv(np.asarray(u, dtype=float), self.g, np.asarray(v, dtype=float)))
 
     def norm(self, u):
-        u = np.asarray(u, dtype=float)
-        return _scalar(np.sqrt(np.maximum(_vmv(u, self.g, u), 0.0)))
+        return _gnorm(np.asarray(u, dtype=float), self.g)
 
 
 @dataclass(frozen=True)
 class SprayData:
     G: np.ndarray
     N: np.ndarray
-    at: TangentSample
 
 
 @dataclass(frozen=True)
 class RiemannOperator:
     R: np.ndarray
-    R_lowered: np.ndarray
-    at: TangentSample
 
 
 @dataclass(frozen=True)
 class TorsionVector:
     covariant: np.ndarray
     contravariant: np.ndarray
-    at: TangentSample
 
     def norm(self, g_inverse):
-        c = self.covariant
-        return _scalar(np.sqrt(np.maximum(_vmv(c, g_inverse, c), 0.0)))
+        return _gnorm(self.covariant, g_inverse)
 
 
 @dataclass(frozen=True)
@@ -275,6 +268,11 @@ def _vm(v, a):
 def _vmv(u, a, v):
     """The bilinear form u^T a v over the sample axes."""
     return ((u[..., None, :] @ a) @ v[..., None])[..., 0, 0]
+
+
+def _gnorm(v, a):
+    """sqrt(v^T a v) over the sample axes, clipped at 0: a g-norm or g^-1-conorm."""
+    return _scalar(np.sqrt(np.maximum(_vmv(v, a, v), 0.0)))
 
 
 @dataclass(frozen=True)
@@ -454,7 +452,7 @@ class LocalGeometry:
 
     def conorm(self, covector):
         """g-norm of a covector, sqrt(c_i g^{ij} c_j)."""
-        return _scalar(np.sqrt(np.maximum(_vmv(covector, self.g_inverse, covector), 0.0)))
+        return _gnorm(covector, self.g_inverse)
 
 
 # -- operations -------------------------------------------------------------
@@ -462,19 +460,19 @@ class LocalGeometry:
 def fundamental_tensor(metric, at):
     """g_ij = 1/2 d^2 F^2 / dy^i dy^j with its inverse."""
     lg = local_geometry(metric, at, "g")
-    return FundamentalTensor(g=lg.g, g_inverse=lg.g_inverse, at=at)
+    return FundamentalTensor(g=lg.g, g_inverse=lg.g_inverse)
 
 
 def spray(metric, at):
     """Spray coefficients G^i and nonlinear connection N^i_j = dG^i/dy^j."""
     lg = local_geometry(metric, at, "N")
-    return SprayData(G=lg.G, N=lg.N, at=at)
+    return SprayData(G=lg.G, N=lg.N)
 
 
 def riemann(metric, at):
     """Riemann operator R^i_k from the spray, term by term."""
     lg = local_geometry(metric, at, "R")
-    return RiemannOperator(R=lg.R, R_lowered=lg.g @ lg.R, at=at)
+    return RiemannOperator(R=lg.R)
 
 
 def flag_curvature(metric, at, u):
@@ -522,13 +520,13 @@ def distortion(metric, at, tol=None):
 def mean_cartan(metric, at):
     """Mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i (no quadrature)."""
     lg = local_geometry(metric, at, "I")
-    return TorsionVector(covariant=lg.I, contravariant=_mv(lg.g_inverse, lg.I), at=at)
+    return TorsionVector(covariant=lg.I, contravariant=_mv(lg.g_inverse, lg.I))
 
 
 def mean_landsberg(metric, at):
     """Mean Landsberg torsion J_i, the y-contracted horizontal derivative of I_i."""
     lg = local_geometry(metric, at, "R")
-    return TorsionVector(covariant=lg.J, contravariant=_mv(lg.g_inverse, lg.J), at=at)
+    return TorsionVector(covariant=lg.J, contravariant=_mv(lg.g_inverse, lg.J))
 
 
 def _density_slope(metric, x, y, points, weights, jacobian=False):
@@ -549,7 +547,7 @@ def _density_slope(metric, x, y, points, weights, jacobian=False):
     if not isinstance(fj, Jet):  # metric independent of x
         fj = Jet.constant(fj, n, order)
     fvals = fj.value
-    grad = np.stack([deriv(fj, d).value for d in range(n)])
+    grad = fj.coeffs[1:n + 1]  # the degree-1 coefficients: the first partials
     ball = weights * fvals ** (-n)
     denom = float(np.sum(ball)) / n
     w = ball / (denom * fvals)

@@ -490,14 +490,20 @@ def _contraction(subscripts):
 
 # -- lifted smooth primitives ----------------------------------------------
 
+def _power(x, exponent, first):
+    """The jet of x ** exponent whose value is `first`: np.sqrt and np.power
+    need not round that value alike, so each caller gives its own."""
+    v = x.value
+    series = [first]
+    for k in range(1, x.order + 1):
+        series.append(series[-1] * (exponent - (k - 1)) / (k * v))
+    return x._compose(series)
+
+
 def jsqrt(x):
     if not isinstance(x, Jet):
         return np.sqrt(x)
-    v = x.value
-    series = [np.sqrt(v)]
-    for k in range(1, x.order + 1):
-        series.append(series[-1] * (0.5 - (k - 1)) / (k * v))
-    return x._compose(series)
+    return _power(x, 0.5, np.sqrt(x.value))
 
 
 def jexp(x):
@@ -527,8 +533,4 @@ def jpow(x, exponent):
         return np.power(x, exponent)
     if isinstance(exponent, (int, np.integer)):
         return x ** int(exponent)
-    v = x.value
-    series = [np.power(v, exponent)]
-    for k in range(1, x.order + 1):
-        series.append(series[-1] * (exponent - (k - 1)) / (k * v))
-    return x._compose(series)
+    return _power(x, exponent, np.power(x.value, exponent))

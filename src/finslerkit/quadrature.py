@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, QuadratureToleranceError, _number
+from .errors import InvalidParameterError, QuadratureToleranceError, _integer, _number
 
 CIRCLE_NODES = 512
 GAUSS_NODES = 128
@@ -38,17 +38,23 @@ def sphere_area(n):
     return n * ball_volume(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True never hit 2 and 1
 def sphere_rule(n, level=0):
     """Nodes (K, n) and weights (K,) integrating over S^{n-1}.
 
     `level` halves the node count once per unit (used for convergence
     checks); weights always sum to the sphere area.  Returns
     (points, weights), both read-only: the cache hands the same arrays to
-    every caller.
+    every caller.  An `n` that is not an integer of at least 2, or a
+    `level` that is not an integer of at least 0 or leaves a factor of the
+    rule no node, raises InvalidParameterError.
     """
-    if n < 2:
-        raise InvalidParameterError(f"sphere quadrature requires n >= 2, not {n}")
+    n = _integer("sphere quadrature dimension n", n, least=2)
+    level = _integer("sphere quadrature level", level, least=0)
+    fewest = {2: CIRCLE_NODES, 3: min(GAUSS_NODES, AZIMUTH_NODES)}.get(n, 2 ** QMC_LOG2_NODES)
+    if fewest >> level == 0:
+        raise InvalidParameterError(f"sphere quadrature level {level} leaves the S^{n - 1} "
+                                    f"rule no node; the most is {fewest.bit_length() - 1}")
     if n == 2:
         k = CIRCLE_NODES >> level
         theta = 2.0 * np.pi * np.arange(k) / k

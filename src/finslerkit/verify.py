@@ -24,14 +24,15 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from itertools import groupby
 
 import numpy as np
 import yaml
 
 from .errors import (FinslerError, InvalidParameterError, _check_keys, _integer, _number,
                      _vector)
-from .geometry import (TangentSample, _density_slope, _dot, _mv, _phase_jets, _vmv,
-                       flag_curvature, fundamental_tensor, local_geometry, s_curvature)
+from .geometry import (TangentSample, _density_slope, _dot, _gnorm, _mv, _norm_at, _phase_jets,
+                       _vmv, flag_curvature, fundamental_tensor, local_geometry, s_curvature)
 from .jets import partials
 from .quadrature import on_sphere
 from .zoo import MetricSpec, build_metric
@@ -292,7 +293,7 @@ def _eval_riemann_annihilates_torsion(metric, at, drawn, params):
     ri = _mv(lg.R, torsion)
     flat = lg.R.reshape(lg.R.shape[:-2] + (-1,))
     scale = np.maximum(np.sqrt(_dot(flat, flat)) * np.maximum(lg.conorm(lg.I), 1e-30), 1e-30)
-    ri_norm = np.sqrt(np.maximum(_vmv(ri, lg.g, ri), 0.0))
+    ri_norm = _gnorm(ri, lg.g)
     pairing = np.abs(_vmv(ri, lg.g, torsion))
     return np.maximum(ri_norm, pairing) / scale
 
@@ -347,8 +348,7 @@ def _eval_cartan_bound(metric, at, drawn, params):
     b = beta_norm(at.x)
     bound = (metric.dimension + 1) / np.sqrt(2.0) * np.sqrt(1.0 - np.sqrt(1.0 - b * b))
     # ||I_y|| is (-1)-homogeneous in y; the bound applies at F-unit vectors
-    lg = local_geometry(metric, at, "I")
-    return lg.F * lg.conorm(lg.I) - bound
+    return _norm_at(metric, at.x, at.y) - bound
 
 
 def _fit_directions(rng, n):
@@ -395,7 +395,6 @@ _QUANTITIES = {
     "riemann_annihilates_torsion": _Quantity(_eval_riemann_annihilates_torsion,
                                              stacked=True),
 }
-QUANTITIES = tuple(_QUANTITIES)
 
 
 # -- reports ------------------------------------------------------------------
@@ -522,10 +521,13 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3):
 
 
 def run_suite(claims, parallelism=1):
-    """Run claims (possibly in parallel) and merge reports by claim id.
-    A `parallelism` that is not an integer of at least 1 raises
-    InvalidParameterError."""
+    """Run claims (possibly in parallel), one report each, sorted by claim
+    id.  Claims that share an id, or a `parallelism` that is not an integer
+    of at least 1, raise InvalidParameterError before any claim runs."""
     parallelism = _integer("parallelism", parallelism, least=1)
+    repeated = [i for i, same in groupby(sorted(c.id for c in claims)) if len(list(same)) > 1]
+    if repeated:
+        raise InvalidParameterError(f"claim ids must be unique; repeated: {repeated}")
     if parallelism > 1 and len(claims) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             reports = list(pool.map(run_claim, claims))

@@ -7,6 +7,7 @@ derivations can differentiate straight through them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,19 +100,16 @@ def make_riemannian(model="flat", dimension=2):
     of one's own goes in as a MetricField."""
     if model not in RIEMANN_MODELS:
         raise InvalidParameterError(f"unknown Riemannian model {model!r}")
-    dom = Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension))
+    dom = (Ball(dimension) if model == "hyperbolic_disk"
+           else Box(-10.0 * np.ones(dimension), 10.0 * np.ones(dimension)))
     if model == "flat":
         def qform(x, y):
             return _dot(y, y)
-    elif model == "sphere":
-        def qform(x, y):  # stereographic chart of the unit sphere
-            c = 1.0 + _dot(x, x)
-            return 4.0 * _dot(y, y) / (c * c)
-    else:
-        dom = Ball(dimension)
+    else:  # 4|y|^2 / (1 +- |x|^2)^2: the sphere's stereographic chart or the Poincare disk
+        bend = operator.add if model == "sphere" else operator.sub
 
-        def qform(x, y):  # Poincare disk
-            c = 1.0 - _dot(x, x)
+        def qform(x, y):
+            c = bend(1.0, _dot(x, x))
             return 4.0 * _dot(y, y) / (c * c)
     spec = MetricSpec("riemannian", dimension, {"model": model})
     return MetricField(

@@ -212,6 +212,16 @@ def test_claim_command_filters_by_id(tmp_path, capsys):
     assert payload["claims"][0]["claim_id"] == "flat-cartan"
 
 
+@pytest.mark.parametrize("command", [["suite"], ["claim", "--id", "flat-cartan"]])
+def test_a_repeated_claim_id_is_a_usage_error(tmp_path, capsys, command):
+    """`claim --id` would run both claims of the id and print two reports."""
+    path = tmp_path / "claims.yaml"
+    path.write_text(CLAIMS_YAML + CLAIMS_YAML[CLAIMS_YAML.index("- id: flat-cartan"):])
+    code, out, err = run_cli(capsys, command[0], "--file", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "flat-cartan" in err
+
+
 def test_zoo_list_emits_reconstructible_specs(capsys):
     code, out, _ = run_cli(capsys, "zoo-list", "--emit-specs")
     assert code == 0

@@ -1,6 +1,7 @@
 """Pointwise differential-geometric quantities."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from finslerkit.geometry import (TangentSample, cartan_norm, distortion,
                                  local_geometry, mean_cartan, mean_landsberg,
                                  riemann, s_curvature, spray, volume_density)
 from finslerkit.jets import extract, jsqrt, seed, value
-from finslerkit.quadrature import ball_volume, sphere_rule
+from finslerkit.quadrature import ball_volume, sphere_area, sphere_rule
 
 CONST_SPD = np.array([[2.0, 0.3], [0.3, 1.5]])
 
@@ -596,6 +597,27 @@ def test_cached_sphere_rules_are_read_only(n, level):
 def test_no_sphere_rule_below_the_circle(n):
     with pytest.raises(InvalidParameterError):
         sphere_rule(n)
+
+
+@pytest.mark.parametrize("n, level", [
+    (2, -1), (2, 1.5), (2, "1"), (2, None), (2, True), (2.0, 0), (3.0, 1), ("3", 0),
+    (None, 0)])
+def test_sphere_rule_refuses_a_malformed_dimension_or_level(n, level):
+    """n is an integer of at least 2 and level one of at least 0; a bool or
+    a float is refused even when the equal int rule is cached."""
+    sphere_rule(2, 1), sphere_rule(3, 1), sphere_rule(2)
+    with pytest.raises(InvalidParameterError, match="sphere quadrature"):
+        sphere_rule(n, level)
+
+
+@pytest.mark.parametrize("n, most", [(2, 9), (3, 7), (4, 16)])
+def test_sphere_rule_levels_stop_where_a_factor_runs_out_of_nodes(n, most):
+    """The circle's 512 nodes, the 128 Gauss nodes of S^2 and the 2^16
+    Sobol points of S^3 halve down to one node, and no further."""
+    points, weights = sphere_rule(n, most)
+    assert len(points) >= 1 and math.isclose(weights.sum(), sphere_area(n))
+    with pytest.raises(InvalidParameterError, match=f"the most is {most}"):
+        sphere_rule(n, most + 1)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -125,6 +125,19 @@ def test_parallel_run_matches_serial():
     assert s == p
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_claims_that_share_an_id_are_refused_before_any_runs(monkeypatch, parallelism):
+    """Two reports named `a` would be indistinguishable, so a list with a
+    repeated id runs no claim; the message names every repeated id."""
+    ran = []
+    monkeypatch.setattr(verify, "run_claim", ran.append)
+    claims = [_claim(id="a"), _claim(id="b"), _claim(id="a"), _claim(id="c"),
+              _claim(id="c"), _claim(id="a")]
+    with pytest.raises(InvalidParameterError, match=r"repeated: \['a', 'c'\]"):
+        run_suite(claims, parallelism=parallelism)
+    assert ran == []
+
+
 @pytest.mark.parametrize("parallelism", [0, -1, 1.5, True])
 def test_fewer_than_one_worker_is_refused(parallelism):
     with pytest.raises(InvalidParameterError):
