@@ -13,9 +13,8 @@ from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
                      QuadratureToleranceError, ResolutionError,
                      UnsupportedOrderError)
 from .jets import Jet, deriv, extract, jexp, jlog, jpow, jsqrt, seed, value
-from .domains import Ball, Box, DiskCylinder, Domain, product_domain
-from .geometry import (CartanNormResult, FundamentalTensor, MetricField,
-                       RiemannOperator, SprayData, TangentSample,
+from .domains import Ball, Box, DiskCylinder, Domain
+from .geometry import (CartanNormResult, MetricField, TangentSample,
                        TorsionVector, cartan_norm, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        riemann, s_curvature, spray, volume_density)

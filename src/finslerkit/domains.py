@@ -74,16 +74,13 @@ class DiskCylinder(Domain):
         return np.concatenate([[r * np.cos(theta), r * np.sin(theta)], rest])
 
 
-def product_domain(d1: Domain, d2: Domain, n1: int, n2: int) -> Domain:
-    return _ProductDomain(d1, d2, n1, n2)
-
-
 @dataclass(frozen=True)
-class _ProductDomain(Domain):
+class ProductDomain(Domain):
+    """The first n1 coordinates lie in `first`, the rest in `second`."""
+
     first: Domain
     second: Domain
     n1: int
-    n2: int
 
     def margin(self, x):
         x = np.asarray(x, dtype=float)

@@ -137,10 +137,13 @@ class GeodesicTrace:
     positions: np.ndarray   # (K, n)
     velocities: np.ndarray  # (K, n)
     speed_drift: float
-    exit: bool = False
-    exit_time: float = None
+    exit_time: float = None  # where the chart margin fell to EXIT_MARGIN, or None
     nfev: int = 0    # right-hand-side evaluations made by the ODE solver
     steps: int = 0   # accepted solver steps
+
+    @property
+    def exit(self):
+        return self.exit_time is not None
 
     @property
     def diff_matrix(self):
@@ -188,7 +191,6 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     near_boundary.direction = -1
     sol = _solve("integrate_geodesic", metric, rhs, t_span, np.concatenate([x0, y0]),
                  "RK45", tol, events=near_boundary)
-    exited = bool(sol.t_events[0].size)
     t_end = float(sol.t[-1])  # the end of t_span, or the exit time
     times = chebyshev_nodes(sol.t[0], t_end, nodes)
     states = sol.sol(times)
@@ -197,8 +199,8 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     speeds = np.asarray(metric.evaluate(positions.T, velocities.T), dtype=float)
     drift = float(np.max(np.abs(speeds - speeds[0])))
     return GeodesicTrace(times=times, positions=positions, velocities=velocities,
-                         speed_drift=drift, exit=exited,
-                         exit_time=t_end if exited else None,
+                         speed_drift=drift,
+                         exit_time=t_end if sol.t_events[0].size else None,
                          nfev=int(sol.nfev), steps=len(sol.t) - 1)
 
 
@@ -325,13 +327,14 @@ def growth_estimate(metric, p, radii, directions=12, seed=0, refine=False,
     share stacked bundles (see geometry.cartan_norm); with `refine`, each
     point then ascends alone.  `p` must be n finite numbers, `radii` one or
     more finite numbers, none negative, `directions` an integer of at least
-    1, `nodes` one of at least 2 and `refine` a bool, or
-    InvalidParameterError.
+    1, `nodes` one of at least 2, `seed` one of at least 0 and `refine` a
+    bool, or InvalidParameterError.
     """
     radii = np.sort(_vector("growth_estimate: radii", radii, None))
     _number("growth_estimate: smallest of the radii", radii[0], least=0.0)
     directions = _integer("growth_estimate: directions", directions, least=1)
     nodes = _integer("growth_estimate: nodes", nodes, least=2)
+    seed = _integer("growth_estimate: seed", seed, least=0)
     refine = _flag("growth_estimate: refine", refine)
     n = metric.dimension
     coarse = _scan_size(coarse, n)

@@ -5,8 +5,9 @@ evaluates the squared metric once per tangent sample, as a jet, and every
 tensor at that sample is read off that one jet by shifting coefficients:
 the fundamental tensor g and its inverse, the spray G, the nonlinear
 connection N^i_j = dG^i/dy^j, the y-Hessian of G, the Riemann operator R,
-and the mean Cartan and Landsberg torsions I and J.  The public functions
-below are thin views on it.
+and the mean Cartan and Landsberg torsions I and J.  fundamental_tensor,
+spray and riemann return that bundle, a LocalGeometry built for need "g",
+"N" and "R"; the other public functions below are thin views on it.
 
 `need` names the most demanding quantity a caller will read; it fixes the
 seeding and the jet order of F^2:
@@ -115,29 +116,6 @@ class TangentSample:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-
-
-@dataclass(frozen=True)
-class FundamentalTensor:
-    g: np.ndarray
-    g_inverse: np.ndarray
-
-    def inner(self, u, v):
-        return _scalar(_vmv(np.asarray(u, dtype=float), self.g, np.asarray(v, dtype=float)))
-
-    def norm(self, u):
-        return _gnorm(np.asarray(u, dtype=float), self.g)
-
-
-@dataclass(frozen=True)
-class SprayData:
-    G: np.ndarray
-    N: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiemannOperator:
-    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -450,6 +428,14 @@ class LocalGeometry:
         I_y = partials(self._I, self._y).value
         return _mv(I_x, self.at.y) - 2.0 * _mv(I_y, self.G) - _vm(self.I, self.N)
 
+    def inner(self, u, v):
+        """g(u, v) = u^i g_ij v^j."""
+        return _scalar(_vmv(np.asarray(u, dtype=float), self.g, np.asarray(v, dtype=float)))
+
+    def norm(self, u):
+        """g-norm of a vector, sqrt(u^i g_ij u^j)."""
+        return _gnorm(np.asarray(u, dtype=float), self.g)
+
     def conorm(self, covector):
         """g-norm of a covector, sqrt(c_i g^{ij} c_j)."""
         return _gnorm(covector, self.g_inverse)
@@ -458,21 +444,18 @@ class LocalGeometry:
 # -- operations -------------------------------------------------------------
 
 def fundamental_tensor(metric, at):
-    """g_ij = 1/2 d^2 F^2 / dy^i dy^j with its inverse."""
-    lg = local_geometry(metric, at, "g")
-    return FundamentalTensor(g=lg.g, g_inverse=lg.g_inverse)
+    """The need-"g" bundle: g_ij = 1/2 d^2 F^2 / dy^i dy^j, g^-1, inner and norm."""
+    return local_geometry(metric, at, "g")
 
 
 def spray(metric, at):
-    """Spray coefficients G^i and nonlinear connection N^i_j = dG^i/dy^j."""
-    lg = local_geometry(metric, at, "N")
-    return SprayData(G=lg.G, N=lg.N)
+    """The need-"N" bundle: spray coefficients G^i and N^i_j = dG^i/dy^j."""
+    return local_geometry(metric, at, "N")
 
 
 def riemann(metric, at):
-    """Riemann operator R^i_k from the spray, term by term."""
-    lg = local_geometry(metric, at, "R")
-    return RiemannOperator(R=lg.R)
+    """The need-"R" bundle: the Riemann operator R^i_k, from the spray term by term."""
+    return local_geometry(metric, at, "R")
 
 
 def flag_curvature(metric, at, u):

@@ -80,6 +80,8 @@ class Claim:
     reference: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise InvalidParameterError(f"claim id must be a non-empty string, not {self.id!r}")
         for name, record in (("metric", MetricSpec), ("samples", SamplePlan)):
             if not isinstance(getattr(self, name), record):
                 raise InvalidParameterError(
@@ -503,9 +505,17 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3):
     """_closed_one_form_residual at the plan's base points (10 by default),
     with max(2n, 6) fit directions; it passes if every residual is at most
     `tol`.  Each point costs one need-"R" bundle over the fit directions
-    and one sphere pass; no derivative is taken by finite differences."""
+    and one sphere pass; no derivative is taken by finite differences.  A
+    `c` that is not a finite number, a `tol` that is not positive and
+    finite, or `samples` that is neither a SamplePlan nor None raises
+    InvalidParameterError."""
     start = time.perf_counter()
-    samples = samples or SamplePlan(count=10)
+    c = _number("closed_one_form_check: c", c)
+    tol = _number("closed_one_form_check: tol", tol, above=0.0)
+    samples = SamplePlan(count=10) if samples is None else samples
+    if not isinstance(samples, SamplePlan):
+        raise InvalidParameterError(
+            f"closed_one_form_check: samples must be a SamplePlan or None, not {samples!r}")
     rng = np.random.default_rng(samples.seed + 2)
     dirs = _fit_directions(rng, metric.dimension)
     residuals, worst = [], {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .domains import Ball, Box, DiskCylinder, Domain, product_domain
+from .domains import Ball, Box, DiskCylinder, Domain, ProductDomain
 from .errors import (ImplicitSolveError, InvalidParameterError, InvalidProfileError,
                      _check_keys, _integer, _number, _vector)
 from .geometry import MetricField
@@ -86,6 +86,7 @@ def make_euclidean(dimension=2):
 def make_minkowski(dimension=2, b=None):
     """Locally Minkowski (x-independent) Randers-type norm |y| + <b, y>: the
     flat randers metric under its own kind name."""
+    dimension = _integer("dimension", dimension, least=1)
     b = _vector("b", b, dimension, lead=0.4, unit_ball=True)
     return replace(make_randers("flat", dimension, b), name="minkowski",
                    spec=MetricSpec("minkowski", dimension, {"b": b}))
@@ -98,6 +99,7 @@ def make_riemannian(model="flat", dimension=2):
     """F = sqrt(a_ij(x) y^i y^j) for a named space form: the flat metric, the
     round sphere in its stereographic chart, or the Poincare disk.  A metric
     of one's own goes in as a MetricField."""
+    dimension = _integer("dimension", dimension, least=1)
     if model not in RIEMANN_MODELS:
         raise InvalidParameterError(f"unknown Riemannian model {model!r}")
     dom = (Ball(dimension) if model == "hyperbolic_disk"
@@ -171,6 +173,7 @@ def make_randers(model="flat", dimension=2, b=None):
 
 def make_funk_shifted(a=None, dimension=2):
     """Shifted Funk family on the unit ball (closed form)."""
+    dimension = _integer("dimension", dimension, least=1)
     a = _vector("a", a, dimension, lead=0.0, unit_ball=True)
 
     def evaluate(x, y):
@@ -275,6 +278,7 @@ def make_funk_implicit(phi=None, dimension=2, b=None):
     with a drift b, the norm of make_minkowski; any other phi, a callable
     included, raises InvalidParameterError.
     """
+    dimension = _integer("dimension", dimension, least=1)
     if b is not None and phi != "randers":
         raise InvalidParameterError(f"a drift b applies to phi = 'randers', not {phi!r}")
     if phi is None or phi == "euclidean":
@@ -377,11 +381,14 @@ def epsilon_profile(eps):
 
 
 def make_szabo_product(alpha1, alpha2, profile):
-    """F = sqrt(f(alpha1^2, alpha2^2)) on the product chart; checks the profile."""
+    """F = sqrt(f(alpha1^2, alpha2^2)) on the product chart; checks the profile
+    and that each factor has extras["quadratic_form"], as Riemannian ones do."""
     profile.validate()
     n1, n2 = alpha1.dimension, alpha2.dimension
-    q1 = alpha1.extras["quadratic_form"]
-    q2 = alpha2.extras["quadratic_form"]
+    for alpha in (alpha1, alpha2):
+        if "quadratic_form" not in alpha.extras:
+            raise InvalidParameterError(f"product factor {alpha.name} has no quadratic form")
+    q1, q2 = alpha1.extras["quadratic_form"], alpha2.extras["quadratic_form"]
 
     def evaluate(x, y):
         s = q1(x[:n1], y[:n1])
@@ -394,7 +401,7 @@ def make_szabo_product(alpha1, alpha2, profile):
     spec = MetricSpec("szabo_product", n1 + n2, params)
     return MetricField(
         dimension=n1 + n2,
-        domain=product_domain(alpha1.domain, alpha2.domain, n1, n2),
+        domain=ProductDomain(alpha1.domain, alpha2.domain, n1),
         evaluate=evaluate, name="szabo_product", spec=spec,
         extras={"factors": (alpha1, alpha2), "profile": profile},
     )
@@ -427,8 +434,7 @@ def make_szabo_epsilon(eps=0.5):
 
 def make_incomplete_slab(dimension=3):
     """Flat, zero-S metric on the solid cylinder s^2 + t^2 < 1 with J != 0."""
-    if dimension < 2:
-        raise InvalidParameterError("slab metric needs dimension >= 2")
+    dimension = _integer("slab metric dimension", dimension, least=2)
 
     def evaluate(x, y):
         s, t = x[0], x[1]

@@ -141,6 +141,9 @@ MALFORMED_CLAIMS = {
     "negative-seed": _edited(samples={"count": 5, "seed": -1}),
     "unit-margin": _edited(samples={"count": 5, "margin": 1.0}),
     "negative-margin": _edited(samples={"count": 5, "margin": -0.1}),
+    # run_suite sorts reports by id, so an id must be text: 1 beside a did not sort
+    "number-id": _edited(id=1),
+    "empty-id": _edited(id=""),
 }
 
 

@@ -466,14 +466,18 @@ def test_every_solve_counts_against_the_budget(funk_shifted, monkeypatch):
     ({"refine": "no"}, "refine"),
     ({"refine": 2}, "refine"),
     ({"refine": None}, "refine"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
 ], ids=["no-radii", "negative-radius", "nan-among-radii", "nan-radius", "no-directions",
         "negative-directions", "fractional-directions", "coarse-0", "coarse-negative",
         "coarse-fractional", "coarse-true", "fractional-nodes", "float64-nodes", "text-nodes",
-        "text-refine", "refine-2", "refine-none"])
+        "text-refine", "refine-2", "refine-none", "negative-seed", "fractional-seed",
+        "true-seed"])
 def test_growth_estimate_refuses_malformed_arguments_by_name(funk_plain, arguments, name):
     """Each used to raise a bare numpy or Python error, return a record
-    from the centre alone, run on silently or, for a negative radius,
-    never return."""
+    from the centre alone, run on silently (seed=True drew as seed 1) or,
+    for a negative radius, never return."""
     kwargs = {"radii": [0.5], "directions": 2, "coarse": 16, "nodes": 9, **arguments}
     with deadline(5.0), pytest.raises(InvalidParameterError, match=name):
         growth_estimate(funk_plain, np.zeros(2), **kwargs)

@@ -351,3 +351,46 @@ def test_phi_convexity_claim_passes(spec):
     report = run_claim(claim)
     assert report.passed, report.detail
     assert report.count == 3
+
+
+def test_a_claim_built_in_python_needs_an_id():
+    """Claim(id=None) used to be built; a claim file's null id was refused."""
+    with pytest.raises(InvalidParameterError, match="claim id"):
+        _claim(id=None)
+
+
+@pytest.mark.parametrize("arguments, name", [
+    ({"c": "abc"}, "c"),
+    ({"c": 0.5, "tol": None}, "tol"),
+    ({"c": 0.5, "tol": float("nan")}, "tol"),
+    ({"c": 0.5, "samples": {"count": 1}}, "samples"),
+], ids=["text-c", "null-tol", "nan-tol", "samples-mapping"])
+def test_closed_one_form_check_refuses_malformed_arguments_by_name(arguments, name):
+    """These raised numpy's UFuncTypeError, a bare TypeError and an
+    AttributeError, and a NaN tol failed every point."""
+    m = zoo.make_funk_shifted([0.3, 0.0])
+    with pytest.raises(InvalidParameterError, match=f"closed_one_form_check: {name}"):
+        closed_one_form_check(m, **arguments)
+
+
+SHIPPED = load_claims(str(Path(__file__).parents[1] / "claims" / "acceptance.yaml"))
+
+
+@pytest.mark.parametrize("claim", SHIPPED + [
+    _claim(id="funk-flag-curvature-fixed-edge", parameters={"u": [1.0, 0.0]})
+], ids=lambda claim: claim.id)
+def test_every_shipped_claim_runs_in_process(claim):
+    """Each shipped claim at 2 samples and its own seed, and one flag
+    curvature claim with a fixed edge u, gives a report whose verdict
+    follows from its worst deviation.  Whether a claim passes is not
+    asserted: `finslerkit suite` shows that, szabo-s-curvature's known
+    failure included."""
+    claim = dataclasses.replace(claim, samples=dataclasses.replace(claim.samples, count=2))
+    report = run_claim(claim)
+    assert (report.count, report.detail) == (2, "")
+    assert np.all(np.isfinite(list(report.stats.values())))
+    deviation = report.worst_sample["deviation"]
+    if claim.target["kind"] == "exceeds":  # the deviation is target minus the largest value
+        assert report.passed == (deviation < 0.0)
+    else:
+        assert report.passed == (deviation <= claim.tolerance)

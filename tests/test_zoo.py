@@ -391,3 +391,28 @@ def test_implicit_funk_domain_is_bit_identical_to_its_closure(phi, b):
         draws.append((np.array(points), [domain.margin(p) for p in points]))
     assert draws[0][0].tobytes() == draws[1][0].tobytes()
     assert draws[0][1] == draws[1][1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoo.make_incomplete_slab("3"),
+    lambda: zoo.make_riemannian("flat", 2.5),
+    lambda: zoo.make_euclidean("2"),
+    lambda: zoo.make_randers("flat", "2"),
+    lambda: zoo.make_minkowski(2.5),
+    lambda: zoo.make_funk_shifted(None, 2.5),
+    lambda: zoo.make_funk_implicit(None, 2.5),
+    lambda: zoo.make_funk_implicit("randers", None),
+], ids=["text-slab", "fractional-riemannian", "text-euclidean", "text-randers",
+        "fractional-minkowski", "fractional-funk-shifted", "fractional-funk-implicit",
+        "null-funk-implicit-randers"])
+def test_a_constructor_refuses_a_dimension_that_is_not_a_whole_number(build):
+    """Each raised a bare TypeError before its dimension was gated."""
+    with pytest.raises(InvalidParameterError, match="dimension"):
+        build()
+
+
+def test_a_product_factor_without_a_quadratic_form_is_refused_by_name():
+    """It used to raise KeyError: 'quadratic_form'."""
+    with pytest.raises(InvalidParameterError, match="factor funk_ball_shifted"):
+        zoo.make_szabo_product(zoo.make_funk_shifted(), zoo.make_riemannian("flat", 1),
+                               zoo.epsilon_profile(0.5))
