@@ -15,7 +15,7 @@ from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
 from .jets import Jet, deriv, extract, jexp, jlog, jpow, jsqrt, seed, value
 from .domains import Ball, Box, DiskCylinder, Domain
 from .geometry import (CartanNormResult, MetricField, TangentSample,
-                       TorsionVector, cartan_norm, distortion, flag_curvature,
+                       cartan_norm, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        riemann, s_curvature, spray, volume_density)
 from .zoo import (KINDS, MetricSpec, ProductProfile, build_metric,

@@ -29,8 +29,8 @@ EVAL_QUANTITIES = {
     "G": lambda metric, at, u: spray(metric, at).G,
     "K": lambda metric, at, u: flag_curvature(metric, at, u),
     "S": lambda metric, at, u: s_curvature(metric, at),
-    "I": lambda metric, at, u: mean_cartan(metric, at).covariant,
-    "J": lambda metric, at, u: mean_landsberg(metric, at).covariant,
+    "I": lambda metric, at, u: mean_cartan(metric, at).I,
+    "J": lambda metric, at, u: mean_landsberg(metric, at).J,
     "tau": lambda metric, at, u: distortion(metric, at),
     "sigma": lambda metric, at, u: volume_density(metric, at.x),
 }

@@ -5,9 +5,10 @@ evaluates the squared metric once per tangent sample, as a jet, and every
 tensor at that sample is read off that one jet by shifting coefficients:
 the fundamental tensor g and its inverse, the spray G, the nonlinear
 connection N^i_j = dG^i/dy^j, the y-Hessian of G, the Riemann operator R,
-and the mean Cartan and Landsberg torsions I and J.  fundamental_tensor,
-spray and riemann return that bundle, a LocalGeometry built for need "g",
-"N" and "R"; the other public functions below are thin views on it.
+and the mean Cartan and Landsberg torsions I and J.  Five views return
+that bundle, a LocalGeometry: fundamental_tensor (built for need "g"),
+spray ("N"), riemann ("R"), mean_cartan ("I") and mean_landsberg ("R");
+the other public functions below are thin views on it.
 
 `need` names the most demanding quantity a caller will read; it fixes the
 seeding and the jet order of F^2:
@@ -119,15 +120,6 @@ class TangentSample:
 
 
 @dataclass(frozen=True)
-class TorsionVector:
-    covariant: np.ndarray
-    contravariant: np.ndarray
-
-    def norm(self, g_inverse):
-        return _gnorm(self.covariant, g_inverse)
-
-
-@dataclass(frozen=True)
 class CartanNormResult:
     value: float
     direction: np.ndarray
@@ -172,13 +164,16 @@ _NEEDS = {"g": (False, 2), "I": (False, 3), "G": (True, 2), "N": (True, 3),
 def local_geometry(metric, at, need):
     """The LocalGeometry of `metric` at `at`, one sample or a (K, n) stack,
     able to give every quantity up to `need` (see the module docstring).
-    An x and y of different shapes, of more than one sample axis, or whose
-    last axis is not n, raise InvalidParameterError."""
-    if (at.x.shape != at.y.shape or at.x.ndim not in (1, 2)
+    A `need` not in that table, or an x and y of different shapes, of more
+    than one sample axis, of no sample, or whose last axis is not n, raise
+    InvalidParameterError."""
+    if need not in _NEEDS:
+        raise InvalidParameterError(f"need {need!r} is not one of {list(_NEEDS)}")
+    if (at.x.shape != at.y.shape or at.x.ndim not in (1, 2) or not at.x.size
             or at.x.shape[-1] != metric.dimension):
         raise InvalidParameterError(
             f"a tangent sample needs x and y of one shape (n,) or (K, n) with "
-            f"n = {metric.dimension}, not {at.x.shape} and {at.y.shape}")
+            f"n = {metric.dimension} and K >= 1, not {at.x.shape} and {at.y.shape}")
     try:
         return _gated(metric, at, need)
     except FinslerError:
@@ -246,6 +241,18 @@ def _vm(v, a):
 def _vmv(u, a, v):
     """The bilinear form u^T a v over the sample axes."""
     return ((u[..., None, :] @ a) @ v[..., None])[..., 0, 0]
+
+
+def _like_y(what, v, y):
+    """`v` as finite floats of the shape of `y`, or InvalidParameterError."""
+    try:
+        arr = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != y.shape or not np.isfinite(arr).all():
+        raise InvalidParameterError(
+            f"{what} = {v!r} is not finite numbers of y's shape {y.shape}")
+    return arr
 
 
 def _gnorm(v, a):
@@ -430,15 +437,16 @@ class LocalGeometry:
 
     def inner(self, u, v):
         """g(u, v) = u^i g_ij v^j."""
-        return _scalar(_vmv(np.asarray(u, dtype=float), self.g, np.asarray(v, dtype=float)))
+        y = self.at.y
+        return _scalar(_vmv(_like_y("inner: u", u, y), self.g, _like_y("inner: v", v, y)))
 
     def norm(self, u):
         """g-norm of a vector, sqrt(u^i g_ij u^j)."""
-        return _gnorm(np.asarray(u, dtype=float), self.g)
+        return _gnorm(_like_y("norm: u", u, self.at.y), self.g)
 
     def conorm(self, covector):
         """g-norm of a covector, sqrt(c_i g^{ij} c_j)."""
-        return _gnorm(covector, self.g_inverse)
+        return _gnorm(_like_y("conorm: covector", covector, self.at.y), self.g_inverse)
 
 
 # -- operations -------------------------------------------------------------
@@ -461,10 +469,7 @@ def riemann(metric, at):
 def flag_curvature(metric, at, u):
     """Flag curvature K(P, y) for the flag P = span{y, u}; a `u` that is
     not finite numbers of the shape of `at.y` raises InvalidParameterError."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != at.y.shape or not np.isfinite(u).all():
-        raise InvalidParameterError(
-            f"flag_curvature: u = {u} is not finite numbers of y's shape {at.y.shape}")
+    u = _like_y("flag_curvature: u", u, at.y)
     lg = local_geometry(metric, at, "R")
     g, y = lg.g, at.y
     gyy = _vmv(y, g, y)
@@ -501,15 +506,15 @@ def distortion(metric, at, tol=None):
 
 
 def mean_cartan(metric, at):
-    """Mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i (no quadrature)."""
-    lg = local_geometry(metric, at, "I")
-    return TorsionVector(covariant=lg.I, contravariant=_mv(lg.g_inverse, lg.I))
+    """The need-"I" bundle: the mean Cartan torsion I_i = 1/2 g^{jk} dg_jk/dy^i,
+    with conorm(I) its g-norm (no quadrature)."""
+    return local_geometry(metric, at, "I")
 
 
 def mean_landsberg(metric, at):
-    """Mean Landsberg torsion J_i, the y-contracted horizontal derivative of I_i."""
-    lg = local_geometry(metric, at, "R")
-    return TorsionVector(covariant=lg.J, contravariant=_mv(lg.g_inverse, lg.J))
+    """The need-"R" bundle: the mean Landsberg torsion J_i, the y-contracted
+    horizontal derivative of I_i, with conorm(J) its g-norm."""
+    return local_geometry(metric, at, "R")
 
 
 def _density_slope(metric, x, y, points, weights, jacobian=False):
@@ -593,8 +598,8 @@ def cartan_norm(metric, x, coarse=None, refine=True):
     grow again along a flat ridge.  Otherwise h shrinks eightfold, to just
     below the rungs already polled.  h starts at the mean scan spacing
     sqrt(4 pi / coarse), and the search stops once h < ASCENT_STEP_FLOOR.
-    An `x` that is not n finite numbers, or a `refine` that is not a bool,
-    raises InvalidParameterError.
+    An `x` that is not n finite numbers, a `refine` that is not a bool, or
+    a metric of dimension 1 raises InvalidParameterError.
     """
     x = _vector("cartan_norm: x", x, metric.dimension)
     _check_domain(metric, x)
@@ -604,7 +609,12 @@ def cartan_norm(metric, x, coarse=None, refine=True):
 
 
 def _scan_size(coarse, n):
-    """cartan_norm's `coarse`, checked, with None read as its default."""
+    """cartan_norm's `coarse`, checked, with None read as its default; a
+    1-dimensional metric, whose indicatrix has no tangent direction to
+    ascend along, raises InvalidParameterError."""
+    if n < 2:
+        raise InvalidParameterError(
+            f"the Cartan norm needs a metric of dimension n >= 2, not n = {n}")
     if coarse is None:
         return 96 if n == 2 else 192
     return _integer("cartan_norm: coarse", coarse, least=1)

@@ -165,7 +165,7 @@ def make_randers(model="flat", dimension=2, b=None):
         evaluate=lambda x, y: jsqrt(qform(x, y)) + _dot(b, y),
         name=f"randers[{model}]",
         spec=spec,
-        extras={"quadratic_form": qform, "beta_norm": beta_norm},
+        extras={"beta_norm": beta_norm},
     )
 
 
@@ -382,12 +382,14 @@ def epsilon_profile(eps):
 
 def make_szabo_product(alpha1, alpha2, profile):
     """F = sqrt(f(alpha1^2, alpha2^2)) on the product chart; checks the profile
-    and that each factor has extras["quadratic_form"], as Riemannian ones do."""
+    and that each factor is Riemannian: its extras["quadratic_form"], which
+    make_riemannian's metrics carry, gives alpha^2 = a_ij(x) y^i y^j."""
     profile.validate()
     n1, n2 = alpha1.dimension, alpha2.dimension
     for alpha in (alpha1, alpha2):
         if "quadratic_form" not in alpha.extras:
-            raise InvalidParameterError(f"product factor {alpha.name} has no quadratic form")
+            raise InvalidParameterError(
+                f"product factor {alpha.name} must be Riemannian, with a quadratic form")
     q1, q2 = alpha1.extras["quadratic_form"], alpha2.extras["quadratic_form"]
 
     def evaluate(x, y):

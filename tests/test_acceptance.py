@@ -84,8 +84,8 @@ def test_04_slab_curvatures_and_landsberg_witness():
     for at in samples:
         rop = riemann(m, at)
         worst_k = max(worst_k, float(np.abs(rop.R).max()))
-        ft = fundamental_tensor(m, at)
-        jn = mean_landsberg(m, at).norm(ft.g_inverse)
+        lj = mean_landsberg(m, at)
+        jn = lj.conorm(lj.J)
         witness = max(witness, jn * float(m.evaluate(at.x, at.y)))
     for at in samples[:50]:
         worst_s = max(worst_s, abs(s_curvature(m, at)))
@@ -104,15 +104,17 @@ def test_05_product_family_is_berwald_with_vanishing_invariants():
     worst_k = -np.inf
     for at in samples:
         ft = fundamental_tensor(m, at)
-        I = mean_cartan(m, at)
+        lc = mean_cartan(m, at)
+        I = lc.g_inverse @ lc.I
         rop = riemann(m, at)
-        worst_j = max(worst_j, mean_landsberg(m, at).norm(ft.g_inverse))
-        ri = rop.R @ I.contravariant
+        lj = mean_landsberg(m, at)
+        worst_j = max(worst_j, lj.conorm(lj.J))
+        ri = rop.R @ I
         scale = max(float(np.abs(rop.R).max()), 1e-30) * max(
-            np.linalg.norm(I.contravariant), 1e-30)
+            np.linalg.norm(I), 1e-30)
         worst_ri = max(worst_ri, np.linalg.norm(ri) / scale)
         worst_gri = max(worst_gri,
-                        abs(float(ri @ ft.g @ I.contravariant)) / scale)
+                        abs(float(ri @ ft.g @ I)) / scale)
         # G is y-quadratic iff its jet-exact y-Hessian G_yy is the same at
         # every direction: compare it at y and at a random unit direction d
         d = rng.standard_normal(3)
@@ -193,8 +195,8 @@ def test_07_universal_invariants_across_the_zoo():
             tv = mean_cartan(m, at)
             # absolute floor: when the invariant vanishes identically the
             # relative scale collapses to round-off noise
-            sI = np.linalg.norm(tv.covariant)
-            if abs(float(tv.covariant @ at.y)) > max(
+            sI = np.linalg.norm(tv.I)
+            if abs(float(tv.I @ at.y)) > max(
                     1e-8 * sI * max(F, 1.0), 1e-10):
                 failures.append(f"{spec.kind}: I not y-orthogonal")
                 break
@@ -213,9 +215,9 @@ def test_07_universal_invariants_across_the_zoo():
                 failures.append(f"{spec.kind}: R not g-symmetric")
                 break
             jv = mean_landsberg(m, at)
-            sJ = np.linalg.norm(jv.covariant)
+            sJ = np.linalg.norm(jv.J)
             F = float(m.evaluate(at.x, at.y))
-            if abs(float(jv.covariant @ at.y)) > max(
+            if abs(float(jv.J @ at.y)) > max(
                     1e-7 * sJ * max(F, 1.0), 1e-10):
                 failures.append(f"{spec.kind}: J not y-orthogonal")
                 break
@@ -287,7 +289,7 @@ def test_08_product_metric_identities():
         ratio_s = (n1 - 1) * f_ss / f_s + (n2 - 1) * f_st / f_t + C_s / C
         ratio_t = (n1 - 1) * f_st / f_s + (n2 - 1) * f_tt / f_t + C_t / C
         want = np.concatenate([ratio_s * yb1, ratio_t * yb2])
-        got = mean_cartan(m, at).covariant
+        got = mean_cartan(m, at).I
         worst = max(worst, np.abs(got - want).max()
                     / max(np.abs(want).max(), 1e-30))
     try:
@@ -336,8 +338,8 @@ def test_10_randers_torsion_bound():
         bound = 3.0 / np.sqrt(2.0) * np.sqrt(1.0 - np.sqrt(1.0 - b * b))
         samples, _ = _draw(m, 50, seed_=30)
         for at in samples:
-            ft = fundamental_tensor(m, at)
-            norm = mean_cartan(m, at).norm(ft.g_inverse)
+            lc = mean_cartan(m, at)
+            norm = lc.conorm(lc.I)
             # the norm is (-1)-homogeneous; rescale to the F-unit vector
             norm *= float(m.evaluate(at.x, at.y))
             gap = norm - bound
@@ -403,8 +405,8 @@ def test_12_riemannian_baselines_and_derivative_cross_check():
         at = TangentSample(xh, y)
         worst_vanish = max(
             worst_vanish,
-            float(np.abs(mean_cartan(hyper, at).covariant).max()),
-            float(np.abs(mean_landsberg(hyper, at).covariant).max()),
+            float(np.abs(mean_cartan(hyper, at).I).max()),
+            float(np.abs(mean_landsberg(hyper, at).J).max()),
             abs(s_curvature(hyper, at)) * 1e-4)
     worst_fd = 0.0
     for spec in zoo.default_specs():

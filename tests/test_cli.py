@@ -15,7 +15,9 @@ from conftest import deadline
 
 from finslerkit import cli, verify, zoo
 from finslerkit.errors import DegenerateMetricError, DomainError
-from finslerkit.geometry import TangentSample, fundamental_tensor, spray
+from finslerkit.geometry import (TangentSample, distortion, flag_curvature,
+                                 fundamental_tensor, mean_cartan, mean_landsberg,
+                                 s_curvature, spray, volume_density)
 
 FUNK = "{kind: funk_ball_shifted, dimension: 2, parameters: {a: [0.3, 0.0]}}"
 MINK = "{kind: minkowski, dimension: 2}"
@@ -394,3 +396,27 @@ def test_cli_import_loads_no_scipy_module():
     out, err = _after_cli_import(
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out == ["[]"], err
+
+
+#: each `eval` quantity as its public view gives it at a tangent sample
+EVAL_VIEWS = {
+    "F": lambda m, at: float(m.evaluate(at.x, at.y)),
+    "g": lambda m, at: fundamental_tensor(m, at).g,
+    "G": lambda m, at: spray(m, at).G,
+    "K": lambda m, at: flag_curvature(m, at, [1.0, 0.0]),
+    "S": lambda m, at: s_curvature(m, at),
+    "I": lambda m, at: mean_cartan(m, at).I,
+    "J": lambda m, at: mean_landsberg(m, at).J,
+    "tau": lambda m, at: distortion(m, at),
+    "sigma": lambda m, at: volume_density(m, at.x),
+}
+
+
+@pytest.mark.parametrize("quantity", list(cli.EVAL_QUANTITIES))
+def test_eval_prints_each_quantity_as_its_view_gives_it(capsys, quantity):
+    edge = ["--u", "1,0"] if quantity == "K" else []
+    code, out, _ = run_cli(capsys, "eval", "--metric", FUNK, "--x", "0.1,0.2",
+                           "--y", "0.3,0.4", *edge, "--quantity", quantity)
+    m = zoo.build_metric(zoo.MetricSpec.from_yaml(FUNK))
+    at = TangentSample([0.1, 0.2], [0.3, 0.4])
+    assert (code, out) == (0, cli._fmt(EVAL_VIEWS[quantity](m, at)) + "\n")

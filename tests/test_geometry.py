@@ -203,7 +203,7 @@ def test_distortion_minkowski_is_position_independent():
 def test_mean_cartan_riemannian_vanishes():
     m = _const_riemannian()
     for at in _sample(m, seed_=11, count=5):
-        assert np.allclose(mean_cartan(m, at).covariant, 0.0, atol=1e-10)
+        assert np.allclose(mean_cartan(m, at).I, 0.0, atol=1e-10)
 
 
 def test_product_mean_cartan_is_radial(szabo):
@@ -226,7 +226,7 @@ def test_product_mean_cartan_is_radial(szabo):
         ratio = (n1 - 1) * f_ss / f_s + (n2 - 1) * f_st / f_t + C_s / C
         ybar = np.concatenate([g1 @ at.y[:n1], np.zeros(n2)])
         want = ratio * ybar
-        got = mean_cartan(szabo, at).covariant
+        got = mean_cartan(szabo, at).I
         scale = max(1.0, np.linalg.norm(want))
         assert np.allclose(got[:n1], want[:n1], atol=1e-8 * scale)
 
@@ -234,19 +234,19 @@ def test_product_mean_cartan_is_radial(szabo):
 def test_mean_landsberg_riemannian_vanishes():
     m = _const_riemannian()
     for at in _sample(m, seed_=13, count=3):
-        assert np.allclose(mean_landsberg(m, at).covariant, 0.0, atol=1e-8)
+        assert np.allclose(mean_landsberg(m, at).J, 0.0, atol=1e-8)
 
 
 def test_mean_landsberg_product_vanishes(szabo):
     for at in _sample(szabo, seed_=14, count=3):
-        assert np.allclose(mean_landsberg(szabo, at).covariant, 0.0, atol=1e-7)
+        assert np.allclose(mean_landsberg(szabo, at).J, 0.0, atol=1e-7)
 
 
 def test_mean_landsberg_slab_matches_oracle(slab):
     for sample, want in zip(SLAB_SAMPLES, SLAB_LANDSBERG_NORMS):
         at = TangentSample(np.array(sample[:3]), np.array(sample[3:]))
-        ft = fundamental_tensor(slab, at)
-        got = mean_landsberg(slab, at).norm(ft.g_inverse)
+        lj = mean_landsberg(slab, at)
+        got = lj.conorm(lj.J)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -286,6 +286,8 @@ def test_local_geometry_agrees_across_needs_and_refuses_the_rest(szabo):
         geometry.local_geometry(szabo, at, "I").G
     with pytest.raises(OutOfOrderError):
         geometry.local_geometry(szabo, at, "N").R
+    with pytest.raises(InvalidParameterError, match="need 'Q'"):  # a bare KeyError once
+        geometry.local_geometry(szabo, at, "Q")
 
 
 def _sign_changing_metric():
@@ -455,12 +457,14 @@ _VIEWS = {
     (np.full((2, 3), 0.1), np.ones((2, 3))),
     (np.full((2, 3, 2), 0.1), np.ones((2, 3, 2))),
     (0.1, 1.0),
+    (np.zeros((0, 2)), np.zeros((0, 2))),
 ], ids=["y-of-3", "both-of-3", "stacks-of-4-and-3", "stack-of-3-vectors",
-        "two-sample-axes", "scalars"])
+        "two-sample-axes", "scalars", "stack-of-none"])
 def test_a_tangent_sample_of_the_wrong_shape_is_refused_by_every_view(funk_shifted, view,
                                                                       x, y):
-    """x and y must share one shape, (n,) or (K, n); each view used to raise
-    a bare numpy error or read the wrong coordinates."""
+    """x and y must share one shape, (n,) or (K, n) with K >= 1; each view
+    used to raise a bare numpy error (an IndexError for K = 0) or read the
+    wrong coordinates."""
     with pytest.raises(InvalidParameterError, match="tangent sample"):
         _VIEWS[view](funk_shifted, TangentSample(x, y))
 
@@ -480,13 +484,15 @@ def test_s_curvature_refuses_a_stack_before_building_a_bundle(funk_shifted, monk
 
 @pytest.mark.parametrize("y, u", [
     ([1.0, 0.0], [np.nan, 1.0]),
+    ([1.0, 0.0], ["a", 1.0]),
     ([1.0, 0.0], [0.0, 1.0, 0.0]),
     ([1.0, 0.0], [[0.0, 1.0]]),
     (np.eye(2)[[0, 1, 0]], np.eye(2)[[1, 0]]),
-], ids=["nan", "of-3", "of-shape-1x2", "stack-of-2-for-3"])
+], ids=["nan", "not-a-number", "of-3", "of-shape-1x2", "stack-of-2-for-3"])
 def test_a_flag_edge_that_is_not_finite_numbers_of_the_pole_shape_is_refused(
         funk_shifted, y, u):
-    """A NaN edge used to give a NaN curvature."""
+    """A NaN edge used to give a NaN curvature, and an entry that is not a
+    number numpy's bare ValueError."""
     at = TangentSample(np.full(np.shape(y), 0.1), y)
     with pytest.raises(InvalidParameterError, match="flag_curvature: u"):
         flag_curvature(funk_shifted, at, u)
@@ -651,3 +657,31 @@ def test_a_single_sample_spray_bundle_truncates_a_handful_of_jets(monkeypatch):
     m = zoo.build_metric(zoo.MetricSpec("funk_ball_shifted", 2, {"a": [0.3, 0.0]}))
     local_geometry(m, TangentSample([0.1, 0.2], [0.6, -0.4]), "G").G
     assert 0 < len(calls) <= 6
+
+
+@pytest.mark.parametrize("read", ["inner", "norm", "conorm"])
+@pytest.mark.parametrize("y, v", [
+    ([0.3, 0.4], [1.0, 0.0, 0.0]),
+    ([0.3, 0.4], ["a", 1.0]),
+    ([0.3, 0.4], [np.nan, 1.0]),
+    (np.eye(2)[[0, 1, 0]] + 0.1, np.eye(2)),
+], ids=["of-3", "not-a-number", "nan", "2x2-against-3-rows"])
+def test_a_read_out_refuses_a_vector_that_is_not_finite_numbers_of_the_shape_of_y(
+        funk_shifted, read, y, v):
+    """Each raised numpy's bare ValueError or TypeError, or gave NaN."""
+    lg = local_geometry(funk_shifted, TangentSample(np.full(np.shape(y), 0.1), y), "I")
+    args = (v, v) if read == "inner" else (v,)
+    with pytest.raises(InvalidParameterError, match=f"{read}: "):
+        getattr(lg, read)(*args)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: cartan_norm(m, [0.1]),
+    lambda m: cartan_norm(m, [0.1], refine=False),
+    lambda m: flow.growth_estimate(m, [0.1], [0.5], directions=1, nodes=9),
+], ids=["cartan_norm", "cartan_norm-unrefined", "growth_estimate"])
+def test_the_cartan_norm_of_a_one_dimensional_metric_is_refused(call):
+    """Its indicatrix has no tangent direction: the ascent polled none and
+    raised a bare IndexError, and the scans alone returned a value."""
+    with pytest.raises(InvalidParameterError, match="dimension n >= 2"):
+        call(zoo.make_riemannian("flat", 1))

@@ -44,8 +44,8 @@ def _same_fields(metric, reference, at):
 # -- the g-norm -------------------------------------------------------------------
 
 def _ref_record_norm(v, a):
-    """FundamentalTensor.norm, TorsionVector.norm and LocalGeometry.conorm,
-    which were each spelled this way."""
+    """FundamentalTensor.norm and LocalGeometry.conorm, which were each
+    spelled this way."""
     return _scalar(np.sqrt(np.maximum(_vmv(v, a, v), 0.0)))
 
 
@@ -82,9 +82,6 @@ def test_g_norms_match_their_spellings(kind):
         u = at.y[..., ::-1] + 0.25
         ft = geometry.fundamental_tensor(metric, at)
         _same(ft.norm(u), _ref_record_norm(u, ft.g))
-        for view in (geometry.mean_cartan, geometry.mean_landsberg):
-            tv = view(metric, at)
-            _same(tv.norm(ft.g_inverse), _ref_record_norm(tv.covariant, ft.g_inverse))
         for covector in (lg.I, lg.J):
             _same(lg.conorm(covector), _ref_record_norm(covector, lg.g_inverse))
         _same(verify._eval_riemann_annihilates_torsion(metric, at, None, {}),

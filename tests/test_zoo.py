@@ -1,5 +1,7 @@
 """Metric constructors, parameter gates, and spec round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ def test_linear_profile_product_has_no_torsion():
         x = m.domain.sample_interior(rng, margin=0.1)
         y = rng.standard_normal(3)
         tv = geometry.mean_cartan(m, TangentSample(x, y))
-        assert np.allclose(tv.covariant, 0.0, atol=1e-9)
+        assert np.allclose(tv.I, 0.0, atol=1e-9)
 
 
 def test_spec_round_trip_through_yaml():
@@ -137,8 +139,8 @@ def test_every_kind_passes_basic_invariants(spec):
         assert eig.min() > 0.0
         assert float(y @ ft.g @ y) == pytest.approx(F * F, rel=1e-8)
         tv = geometry.mean_cartan(m, at)
-        scale = max(1.0, np.linalg.norm(tv.covariant))
-        assert abs(float(tv.covariant @ y)) <= 1e-8 * scale * max(1.0, F)
+        scale = max(1.0, np.linalg.norm(tv.I))
+        assert abs(float(tv.I @ y)) <= 1e-8 * scale * max(1.0, F)
 
 
 @pytest.mark.parametrize("s_gap", [1e-8, 1e-6, 1e-4])
@@ -411,8 +413,29 @@ def test_a_constructor_refuses_a_dimension_that_is_not_a_whole_number(build):
         build()
 
 
-def test_a_product_factor_without_a_quadratic_form_is_refused_by_name():
-    """It used to raise KeyError: 'quadratic_form'."""
-    with pytest.raises(InvalidParameterError, match="factor funk_ball_shifted"):
-        zoo.make_szabo_product(zoo.make_funk_shifted(), zoo.make_riemannian("flat", 1),
-                               zoo.epsilon_profile(0.5))
+RANDERS_FACTOR = {"kind": "randers", "dimension": 2,
+                  "parameters": {"model": "flat", "b": [0.5, 0.0]}}
+MINKOWSKI_FACTOR = {"kind": "minkowski", "dimension": 1, "parameters": {"b": [0.4]}}
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: zoo.make_szabo_product(zoo.make_funk_shifted(), zoo.make_riemannian("flat", 1),
+                                    zoo.epsilon_profile(0.5)), "funk_ball_shifted"),
+    (lambda: zoo.make_szabo_product(zoo.make_randers("flat", 2, [0.5, 0.0]),
+                                    zoo.make_riemannian("flat", 1), zoo.epsilon_profile(0.5)),
+     "randers[flat]"),
+    (lambda: zoo.make_szabo_product(zoo.make_riemannian("flat", 2), zoo.make_minkowski(1),
+                                    zoo.epsilon_profile(0.5)), "minkowski"),
+    (lambda: zoo.build_metric(zoo.MetricSpec("szabo_product", 3, {"factor1": RANDERS_FACTOR})),
+     "randers[flat]"),
+    (lambda: zoo.build_metric(zoo.MetricSpec("szabo_product", 3,
+                                             {"factor2": MINKOWSKI_FACTOR})), "minkowski"),
+], ids=["funk", "randers", "minkowski", "spec-factor1-randers", "spec-factor2-minkowski"])
+def test_a_product_factor_that_is_not_riemannian_is_refused_by_name(build, name):
+    """A shifted Funk factor used to raise KeyError: 'quadratic_form'.  A
+    Randers or Minkowski factor passed as its alpha: the product of
+    make_randers("flat", 2, [0.5, 0.0]) and the flat line gave the flat
+    product's 1.224744871391589 at x = 0, y = e_1, dropping beta."""
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"factor {name} must be Riemannian")):
+        build()
