@@ -20,6 +20,13 @@ seeding and the jet order of F^2:
     "N"    2n chart and tangent     3       ... and N, G_x, I
     "R"    2n chart and tangent     4       ... and the y-Hessian of G, R, J
 
+A jet seeded in the chart directions keeps F^2 only up to order 2 in
+them (_CHART_ORDER; a capped jet, see the jets module): G and N need
+order 1 there, G_x, G_xy and R need 2, and J needs 1 (through the
+x-gradient of I), so the coefficients past it would feed no quantity.
+Each partial along the chart directions lowers that cap by one, and
+extract on f2 above it raises OutOfOrderError.
+
 Quantities that differentiate in y only are seeded in the tangent
 directions, which costs about half as much as seeding the whole phase
 space.  Each quantity is computed on first read, so a caller pays only for
@@ -147,11 +154,16 @@ def _y_jets(metric, x, y, order):
     return f, f * f, yj
 
 
+# Order in the chart directions up to which a phase jet keeps F^2.
+_CHART_ORDER = 2
+
+
 def _phase_jets(metric, x, y, order):
     """F, F^2 and the tangent coordinates as jets seeded in the 2n chart and
-    tangent coordinate directions, chart directions first."""
+    tangent coordinate directions, chart directions first, capped at
+    _CHART_ORDER in the chart directions (see the module docstring)."""
     n = metric.dimension
-    js = seed(np.concatenate([x, y], axis=-1).T, np.eye(2 * n), order)
+    js = seed(np.concatenate([x, y], axis=-1).T, np.eye(2 * n), order, (n, _CHART_ORDER))
     f = metric.evaluate(js[:n], js[n:])
     return f, f * f, js[n:]
 
@@ -243,13 +255,26 @@ def _vmv(u, a, v):
     return ((u[..., None, :] @ a) @ v[..., None])[..., 0, 0]
 
 
+def _has_bool(v):
+    """Whether `v`, a number, an array or nested sequences, holds a bool."""
+    if isinstance(v, np.ndarray):
+        if v.dtype != object:
+            return v.dtype == bool
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return any(map(_has_bool, v))
+    return isinstance(v, (bool, np.bool_))
+
+
 def _like_y(what, v, y):
-    """`v` as finite floats of the shape of `y`, or InvalidParameterError."""
+    """`v` as finite floats of the shape of `y`, or InvalidParameterError;
+    a bool is not a number here, as in errors._vector."""
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
         arr = None
-    if arr is None or arr.shape != y.shape or not np.isfinite(arr).all():
+    if (arr is None or arr.shape != y.shape or not np.isfinite(arr).all()
+            or _has_bool(v)):
         raise InvalidParameterError(
             f"{what} = {v!r} is not finite numbers of y's shape {y.shape}")
     return arr
@@ -356,7 +381,7 @@ class LocalGeometry:
                 z[...] = sample_solve(factor, jet.coeffs, z.shape)
             # back to (coefficient, samples, upper index, rest)
             axes = (lead, *range(lead), z.ndim - 1, *range(lead + 1, z.ndim - 1))
-            return Jet(z.transpose(axes), jet.ndir, jet.order)
+            return Jet(z.transpose(axes), jet.ndir, jet.order, jet.cap)
 
         z = value_solve(b)
         sweeps = min(self._g.order, b.order)
@@ -375,7 +400,7 @@ class LocalGeometry:
                                   "directions too (need 'G', 'N' or 'R')")
         f2_x = partials(f2, range(n))
         f2_xy = partials(f2_x, self._y)
-        y = Jet(np.stack([c.coeffs for c in self.ys], axis=-1), f2.ndir, f2.order)
+        y = Jet(np.stack([c.coeffs for c in self.ys], axis=-1), f2.ndir, f2.order, f2.cap)
         rhs = (contract("...k,...kl->...l", y, f2_xy) - f2_x) * 0.25
         return self._solve(rhs)
 
@@ -420,7 +445,7 @@ class LocalGeometry:
     def _I(self):
         g_inv_dg = self._solve(partials(self._g, self._y))  # [..., l, k, i]
         return Jet(0.5 * np.einsum("z...lli->z...i", g_inv_dg.coeffs),
-                   g_inv_dg.ndir, g_inv_dg.order)
+                   g_inv_dg.ndir, g_inv_dg.order, g_inv_dg.cap)
 
     @_cached
     def I(self):

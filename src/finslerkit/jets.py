@@ -14,11 +14,12 @@ which lets quadrature rules push whole node sets through one evaluation.
 
 Which path an operand takes:
 
-* Two jets of one order and one number of axes, as in nearly every step
-  of a metric's F, combine their coefficient arrays directly.
-* Jets of different orders are truncated to the lower one first
-  (`_coerce`), and a jet with fewer batch axes gets unit batch axes after
-  its coefficient axis (`_pad`); numpy broadcasting does the rest.
+* Two jets of one order, cap (below) and number of axes, as in nearly
+  every step of a metric's F, combine their coefficient arrays directly.
+* Jets of different orders or caps are truncated to the lower order and
+  the tighter cap first (`Jet._aligned`), and a jet with fewer batch axes
+  gets unit batch axes after its coefficient axis (`_pad`); numpy
+  broadcasting does the rest.
 * A Python float or np.float64 acts on the coefficient array as it is;
   any other scalar or array goes through np.asarray and `_pad`.
 
@@ -42,11 +43,39 @@ pow, reciprocal) runs its Horner sweep on coefficient arrays with the
 same product table: it starts by scaling, not by a product with a
 constant jet, which saves one full batched product each, and adds each
 series coefficient into the value part in place.
+
+A jet may carry a cap (m, c): it keeps only the multi-indices of total
+order at most c in its first m directions.  The capped index set of order
+p is still a prefix of that of order q > p, so truncation stays a slice,
+and every table is built from the capped index list.  Each term of a
+product that lands on a multi-index within the cap pairs two multi-indices
+within it, in the order the uncapped table lists them, so capped jets give
+the bits uncapped jets give at every multi-index they keep.  A partial
+along a capped direction is capped one order lower there, since its top
+coefficients would need ones the jet does not keep, and `extract` refuses
+a multi-index above a cap.  Operands of two caps meet at the tighter one:
+`contract` gathers each from its own coefficients, and the other
+operations gather the kept coefficients of the looser operand first.
+
+At MAX_ORDER, a composition whose coefficients and series terms are all
+finite runs the j-th product of its sweep at order j + 1, with its left
+operand at order j.  Each later step multiplies by h, whose value part is
+0, so a coefficient the j-th product skips would meet only h[0] = 0, and
+a term a[i] * h[0] = +-0.0 added to a sum that starts at +0.0 leaves it
+unchanged: the truncated sweep gives the full sweep's bits.  An inf or
+NaN coefficient would make those skipped terms NaN, so then the full
+sweep runs.  (Finite coefficients large enough that a skipped
+coefficient overflows would also differ; the check does not look for
+that.)  Below MAX_ORDER the full sweep always runs: at order 3 a single
+sample's truncated sweep costs more than it saves (a square root in 4
+directions, 8.9 µs against 7.8 µs), and single samples are what the
+flows' need-"N" bundles evaluate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -61,8 +90,15 @@ MAX_DIRECTIONS = 8
 # over 1-6 directions, orders 1-4 and batches of 8-4096 nodes: from this
 # size up the rank sum was faster in 68 of 71 shapes and at most 5 %
 # slower in the other three; below it, it lost in half the shapes, by up
-# to 1.6x where a high order meets a short batch (order 4 in 4 directions
-# over 33 nodes, 16335 entries: 0.11 ms against 0.077 ms).
+# to 1.6x where a high order meets a short batch.  Re-timed on the capped
+# and truncated-sweep tables that phase bundles use (medians of 9, µs,
+# bincount against rank sum): the n = 2 torsion trace's order-4 product
+# in 4 directions capped at chart order 2, over 33 nodes (11880 entries),
+# 77 against 133; the n = 3 one's, over 33 nodes (42966 entries), 576
+# against 216.  Near the constant the faster reducer goes both ways: the
+# rank sum wins order 2 in 6 directions at 8960-17920 entries (54 against
+# 40 at 8960), bincount wins order 4 in 4 directions, capped, at
+# 21632-23040 (109 against 144 at 23040), so no other constant does better.
 _RANK_SUM_MIN = 20480
 
 
@@ -80,51 +116,72 @@ def _compositions(total, m):
             yield (head,) + tail
 
 
+def _cap(cap, order):
+    """`cap` as a jet of `order` keeps it: None when it drops nothing."""
+    return None if cap is None or cap[1] >= order else cap
+
+
 @lru_cache(maxsize=None)
-def _index_table(ndir, order):
+def _index_table(ndir, order, cap=None):
+    """The graded multi-indices of total order <= `order` whose total order
+    in the first cap[0] directions is at most cap[1], and their positions."""
     indices = []
     for total in range(order + 1):
         indices.extend(_compositions(total, ndir))
+    if cap is not None:
+        m, c = cap
+        indices = [alpha for alpha in indices if sum(alpha[:m]) <= c]
     position = {alpha: i for i, alpha in enumerate(indices)}
     return tuple(indices), position
 
 
 @lru_cache(maxsize=None)
-def _num_coeffs(ndir, order):
-    return math.comb(ndir + order, order)
+def _num_coeffs(ndir, order, cap=None):
+    if cap is None:
+        return math.comb(ndir + order, order)
+    return len(_index_table(ndir, order, cap)[0])
 
 
 @lru_cache(maxsize=None)
-def _mul_table(ndir, order):
+def _mul_table(ndir, order, cap=None, low=None, caps=None):
     """The product table (ia, ib, ic, starts): one term a[ia] * b[ib] per
     pair of multi-indices whose orders sum to at most `order`, landing on
-    output index ic.  Terms are stably sorted by ic, so the terms of output
-    index k are starts[k]:starts[k + 1], in the order they were listed."""
-    indices, position = _index_table(ndir, order)
+    output index ic within `cap`.  Terms are stably sorted by ic, so the
+    terms of output index k are starts[k]:starts[k + 1], in the order they
+    were listed.  With `low`, a's multi-indices stop at order `low`.  With
+    `caps` = (cap_a, cap_b), each no tighter than `cap`, ia and ib are
+    positions among the coefficients of operands capped at those."""
+    indices, position = _index_table(ndir, order, cap)
+    m, c = cap or (0, 0)
+    # the graded order makes the b's that fit beside an a of order d a prefix
+    fits = [_num_coeffs(ndir, d, cap) for d in range(order + 1)]
     ia, ib, ic = [], [], []
-    for i, a in enumerate(indices):
-        da = sum(a)
-        for j, b in enumerate(indices):
-            if da + sum(b) > order:
+    for i, a in enumerate(indices[:fits[order if low is None else low]]):
+        da, ma = sum(a), sum(a[:m])
+        for j, b in enumerate(indices[:fits[order - da]]):
+            if ma + sum(b[:m]) > c:
                 continue
             ia.append(i)
             ib.append(j)
             ic.append(position[tuple(x + y for x, y in zip(a, b))])
     perm = np.argsort(ic, kind="stable")
+    ia, ib = np.asarray(ia, dtype=np.intp)[perm], np.asarray(ib, dtype=np.intp)[perm]
+    if caps is not None:
+        ia = _restriction(ndir, order, caps[0], cap)[ia]
+        ib = _restriction(ndir, order, caps[1], cap)[ib]
     ic = np.asarray(ic, dtype=np.intp)[perm]
     # the (0, alpha) term reaches every output index, so no segment is empty
     starts = np.searchsorted(ic, np.arange(len(indices)))
-    return (np.asarray(ia, dtype=np.intp)[perm], np.asarray(ib, dtype=np.intp)[perm],
-            ic, starts)
+    return ia, ib, ic, starts
 
 
 @lru_cache(maxsize=None)
-def _rank_table(ndir, order):
+def _rank_table(ndir, order, cap=None, low=None):
     """The product table by rank: (ranks, inverse).  Output indices are
     ordered by their number of terms, most first, so those with more than
     r terms are the first m_r; ranks[r] = (m_r, ia_r, ib_r) lists their
     r-th terms, in table order.  `inverse` restores graded order."""
-    ia, ib, _, starts = _mul_table(ndir, order)
+    ia, ib, _, starts = _mul_table(ndir, order, cap, low)
     lengths = np.diff(starts, append=len(ia))
     perm = np.argsort(-lengths, kind="stable")
     ranks = []
@@ -136,12 +193,23 @@ def _rank_table(ndir, order):
 
 
 @lru_cache(maxsize=None)
-def _partials_table(ndir, order, directions):
+def _partials_table(ndir, order, cap, directions):
     """Gather indices and factors (src, fac), each (coefficients, directions),
     mapping an order-p jet to the (p-1)-jet of its partial along each seeded
-    direction in `directions`."""
-    low, _ = _index_table(ndir, order - 1)
-    _, position = _index_table(ndir, order)
+    direction in `directions`, and that jet's cap: one lower in the capped
+    directions if any of `directions` is one of them, since the partial's
+    coefficients of the cap's own order there would need coefficients the
+    jet does not keep."""
+    low_cap = cap
+    if cap is not None and any(d < cap[0] for d in directions):
+        if cap[1] == 0:
+            raise OutOfOrderError(
+                f"a jet capped at order 0 in its first {cap[0]} directions has no "
+                f"partial along them")
+        low_cap = (cap[0], cap[1] - 1)
+    low_cap = _cap(low_cap, order - 1)
+    low, _ = _index_table(ndir, order - 1, low_cap)
+    _, position = _index_table(ndir, order, cap)
     src = np.empty((len(low), len(directions)), dtype=np.intp)
     fac = np.empty(src.shape)
     for i, beta in enumerate(low):
@@ -150,7 +218,25 @@ def _partials_table(ndir, order, directions):
             lifted[d] += 1
             src[i, m] = position[tuple(lifted)]
             fac[i, m] = beta[d] + 1
-    return src, fac
+    return src, fac, low_cap
+
+
+@lru_cache(maxsize=None)
+def _restriction(ndir, order, cap, to):
+    """Positions, among the coefficients of a jet capped at `cap`, of those
+    it keeps when capped at the tighter `to`."""
+    _, position = _index_table(ndir, order, cap)
+    return np.array([position[alpha] for alpha in _index_table(ndir, order, to)[0]],
+                    dtype=np.intp)
+
+
+def _tighter(cap, other):
+    """The tighter of two caps over one jet's directions."""
+    if cap is None or other is None:
+        return other if cap is None else cap
+    if cap[0] != other[0]:
+        raise ValueError("jets capped over different direction sets")
+    return min(cap, other)
 
 
 def _pad(coeffs, ndim):
@@ -163,17 +249,17 @@ def _pad(coeffs, ndim):
     return coeffs.reshape(coeffs.shape[:1] + (1,) * missing + coeffs.shape[1:])
 
 
-def _product(ca, cb, ndir, order):
-    """Coefficients of the product of two jets of `order` over `ndir`
-    directions, from coefficient arrays of one number of axes (see the
-    module docstring)."""
-    ia, ib, ic, starts = _mul_table(ndir, order)
+def _product(ca, cb, ndir, order, cap=None, low=None):
+    """Coefficients of the product of two jets of `order` and `cap` over
+    `ndir` directions, from coefficient arrays of one number of axes (see
+    the module docstring); with `low`, `ca` stops at order `low`."""
+    ia, ib, ic, starts = _mul_table(ndir, order, cap, low)
     if ca.ndim == 1:
         return np.bincount(ic, weights=ca[ia] * cb[ib], minlength=len(starts))
     # each operand is gathered before the multiply broadcasts it, so a
     # smaller operand is never copied out to the common shape
     if len(ia) * math.prod(map(max, ca.shape[1:], cb.shape[1:])) >= _RANK_SUM_MIN:
-        ranks, inverse = _rank_table(ndir, order)
+        ranks, inverse = _rank_table(ndir, order, cap, low)
         (_, ia, ib), *later = ranks
         acc = ca[ia] * cb[ib]
         acc += 0.0  # bincount sums from +0.0, so a lone -0.0 term gives +0.0
@@ -190,27 +276,39 @@ def _product(ca, cb, ndir, order):
     return out.reshape((len(starts),) + batch)
 
 
+def _finite(h, series):
+    """Whether every coefficient of `h` and every term of `series` is
+    finite: a sum is finite only if its terms are (or it overflows)."""
+    total = h.sum() + sum(series)
+    return math.isfinite(total.sum() if isinstance(total, np.ndarray) else total)
+
+
 class Jet:
     """Truncated Taylor value over `ndir` seeded directions.
 
     coeffs[k] is the Taylor coefficient (mixed partial divided by the
-    factorials of the multi-index) for the k-th graded multi-index.
+    factorials of the multi-index) for the k-th graded multi-index that the
+    jet keeps: all of them up to `order`, or with `cap` = (m, c) only those
+    of total order at most c in the first m directions.  A cap that would
+    keep them all (c >= order) is None.
     """
 
-    __slots__ = ("coeffs", "ndir", "order")
+    __slots__ = ("coeffs", "ndir", "order", "cap")
     __array_ufunc__ = None  # force numpy to defer to reflected operators
 
-    def __init__(self, coeffs, ndir, order):
+    def __init__(self, coeffs, ndir, order, cap=None):
         self.coeffs = coeffs
         self.ndir = ndir
         self.order = order
+        self.cap = cap
 
     @classmethod
-    def constant(cls, value, ndir, order):
+    def constant(cls, value, ndir, order, cap=None):
         value = np.asarray(value, dtype=np.float64)
-        coeffs = np.zeros((_num_coeffs(ndir, order),) + value.shape)
+        cap = _cap(cap, order)
+        coeffs = np.zeros((_num_coeffs(ndir, order, cap),) + value.shape)
         coeffs[0] = value
-        return cls(coeffs, ndir, order)
+        return cls(coeffs, ndir, order, cap)
 
     @property
     def value(self):
@@ -223,34 +321,34 @@ class Jet:
     def truncated(self, order):
         if order >= self.order:
             return self
-        return Jet(self.coeffs[: _num_coeffs(self.ndir, order)], self.ndir, order)
-
-    def _coerce(self, other):
-        """Align two jets to a common order; returns (a, b, order)."""
-        if other.ndir != self.ndir:
-            raise ValueError("jets seeded over different direction sets")
-        order = min(self.order, other.order)
-        return self.truncated(order), other.truncated(order), order
+        cap = _cap(self.cap, order)
+        return Jet(self.coeffs[: _num_coeffs(self.ndir, order, cap)], self.ndir, order, cap)
 
     def _aligned(self, other):
-        """(a, b, order): the coefficients of this jet and of `other` at
-        their common order, as arrays of one number of axes.  Two jets of
-        one order and one number of axes give their arrays as they are."""
-        ca, cb, order = self.coeffs, other.coeffs, self.order
-        if other.order != order or other.ndir != self.ndir:
-            a, b, order = self._coerce(other)
-            ca, cb = a.coeffs, b.coeffs
+        """(a, b, order, cap): the coefficients of this jet and of `other`
+        at their common order and the tighter of their caps, as arrays of
+        one number of axes.  Two jets of one order, cap and number of axes
+        give their arrays as they are."""
+        ca, cb, order, cap = self.coeffs, other.coeffs, self.order, self.cap
+        if other.order != order or other.cap != cap or other.ndir != self.ndir:
+            if other.ndir != self.ndir:
+                raise ValueError("jets seeded over different direction sets")
+            order = min(order, other.order)
+            a, b = self.truncated(order), other.truncated(order)
+            cap = _tighter(a.cap, b.cap)
+            ca, cb = (j.coeffs if j.cap == cap
+                      else j.coeffs[_restriction(j.ndir, order, j.cap, cap)] for j in (a, b))
         if ca.ndim != cb.ndim:
             nd = max(ca.ndim, cb.ndim)
             ca, cb = _pad(ca, nd), _pad(cb, nd)
-        return ca, cb, order
+        return ca, cb, order, cap
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            ca, cb, order = self._aligned(other)
-            return Jet(ca + cb, self.ndir, order)
+            ca, cb, order, cap = self._aligned(other)
+            return Jet(ca + cb, self.ndir, order, cap)
         out = self.coeffs
         if not isinstance(other, float):
             other = np.asarray(other, dtype=np.float64)
@@ -258,34 +356,34 @@ class Jet:
                 out = np.broadcast_arrays(_pad(out, other.ndim + 1), other)[0]
         out = out.copy()
         out[0] += other
-        return Jet(out, self.ndir, self.order)
+        return Jet(out, self.ndir, self.order, self.cap)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.coeffs, self.ndir, self.order)
+        return Jet(-self.coeffs, self.ndir, self.order, self.cap)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            ca, cb, order = self._aligned(other)
-            return Jet(ca - cb, self.ndir, order)
+            ca, cb, order, cap = self._aligned(other)
+            return Jet(ca - cb, self.ndir, order, cap)
         return self + (-other if isinstance(other, float) else -np.asarray(other))
 
     def __rsub__(self, other):
         if isinstance(other, float):
             out = -self.coeffs
             out[0] += other
-            return Jet(out, self.ndir, self.order)
+            return Jet(out, self.ndir, self.order, self.cap)
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            ca, cb, order = self._aligned(other)
-            return Jet(_product(ca, cb, self.ndir, order), self.ndir, order)
+            ca, cb, order, cap = self._aligned(other)
+            return Jet(_product(ca, cb, self.ndir, order, cap), self.ndir, order, cap)
         if isinstance(other, float):
-            return Jet(self.coeffs * other, self.ndir, self.order)
+            return Jet(self.coeffs * other, self.ndir, self.order, self.cap)
         other = np.asarray(other, dtype=np.float64)
-        return Jet(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order)
+        return Jet(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order, self.cap)
 
     __rmul__ = __mul__
 
@@ -293,9 +391,9 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         if isinstance(other, float):
-            return Jet(self.coeffs / other, self.ndir, self.order)
+            return Jet(self.coeffs / other, self.ndir, self.order, self.cap)
         other = np.asarray(other, dtype=np.float64)
-        return Jet(_pad(self.coeffs, other.ndim + 1) / other, self.ndir, self.order)
+        return Jet(_pad(self.coeffs, other.ndim + 1) / other, self.ndir, self.order, self.cap)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -304,7 +402,7 @@ class Jet:
         if isinstance(exponent, (int, np.integer)):
             if exponent < 0:
                 return (self ** (-exponent))._reciprocal()
-            result = Jet.constant(np.ones(self.batch_shape), self.ndir, self.order)
+            result = Jet.constant(np.ones(self.batch_shape), self.ndir, self.order, self.cap)
             base = self
             k = int(exponent)
             while k:
@@ -323,15 +421,26 @@ class Jet:
         c_0 + h (c_1 + h (... + h c_n)), on coefficient arrays: the
         innermost step scales h instead of multiplying it by a constant
         jet, and each c_k is added into the value part in place.  At order
-        0, h is zero and this reduces to c_0."""
+        0, h is zero and this reduces to c_0.
+
+        At MAX_ORDER, with every coefficient and series term finite, the
+        j-th product of the sweep runs at order j + 1 with its left operand
+        at order j (see the module docstring)."""
+        ndir, order, cap = self.ndir, self.order, self.cap
         h = self.coeffs.copy()
         h[0] = 0.0
-        r = h * series[-1]
-        for k in range(len(series) - 2, 0, -1):
-            r[0] += series[k]
-            r = _product(r, h, self.ndir, self.order)
+        if order == MAX_ORDER and _finite(h, series):
+            r = h[:_num_coeffs(ndir, 1, _cap(cap, 1))] * series[-1]
+            for top in range(2, order + 1):
+                r[0] += series[order + 1 - top]
+                r = _product(r, h, ndir, top, _cap(cap, top), top - 1)
+        else:
+            r = h * series[-1]
+            for k in range(len(series) - 2, 0, -1):
+                r[0] += series[k]
+                r = _product(r, h, ndir, order, cap)
         r[0] += series[0]
-        return Jet(r, self.ndir, self.order)
+        return Jet(r, ndir, order, cap)
 
     def _reciprocal(self):
         v = self.value
@@ -347,14 +456,16 @@ class Jet:
 
 # -- seeding and extraction ----------------------------------------------
 
-def seed(point, directions, order):
+def seed(point, directions, order, cap=None):
     """Seed jet coordinates at `point` along `directions`.
 
     Returns one jet per coordinate of `point`, that is per entry along its
     first axis; any further axes of `point` become batch axes of every
     jet, so a (n, K) point seeds K points at once.  With no directions (or
     order zero) returns plain values, so downstream formulas reduce to
-    ordinary arithmetic.
+    ordinary arithmetic.  With `cap` = (m, c), c >= 1, the jets keep only
+    the coefficients of total order at most c in the first m directions
+    (see Jet); None keeps them all.
     """
     point = np.asarray(point, dtype=np.float64)
     if order == 0 or len(directions) == 0:
@@ -365,13 +476,21 @@ def seed(point, directions, order):
     if m > MAX_DIRECTIONS:
         raise UnsupportedOrderError(
             f"{m} directions exceed the supported maximum {MAX_DIRECTIONS}")
+    if cap is not None:
+        try:
+            first, top = map(operator.index, cap)
+        except (TypeError, ValueError):
+            first = top = -1
+        if not (0 <= first <= m and top >= 1):
+            raise ValueError(f"cap {cap!r} is not (m, c) with 0 <= m <= {m} and c >= 1")
+        cap = _cap((first, top), order)
     batch = point.shape[1:]
-    coeffs = np.zeros((len(point), _num_coeffs(m, order)) + batch)
+    coeffs = np.zeros((len(point), _num_coeffs(m, order, cap)) + batch)
     coeffs[:, 0] = point
     slopes = np.asarray(directions, dtype=np.float64).T
     # the graded order puts the first partials e_0 ... e_{m-1} at positions 1 ... m
     coeffs[:, 1:m + 1] = slopes.reshape(slopes.shape + (1,) * len(batch))
-    return [Jet(c, m, order) for c in coeffs]
+    return [Jet(c, m, order, cap) for c in coeffs]
 
 
 def extract(jet, multi_index):
@@ -389,7 +508,11 @@ def extract(jet, multi_index):
     if len(multi_index) != jet.ndir:
         raise ValueError(
             f"multi-index length {len(multi_index)} != {jet.ndir} directions")
-    _, position = _index_table(jet.ndir, jet.order)
+    _, position = _index_table(jet.ndir, jet.order, jet.cap)
+    if multi_index not in position:
+        raise OutOfOrderError(
+            f"multi-index {multi_index} exceeds the jet's cap of order {jet.cap[1]} "
+            f"in its first {jet.cap[0]} directions")
     factor = 1.0
     for k in multi_index:
         factor *= math.factorial(k)
@@ -403,14 +526,14 @@ def deriv(jet, direction):
     the geometry layer seeds them); drops the truncation order by one.
     """
     d = partials(jet, (direction,))
-    return Jet(d.coeffs[..., 0], d.ndir, d.order)
+    return Jet(d.coeffs[..., 0], d.ndir, d.order, d.cap)
 
 
 def jwhere(mask, a, b):
     """`np.where` for two jets: `mask` (over the batch axes) picks a's or b's
     coefficients, node by node."""
-    ca, cb, order = a._aligned(b)
-    return Jet(np.where(mask, ca, cb), a.ndir, order)
+    ca, cb, order, cap = a._aligned(b)
+    return Jet(np.where(mask, ca, cb), a.ndir, order, cap)
 
 
 def value(x):
@@ -424,16 +547,17 @@ def value(x):
 
 def partials(jet, directions):
     """Partials along the seeded coordinate axes `directions`, stacked along
-    a new trailing batch axis, in one gather."""
+    a new trailing batch axis, in one gather.  The partials of a capped jet
+    along any of its capped directions are capped one order lower there."""
     if jet.order < 1:
         raise OutOfOrderError("cannot differentiate an order-0 jet")
-    src, fac = _partials_table(jet.ndir, jet.order, tuple(directions))
+    src, fac, cap = _partials_table(jet.ndir, jet.order, jet.cap, tuple(directions))
     batch = jet.coeffs.ndim - 1
     if not batch:
-        return Jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1)
+        return Jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1, cap)
     coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * batch)
     axes = (0,) + tuple(range(2, coeffs.ndim)) + (1,)
-    return Jet(coeffs.transpose(axes), jet.ndir, jet.order - 1)
+    return Jet(coeffs.transpose(axes), jet.ndir, jet.order - 1, cap)
 
 
 def hessian(jet, directions):
@@ -467,15 +591,22 @@ def contract(subscripts, a, b):
     matrices.  Axes under an ellipsis ("...ij") are batch axes that each
     index computes as it would alone (see `outermost`)."""
     spec, tails = _contraction(subscripts)
-    a, b, order = a._coerce(b)
-    ia, ib, _, starts = _mul_table(a.ndir, order)
+    if b.ndir != a.ndir:
+        raise ValueError("jets seeded over different direction sets")
+    # the table gathers each operand's terms from its own coefficients, so
+    # neither is truncated or recapped first
+    order = min(a.order, b.order)
+    cap_a, cap_b = _cap(a.cap, order), _cap(b.cap, order)
+    cap = _tighter(cap_a, cap_b)
+    caps = None if cap_a == cap_b else (cap_a, cap_b)
+    ia, ib, _, starts = _mul_table(a.ndir, order, cap, None, caps)
     gathered = [a.coeffs[ia], b.coeffs[ib]]
     for k, tail in enumerate(tails):
         count = gathered[k].ndim - 1 - tail if tail is not None else 0
         if count:
             gathered[k] = outermost(gathered[k], 1, count)
     terms = np.einsum(spec, *gathered)
-    return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order)
+    return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order, cap)
 
 
 @lru_cache(maxsize=None)

@@ -255,11 +255,11 @@ def _theta_jet(phi, x, y):
     each sweep knocks out one nilpotent order.
     """
     template = next(c for c in list(x) + list(y) if isinstance(c, Jet))
-    ndir, order = template.ndir, template.order
+    ndir, order, cap = template.ndir, template.order, template.cap
     xv = [value(c) for c in x]
     yv = [np.asarray(value(c), dtype=float) for c in y]
     theta0, slope = _theta_root(phi, xv, yv)
-    theta = Jet.constant(np.asarray(theta0, dtype=float), ndir, order)
+    theta = Jet.constant(np.asarray(theta0, dtype=float), ndir, order, cap)
     for _ in range(order + 2):
         residual = theta - phi([yc + theta * xc for yc, xc in zip(y, x)])
         theta = theta - residual / slope

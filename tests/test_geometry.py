@@ -290,6 +290,24 @@ def test_local_geometry_agrees_across_needs_and_refuses_the_rest(szabo):
         geometry.local_geometry(szabo, at, "Q")
 
 
+@pytest.mark.parametrize("need, order", [("N", 3), ("R", 4)])
+def test_a_phase_bundle_keeps_f2_up_to_chart_order_two(szabo, need, order):
+    """F^2 is read up to chart order 2; those coefficients are the bits of
+    the uncapped jet, and one of chart order 3 is refused, not returned."""
+    at = _sample(szabo, seed_=18)
+    f2 = geometry.local_geometry(szabo, at, need).f2
+    assert f2.cap == (3, 2)
+    js = seed(np.concatenate([at.x, at.y]), list(np.eye(6)), order)
+    f = szabo.evaluate(js[:3], js[3:])
+    uncapped = f * f
+    for alpha in [(0, 0, 0, 2, 1, 0), (1, 0, 0, 0, 1, 0), (0, 1, 1, 0, 0, 1), (2, 0, 0, 0, 0, 0)]:
+        if sum(alpha) <= order:
+            assert extract(f2, alpha) == extract(uncapped, alpha)
+    with pytest.raises(OutOfOrderError, match="cap"):
+        extract(f2, (1, 1, 1, 0, 0, 0))
+    assert geometry.local_geometry(szabo, at, "G").f2.cap is None  # order 2: nothing to drop
+
+
 def _sign_changing_metric():
     """F = |y| + 1.5 y^1 + 0.1 x^1 y^2: negative where y points along -e1."""
     return geometry.MetricField(
@@ -488,11 +506,18 @@ def test_s_curvature_refuses_a_stack_before_building_a_bundle(funk_shifted, monk
     ([1.0, 0.0], [0.0, 1.0, 0.0]),
     ([1.0, 0.0], [[0.0, 1.0]]),
     (np.eye(2)[[0, 1, 0]], np.eye(2)[[1, 0]]),
-], ids=["nan", "not-a-number", "of-3", "of-shape-1x2", "stack-of-2-for-3"])
+    ([0.3, 0.4], [True, False]),
+    ([0.3, 0.4], [np.True_, np.float64(0.5)]),
+    ([0.3, 0.4], [True, 0.5]),
+    ([0.3, 0.4], np.array([False, True])),
+    (np.eye(2)[[0, 1]] + 0.1, [[0.5, 1.0], [1.0, True]]),
+], ids=["nan", "not-a-number", "of-3", "of-shape-1x2", "stack-of-2-for-3", "bools",
+        "numpy-bool", "mixed-bool", "bool-array", "stack-with-a-bool"])
 def test_a_flag_edge_that_is_not_finite_numbers_of_the_pole_shape_is_refused(
         funk_shifted, y, u):
-    """A NaN edge used to give a NaN curvature, and an entry that is not a
-    number numpy's bare ValueError."""
+    """A NaN edge used to give a NaN curvature, an entry that is not a
+    number numpy's bare ValueError, and a bool edge such as [True, False]
+    a curvature, as if it were [1.0, 0.0]."""
     at = TangentSample(np.full(np.shape(y), 0.1), y)
     with pytest.raises(InvalidParameterError, match="flag_curvature: u"):
         flag_curvature(funk_shifted, at, u)
@@ -665,10 +690,12 @@ def test_a_single_sample_spray_bundle_truncates_a_handful_of_jets(monkeypatch):
     ([0.3, 0.4], ["a", 1.0]),
     ([0.3, 0.4], [np.nan, 1.0]),
     (np.eye(2)[[0, 1, 0]] + 0.1, np.eye(2)),
-], ids=["of-3", "not-a-number", "nan", "2x2-against-3-rows"])
+    ([0.3, 0.4], [True, False]),
+], ids=["of-3", "not-a-number", "nan", "2x2-against-3-rows", "bools"])
 def test_a_read_out_refuses_a_vector_that_is_not_finite_numbers_of_the_shape_of_y(
         funk_shifted, read, y, v):
-    """Each raised numpy's bare ValueError or TypeError, or gave NaN."""
+    """Each raised numpy's bare ValueError or TypeError, or gave NaN; a
+    bool vector gave a number, as if its entries were 1.0 and 0.0."""
     lg = local_geometry(funk_shifted, TangentSample(np.full(np.shape(y), 0.1), y), "I")
     args = (v, v) if read == "inner" else (v,)
     with pytest.raises(InvalidParameterError, match=f"{read}: "):

@@ -508,3 +508,169 @@ def test_compose_matches_a_horner_sweep_through_the_jet_operators(ndir, order, s
     for k in range(1, order + 1):
         sqrt_series.append(sqrt_series[-1] * (0.5 - (k - 1)) / (k * x.value))
     _same_bits(jsqrt(x).coeffs, _operator_horner(x, sqrt_series).coeffs)
+
+
+# -- the truncated Horner sweep and capped index sets -------------------------
+
+def _finite_specials(rng, shape):
+    """Uniform coefficients of `shape`, a quarter of them +-0.0."""
+    c = rng.uniform(-1.0, 1.0, shape)
+    zero = rng.random(shape) < 0.25
+    c[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, shape))[zero]
+    return c
+
+
+@pytest.mark.parametrize("ndir, order, shape", [
+    (1, 3, ()), (3, 3, ()), (2, 3, (2048,)), (1, 4, ()), (2, 4, ()), (4, 4, ()),
+    (6, 4, ()), (3, 4, (33,)), (2, 4, (3,)), (2, 4, (2048,))])
+def test_compose_at_finite_coefficients_matches_a_horner_sweep(ndir, order, shape,
+                                                               monkeypatch):
+    """With every coefficient finite, an order-4 composition runs the j-th
+    product of its sweep at order j + 1, which the full sweep's skipped
+    coefficients reach only through h[0] = 0; an order-3 one runs the full
+    sweep.  Both give the bits of the sweep through the Jet operators."""
+    rng = np.random.default_rng(13 * ndir + order + len(shape))
+    coeffs = _finite_specials(rng, (jets._num_coeffs(ndir, order),) + shape)
+    coeffs[0] = rng.uniform(0.5, 2.0, shape)
+    x = jets.Jet(coeffs, ndir, order)
+    series = [np.float64(rng.uniform(-2.0, 2.0)) if shape == ()
+              else rng.uniform(-2.0, 2.0, shape) for _ in range(order + 1)]
+    orders = []
+    product = jets._product
+
+    def recorded(ca, cb, ndir, order, *args):
+        orders.append(order)
+        return product(ca, cb, ndir, order, *args)
+
+    monkeypatch.setattr(jets, "_product", recorded)
+    got = x._compose(series)
+    assert orders == ([2, 3, 4] if order == 4 else [3, 3])
+    monkeypatch.undo()
+    _same_bits(got.coeffs, _operator_horner(x, series).coeffs)
+    assert np.array_equal(np.signbit(got.coeffs), np.signbit(_operator_horner(x, series).coeffs))
+
+
+def test_the_truncated_sweep_cases_cover_both_reducers():
+    sides = {len(jets._mul_table(ndir, top, None, top - 1)[0]) * batch >= jets._RANK_SUM_MIN
+             for ndir, batch in ((2, 2048), (3, 33)) for top in (2, 3, 4)}
+    assert sides == {False, True}
+
+
+def _within(jet, cap):
+    """The coefficients of an uncapped jet at the multi-indices that `cap`
+    keeps, in graded order."""
+    indices, _ = jets._index_table(jet.ndir, jet.order, cap)
+    _, position = jets._index_table(jet.ndir, jet.order)
+    return jet.coeffs[[position[alpha] for alpha in indices]]
+
+
+def _capped(jet, cap):
+    return jets.Jet(_within(jet, cap), jet.ndir, jet.order, cap)
+
+
+# (ndir, order, cap, batch shape): capped below the order, so each case drops
+# coefficients, unbatched and batched
+_CAPPED_CASES = [(4, 4, (2, 2), ()), (6, 4, (3, 2), ()), (6, 3, (3, 2), (2, 3)),
+                 (4, 4, (2, 1), (33,)), (3, 4, (1, 0), ()), (6, 4, (3, 2), (2048,))]
+
+
+@pytest.mark.parametrize("ndir, order, cap, shape", _CAPPED_CASES)
+def test_a_capped_index_set_keeps_the_multi_indices_within_its_cap(ndir, order, cap, shape):
+    indices, position = jets._index_table(ndir, order, cap)
+    full, _ = jets._index_table(ndir, order)
+    assert indices == tuple(a for a in full if sum(a[:cap[0]]) <= cap[1])
+    assert jets._num_coeffs(ndir, order, cap) == len(indices) < len(full)
+    # each lower order's capped set is a prefix, so truncation is a slice
+    for low in range(order):
+        assert indices[:jets._num_coeffs(ndir, low, cap)] == jets._index_table(ndir, low, cap)[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ndir, order, cap, shape", _CAPPED_CASES)
+def test_capped_jets_compute_what_uncapped_jets_compute_within_the_cap(ndir, order, cap,
+                                                                       shape):
+    """Products, partials, Hessians, compositions, contractions and
+    truncations of capped jets give, bit for bit, the coefficients the same
+    operations give uncapped at every multi-index within the cap; partials
+    along the capped directions are capped one order lower there."""
+    rng = np.random.default_rng(17 * ndir + order + cap[1])
+    n = jets._num_coeffs(ndir, order)
+    a = jets.Jet(_specials(rng, (n,) + shape), ndir, order)
+    b = jets.Jet(_finite_specials(rng, (n,) + shape), ndir, order)
+    b.coeffs[0] = rng.uniform(0.5, 2.0, shape)
+    ac, bc = _capped(a, cap), _capped(b, cap)
+
+    def same(got, want):
+        assert got.order == want.order and got.cap == jets._cap(got.cap, got.order)
+        _same_bits(got.coeffs, _within(want, got.cap))
+
+    same(ac * bc, a * b)
+    same(ac + bc, a + b)
+    same(ac * b, a * b)  # an uncapped operand is recapped
+    same(bc / ac, b / a)
+    for lifted in (jsqrt, jexp, jlog, lambda x: jpow(x, -1.7)):
+        same(lifted(bc), lifted(b))
+    same(bc._reciprocal(), b._reciprocal())
+    for low in range(order):
+        same(bc.truncated(low), b.truncated(low))
+    for directions in ([cap[0] - 1, ndir - 1], [ndir - 1], list(range(ndir))):
+        directions = [d for d in directions if d >= 0]
+        if cap[1] == 0 and min(directions) < cap[0]:
+            with pytest.raises(OutOfOrderError):
+                jets.partials(ac, directions)
+            continue
+        got = jets.partials(ac, directions)
+        lowered = any(d < cap[0] for d in directions)
+        assert got.cap == jets._cap((cap[0], cap[1] - lowered), order - 1)
+        same(got, jets.partials(a, directions))
+        if order >= 2 and not (lowered and cap[1] < 2):
+            same(jets.hessian(bc, directions), jets.hessian(b, directions))
+    ta = jets.Jet(_specials(rng, (n,) + shape + (2, 3)), ndir, order)
+    tb = jets.Jet(_specials(rng, (n,) + shape + (3,)), ndir, order)
+    same(jets.contract("...ij,...j->...i", _capped(ta, cap), _capped(tb, cap)),
+         jets.contract("...ij,...j->...i", ta, tb))
+    # operands of different caps and orders meet at the tighter cap and the lower order
+    lower = jets.partials(_capped(tb, cap), [ndir - 1])
+    same(jets.contract("...ij,...jk->...ik", _capped(ta, cap), lower),
+         jets.contract("...ij,...jk->...ik", ta, jets.partials(tb, [ndir - 1])))
+    if cap[1] > 0:
+        xs = jets.partials(_capped(tb, cap), [0])
+        same(jets.contract("...ij,...jk->...ik", ta, xs),
+             jets.contract("...ij,...jk->...ik", ta, jets.partials(tb, [0])))
+
+
+@pytest.mark.parametrize("ndir, order, cap, shape", _CAPPED_CASES)
+def test_extract_above_a_cap_is_refused(ndir, order, cap, shape):
+    rng = np.random.default_rng(3)
+    c = jets.Jet(rng.uniform(-1.0, 1.0, (jets._num_coeffs(ndir, order, cap),) + shape),
+                 ndir, order, cap)
+    inside = (cap[1],) + (0,) * (ndir - 1)
+    assert np.array_equal(extract(c, inside), c.coeffs[jets._index_table(
+        ndir, order, cap)[1][inside]] * math.factorial(cap[1]))
+    above = (cap[1] + 1,) + (0,) * (ndir - 1)
+    with pytest.raises(OutOfOrderError, match="cap"):
+        extract(c, above)
+
+
+def test_a_capped_seed_is_the_uncapped_seed_within_its_cap():
+    point = np.array([[0.1, 0.2], [0.3, -0.4], [1.5, 0.5]])
+    directions = np.eye(3) + 0.25
+    for cap in ((2, 2), (2, 1), (3, 1), (0, 1)):
+        for got, want in zip(seed(point, directions, 3, cap), seed(point, directions, 3)):
+            assert got.cap == cap
+            _same_bits(got.coeffs, _within(want, cap))
+    assert all(j.cap is None for j in seed(point, directions, 3, (2, 3)))
+
+
+@pytest.mark.parametrize("cap", [(2,), (1, 0), (5, 1), (1.0, 2), "ab", 2])
+def test_a_malformed_seed_cap_is_refused(cap):
+    with pytest.raises(ValueError, match="cap"):
+        seed([0.1, 0.2], np.eye(2), 2, cap)
+
+
+def test_jets_capped_over_different_directions_do_not_combine():
+    a = seed([0.1, 0.2, 0.3], np.eye(3), 3, (1, 1))[0]
+    b = seed([0.1, 0.2, 0.3], np.eye(3), 3, (2, 1))[0]
+    for combine in (lambda: a + b, lambda: a * b, lambda: jets.contract("...,...->...", a, b)):
+        with pytest.raises(ValueError, match="capped over different direction sets"):
+            combine()
