@@ -82,12 +82,16 @@ def _solver_tol(tol):
 def _solve(caller, metric, rhs, t_span, state0, method, tol, events=None):
     """solve_ivp with dense output at the per-step tolerance for `tol`,
     logged at DEBUG level; the state starts with the chart point.  A `tol`
-    outside (0, 1) or a `t_span` that is not two finite numbers (solve_ivp
-    would never reach a NaN end) raises InvalidParameterError, a solve that
+    outside (0, 1), or a `t_span` that is not two distinct finite numbers
+    (solve_ivp would never reach a NaN end, and a span of zero length gives
+    nodes all at one time), raises InvalidParameterError, a solve that
     stops short or would take more than RHS_BUDGET right-hand sides
     ResolutionError."""
     tol = _number(f"{caller}: tolerance", tol, above=0.0, below=1.0)
     t_span = _vector(f"{caller}: t_span", t_span, 2)
+    if t_span[0] == t_span[1]:
+        raise InvalidParameterError(
+            f"{caller}: t_span = ({t_span[0]:g}, {t_span[1]:g}) has zero length")
     inner = _solver_tol(tol)
     count = 0
 
@@ -166,7 +170,8 @@ def integrate_geodesic(metric, x0, y0, t_span, tol=1e-10, nodes=TRACE_NODES):
     the chart margin falls to EXIT_MARGIN.  A start whose margin is not
     above EXIT_MARGIN raises DomainError; a stalled solve ResolutionError;
     `nodes` that is not an integer of at least 2, an x0 or y0 that is not n
-    finite numbers, or a `t_span` that is not two, InvalidParameterError.
+    finite numbers, or a `t_span` that is not two distinct finite numbers,
+    InvalidParameterError.
     """
     nodes = _integer("integrate_geodesic: nodes", nodes, least=2)
     n = metric.dimension
@@ -378,9 +383,14 @@ def phi_second_differences(torsion, floor=1e-9):
 
 
 def trace_to_csv(torsion_or_trace, path_or_buffer):
-    """Columnar CSV export: t, position, velocity, then phi/residual if present."""
+    """Columnar CSV export: t, position, velocity, then phi/residual if present.
+    Anything but a GeodesicTrace or TorsionTrace raises InvalidParameterError."""
     torsion = torsion_or_trace if isinstance(torsion_or_trace, TorsionTrace) else None
     trace = torsion.trace if torsion else torsion_or_trace
+    if not isinstance(trace, GeodesicTrace):
+        raise InvalidParameterError(
+            f"trace_to_csv: {type(torsion_or_trace).__name__} is not a GeodesicTrace "
+            f"or TorsionTrace")
     n = trace.positions.shape[1]
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)]
     columns = [trace.times, trace.positions, trace.velocities]

@@ -60,8 +60,9 @@ order, so g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is
 applied through the Cholesky factor of each sample, never formed.  A stack
 is factored by one batched np.linalg.cholesky call and one sample by
 LAPACK's dpotrf directly, which skips numpy's Python-level checks and gives
-the same bits; scipy.linalg, which supplies dpotrf and the solve dpotrs,
-is imported the first time a bundle factors g.  The only
+the same bits; scipy's LAPACK extension, which supplies dpotrf and the
+solve dpotrs, is loaded the first time a bundle factors g, without the
+scipy.linalg package.  The only
 covariant machinery materialized is the nonlinear connection; contracted
 with the geodesic velocity it agrees with the connections the covariant
 formulas need, so Christoffel symbols never appear.
@@ -69,6 +70,11 @@ formulas need, so Christoffel symbols never appear.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -86,17 +92,52 @@ FLAG_DEGENERACY_EPS = 1e-10
 
 #: scipy's LAPACK Cholesky factor and solve, bound by _load_lapack.
 dpotrf = dpotrs = None
+_lapack_lock = threading.Lock()
+#: The extension module that scipy.linalg.lapack takes them from.
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_spec():
+    """The spec of scipy's LAPACK extension, found without importing scipy,
+    or None."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
+    return importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+
+
+def _flapack():
+    """scipy's LAPACK extension, loaded from its file and registered under
+    its own name, so a later `import scipy.linalg` reuses it; or
+    scipy.linalg.lapack when the file is not found or does not load."""
+    spec = _flapack_spec()
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[_FLAPACK] = module
+            return module
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _load_lapack():
-    """Bind dpotrf and dpotrs the first time a bundle factors g: importing
-    scipy.linalg costs about a third of a second that commands without a
-    bundle need not pay."""
+    """Bind dpotrf and dpotrs the first time a bundle factors g, from
+    scipy's LAPACK extension alone: importing the scipy.linalg package
+    costs about a quarter of a second that a process without a flow need
+    not pay.  One thread loads and binds under the lock while the others
+    wait for it; dpotrs is bound last, so once it is set, both are."""
     global dpotrf, dpotrs
     if dpotrs is None:
-        from scipy.linalg import lapack
-
-        dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
+        with _lapack_lock:
+            if dpotrs is None:
+                lapack = sys.modules.get(_FLAPACK) or _flapack()
+                dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
 
 
 @dataclass(frozen=True)
@@ -122,8 +163,14 @@ class TangentSample:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        for name in ("x", "y"):
+            v = getattr(self, name)
+            try:
+                v = np.asarray(v, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidParameterError(
+                    f"a tangent sample needs numbers: {name} = {v!r}") from None
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)

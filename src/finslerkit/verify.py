@@ -163,12 +163,16 @@ class ClaimReport:
 
 
 def load_claims(path_or_stream):
-    """Claims from a YAML document: a list of claim records."""
-    if isinstance(path_or_stream, (str, bytes)):
-        with open(path_or_stream) as stream:
-            data = yaml.safe_load(stream)
-    else:
-        data = yaml.safe_load(path_or_stream)
+    """Claims from a YAML document: a list of claim records.  A document
+    that is not YAML raises InvalidParameterError, from yaml's error."""
+    try:
+        if isinstance(path_or_stream, (str, bytes)):
+            with open(path_or_stream) as stream:
+                data = yaml.safe_load(stream)
+        else:
+            data = yaml.safe_load(path_or_stream)
+    except yaml.YAMLError as exc:
+        raise InvalidParameterError(f"claim file is not YAML: {exc}") from exc
     if not isinstance(data, (list, dict)):  # a scalar document is one record
         data = [] if data is None else [data]
     return [Claim.from_dict(rec) for rec in data]

@@ -164,6 +164,14 @@ def test_suite_on_a_malformed_claim_file_is_a_usage_error(tmp_path, capsys,
     assert err.startswith("error: ")
 
 
+def test_suite_on_a_claim_file_that_is_not_yaml_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "claims.yaml"
+    path.write_text("- id: [unclosed\n")
+    code, out, err = run_cli(capsys, "suite", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_suite_with_fewer_than_one_job_is_a_usage_error(tmp_path, capsys, jobs):
     """--jobs below 1 exits 2 instead of quietly running the claims serially."""
@@ -372,22 +380,37 @@ def _after_cli_import(code):
     return out.stdout.split(), out.stderr
 
 
-@pytest.mark.parametrize("module,first_use", [
-    ("scipy.stats", "from finslerkit.quadrature import sphere_rule; sphere_rule(4)"),
-    ("scipy.integrate", "from finslerkit import flow, zoo; flow.integrate_geodesic("
-                        "zoo.make_funk_shifted([0.3, 0.0]), [0.1, 0.2], [0.5, -0.3], (0, 0.1))"),
-    ("scipy.linalg", "from finslerkit import geometry, zoo; geometry.fundamental_tensor("
-                     "zoo.make_funk_shifted([0.3, 0.0]), "
-                     "geometry.TangentSample([0.1, 0.2], [0.5, -0.3]))"),
+@pytest.mark.parametrize("module,absent,first_use", [
+    ("scipy.stats", None, "from finslerkit.quadrature import sphere_rule; sphere_rule(4)"),
+    ("scipy.integrate", None,
+     "from finslerkit import flow, zoo; flow.integrate_geodesic("
+     "zoo.make_funk_shifted([0.3, 0.0]), [0.1, 0.2], [0.5, -0.3], (0, 0.1))"),
+    ("scipy.linalg._flapack", "scipy.linalg",
+     "from finslerkit import geometry, zoo; geometry.fundamental_tensor("
+     "zoo.make_funk_shifted([0.3, 0.0]), geometry.TangentSample([0.1, 0.2], [0.5, -0.3]))"),
 ], ids=["scipy.stats", "scipy.integrate", "scipy.linalg"])
-def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, first_use):
-    """scipy.stats, scipy.integrate and scipy.linalg (each a third of a
-    second or more to import) are loaded only when an n >= 4 sphere rule is
-    first built, a flow first solves or a bundle first factors g, not when
-    the CLI starts."""
+def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, absent, first_use):
+    """scipy.stats and scipy.integrate (each a third of a second or more to
+    import) are loaded only when an n >= 4 sphere rule is first built or a
+    flow first solves, not when the CLI starts.  A bundle that factors g
+    loads scipy's LAPACK extension alone, and never the scipy.linalg
+    package (`absent`)."""
     out, err = _after_cli_import(f"print({module!r} in sys.modules); {first_use}; "
-                                 f"print({module!r} in sys.modules)")
-    assert out == ["False", "True"], err
+                                 f"print({module!r} in sys.modules, {absent!r} in sys.modules)")
+    assert out == ["False", "True", "False"], err
+
+
+def test_a_suite_on_two_threads_imports_no_scipy_linalg_package(tmp_path):
+    """Both threads build their first bundle at once; the second must not
+    bind LAPACK before the first has, which would import all of
+    scipy.linalg."""
+    path = tmp_path / "claims.yaml"
+    path.write_text(CLAIMS_YAML)
+    argv = ["suite", "--file", str(path), "--jobs", "2", "--out", str(tmp_path / "suite.json")]
+    out, err = _after_cli_import(
+        f"code = finslerkit.cli.main({argv!r}); "
+        "print(code, 'scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert out == ["0", "True", "False"], err
 
 
 def test_cli_import_loads_no_scipy_module():

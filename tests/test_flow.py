@@ -578,3 +578,19 @@ def test_trace_csv_prints_each_value_to_twelve_digits(tmp_path):
                                  "0.333333333333,0.333333333333,-0.333333333333\n")
     flow.trace_to_csv(trace, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_text() == buffer.getvalue()
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (0.3, 0.3), (-1.0, -1.0)])
+def test_a_geodesic_span_of_zero_length_is_refused(funk_shifted, t_span):
+    """Its trace had every node at one time, and torsion_trace on it
+    divided by zero."""
+    with deadline(5.0), pytest.raises(InvalidParameterError, match="t_span"):
+        integrate_geodesic(funk_shifted, [0.1, 0.2], [0.5, -0.3], t_span)
+
+
+@pytest.mark.parametrize("trace", ["not a trace", None, np.zeros((3, 5))],
+                         ids=["text", "none", "array"])
+def test_trace_csv_refuses_what_is_not_a_trace(trace):
+    """Each raised a bare AttributeError."""
+    with pytest.raises(InvalidParameterError, match="trace_to_csv"):
+        flow.trace_to_csv(trace, io.StringIO())

@@ -487,6 +487,18 @@ def test_a_tangent_sample_of_the_wrong_shape_is_refused_by_every_view(funk_shift
         _VIEWS[view](funk_shifted, TangentSample(x, y))
 
 
+@pytest.mark.parametrize("x, y", [
+    (["a", "b"], [1.0, 0.0]),
+    ([0.1, 0.2], [1.0, "b"]),
+    ([0.1, [0.2, 0.3]], [1.0, 0.0]),
+    ({"x": 0.1}, [1.0, 0.0]),
+], ids=["text-x", "text-in-y", "ragged-x", "mapping-x"])
+def test_a_tangent_sample_that_is_not_numbers_is_refused(x, y):
+    """Each raised numpy's bare ValueError or TypeError."""
+    with pytest.raises(InvalidParameterError, match="tangent sample"):
+        TangentSample(x, y)
+
+
 def test_s_curvature_refuses_a_stack_before_building_a_bundle(funk_shifted, monkeypatch):
     """S is one number per sample and takes one sample; a (K, n) stack
     used to build a K-row bundle and then fail in float()."""
@@ -712,3 +724,71 @@ def test_the_cartan_norm_of_a_one_dimensional_metric_is_refused(call):
     raised a bare IndexError, and the scans alone returned a value."""
     with pytest.raises(InvalidParameterError, match="dimension n >= 2"):
         call(zoo.make_riemannian("flat", 1))
+
+
+_FIELDS = ("g", "g_inverse", "I", "G", "N", "R", "J")
+
+
+def _fields(bundle):
+    return [np.asarray(getattr(bundle, name)).tobytes() for name in _FIELDS]
+
+
+def _bundle(m, samples):
+    x = np.array([[0.1, 0.2], [-0.2, 0.1], [0.3, -0.1]][:samples])
+    y = np.array([[0.6, -0.4], [0.2, 0.5], [-0.3, -0.7]][:samples])
+    at = TangentSample(x[0], y[0]) if samples == 1 else TangentSample(x, y)
+    return local_geometry(m, at, "R")
+
+
+def _not_found(tmp_path):
+    return None
+
+
+def _fails_to_load(tmp_path):
+    """A spec for a file that is no extension module: loading it raises
+    ImportError."""
+    import importlib.util
+
+    path = tmp_path / "_flapack.so"
+    path.write_bytes(b"not a shared object")
+    return importlib.util.spec_from_file_location(geometry._FLAPACK, path)
+
+
+@pytest.mark.parametrize("spec", [_not_found, _fails_to_load],
+                         ids=["no-spec", "load-fails"])
+@pytest.mark.parametrize("samples", [1, 3])
+def test_a_bundle_factors_g_through_scipy_linalg_when_the_lapack_file_does_not_load(
+        funk_shifted, monkeypatch, tmp_path, spec, samples):
+    """Without the extension's file, dpotrf and dpotrs come from
+    scipy.linalg.lapack, and every field has the same bits."""
+    from scipy.linalg import lapack
+
+    direct = _fields(_bundle(funk_shifted, samples))
+    monkeypatch.setattr(geometry, "dpotrf", None)
+    monkeypatch.setattr(geometry, "dpotrs", None)
+    monkeypatch.setattr(geometry, "_flapack_spec", lambda: spec(tmp_path))
+    monkeypatch.delitem(sys.modules, geometry._FLAPACK)
+    assert _fields(_bundle(funk_shifted, samples)) == direct
+    assert geometry.dpotrf is lapack.dpotrf and geometry.dpotrs is lapack.dpotrs
+
+
+_LAPACK_THEN_SCIPY_LINALG = """
+import sys
+sys.path.insert(0, {root!r})
+from finslerkit import geometry, zoo
+geometry.fundamental_tensor(zoo.make_funk_shifted([0.3, 0.0]),
+                            geometry.TangentSample([0.1, 0.2], [0.5, -0.3]))
+print("scipy.linalg" in sys.modules, geometry._FLAPACK in sys.modules)
+from scipy.linalg import lapack
+print(geometry.dpotrf is lapack.dpotrf, geometry.dpotrs is lapack.dpotrs)
+"""
+
+
+def test_scipy_linalg_imported_after_a_bundle_reuses_its_lapack_functions():
+    """A bundle loads scipy's LAPACK extension alone and registers it, so
+    a later `import scipy.linalg` (as scipy.integrate and scipy.stats do)
+    finds the same module: its dpotrf and dpotrs are the bundle's."""
+    root = os.path.dirname(os.path.dirname(geometry.__file__))
+    out = subprocess.run([sys.executable, "-c", _LAPACK_THEN_SCIPY_LINALG.format(root=root)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "True", "True", "True"], out.stderr

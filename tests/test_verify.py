@@ -210,6 +210,17 @@ def test_malformed_claim_is_refused_when_built(malformed_claim_yaml):
         load_claims(io.StringIO(malformed_claim_yaml))
 
 
+@pytest.mark.parametrize("document", ["- id: [unclosed\n", "- id: a\n  id: b: c\n",
+                                      "\t- id: a\n"],
+                         ids=["unclosed-flow", "mapping-in-a-plain-scalar", "tab-indent"])
+def test_a_claim_file_that_is_not_yaml_is_an_invalid_parameter(document):
+    """yaml's own parse error used to escape the Python entry point; it is
+    kept as the cause."""
+    with pytest.raises(InvalidParameterError, match="not YAML") as err:
+        load_claims(io.StringIO(document))
+    assert isinstance(err.value.__cause__, yaml.YAMLError)
+
+
 @pytest.mark.parametrize("document", [
     yaml.safe_dump({"id": "flat-cartan", "quantity": "mean_cartan",
                     "metric": {"kind": "euclidean", "dimension": 2}}, sort_keys=False),
