@@ -50,11 +50,11 @@ s_curvature takes one sample and volume_density one point.  A stack has
 one sample axis: x and y of shape (K1, K2, n) are refused.
 
 A bundle passes one gate when it is built: for every sample the point
-lies in the chart, y is not zero, F > 0 and g has a Cholesky factor, or
-DomainError or DegenerateMetricError.  A stack that fails is checked
-again sample by sample, so it raises exactly the error its first failing
-sample raises alone.  Jet-valued g^-1 (applied to the right-hand sides
-of G and I) comes from that factor by a finite Neumann series: with
+lies in the chart, y is finite and not zero, F > 0 and g has a Cholesky
+factor, or DomainError or DegenerateMetricError.  A stack that fails is
+checked again sample by sample, so it raises exactly the error its first
+failing sample raises alone.  Jet-valued g^-1 (applied to the right-hand
+sides of G and I) comes from that factor by a finite Neumann series: with
 g = g0 + dg and dg free of a value part, dg^k vanishes past the jet
 order, so g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is
 applied through the Cholesky factor of each sample, never formed.  A stack
@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import threading
@@ -165,6 +166,9 @@ class TangentSample:
     def __post_init__(self):
         for name in ("x", "y"):
             v = getattr(self, name)
+            if _has_bool(v):  # on a float array, one dtype check
+                raise InvalidParameterError(
+                    f"a tangent sample needs numbers, not bools: {name} = {v!r}")
             try:
                 v = np.asarray(v, dtype=float)
             except (TypeError, ValueError):
@@ -251,6 +255,9 @@ def _gated(metric, at, need):
         points = at.x[np.r_[True, np.any(at.x[1:] != at.x[:-1], axis=1)]]
     for x in points:
         _check_domain(metric, x)
+    if not (all(map(math.isfinite, at.y.tolist())) if one else np.isfinite(at.y).all()):
+        raise DegenerateMetricError(f"tangent direction y = {at.y} is not finite",
+                                    x=at.x, y=at.y)
     if not (any(at.y.tolist()) if one else at.y.any(axis=-1).all()):
         raise DegenerateMetricError(f"tangent direction y = {at.y} is zero",
                                     x=at.x, y=at.y)

@@ -381,23 +381,34 @@ def _after_cli_import(code):
 
 
 @pytest.mark.parametrize("module,absent,first_use", [
-    ("scipy.stats", None, "from finslerkit.quadrature import sphere_rule; sphere_rule(4)"),
     ("scipy.integrate", None,
      "from finslerkit import flow, zoo; flow.integrate_geodesic("
      "zoo.make_funk_shifted([0.3, 0.0]), [0.1, 0.2], [0.5, -0.3], (0, 0.1))"),
     ("scipy.linalg._flapack", "scipy.linalg",
      "from finslerkit import geometry, zoo; geometry.fundamental_tensor("
      "zoo.make_funk_shifted([0.3, 0.0]), geometry.TangentSample([0.1, 0.2], [0.5, -0.3]))"),
-], ids=["scipy.stats", "scipy.integrate", "scipy.linalg"])
+], ids=["scipy.integrate", "scipy.linalg"])
 def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, absent, first_use):
-    """scipy.stats and scipy.integrate (each a third of a second or more to
-    import) are loaded only when an n >= 4 sphere rule is first built or a
-    flow first solves, not when the CLI starts.  A bundle that factors g
-    loads scipy's LAPACK extension alone, and never the scipy.linalg
-    package (`absent`)."""
+    """scipy.integrate (a third of a second or more to import) is loaded
+    only when a flow first solves, not when the CLI starts.  A bundle that
+    factors g loads scipy's LAPACK extension alone, and never the
+    scipy.linalg package (`absent`)."""
     out, err = _after_cli_import(f"print({module!r} in sys.modules); {first_use}; "
                                  f"print({module!r} in sys.modules, {absent!r} in sys.modules)")
     assert out == ["False", "True", "False"], err
+
+
+def test_an_n4_sphere_rule_and_s_curvature_import_neither_scipy_stats_nor_scipy_linalg():
+    """The n >= 4 sphere rules are Gauss products built with numpy alone.
+    The scrambled Sobol rule before them imported scipy.stats, and with it
+    the scipy.linalg package."""
+    out, err = _after_cli_import(
+        "from finslerkit import zoo; from finslerkit.quadrature import sphere_rule; "
+        "from finslerkit.geometry import TangentSample, s_curvature; sphere_rule(4); "
+        "s_curvature(zoo.make_funk_shifted([0.3, 0.0, 0.0, 0.1], dimension=4), "
+        "TangentSample([0.1, 0.2, 0.0, 0.0], [0.3, 0.4, 0.1, 0.2])); "
+        "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert out == ["False", "False"], err
 
 
 def test_a_suite_on_two_threads_imports_no_scipy_linalg_package(tmp_path):

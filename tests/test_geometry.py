@@ -1,8 +1,10 @@
 """Pointwise differential-geometric quantities."""
 
 import dataclasses
+import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from finslerkit import flow, geometry, zoo
-from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError,
+from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
                                InvalidParameterError, OutOfOrderError,
                                QuadratureToleranceError)
 from finslerkit.geometry import (TangentSample, cartan_norm, distortion,
@@ -499,6 +501,36 @@ def test_a_tangent_sample_that_is_not_numbers_is_refused(x, y):
         TangentSample(x, y)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.1, 0.2], [True, False]),
+    ([0.1, 0.2], [np.True_, 0.5]),
+    ([True, 0.2], [0.3, 0.4]),
+    ([0.1, 0.2], np.array([False, True])),
+    ([[0.1, 0.2]], [[0.5, True]]),
+], ids=["bools", "numpy-bool", "bool-in-x", "bool-array", "stack-with-a-bool"])
+def test_a_tangent_sample_with_a_bool_entry_is_refused(funk_shifted, x, y):
+    """y = [True, False] was read as [1.0, 0.0]: fundamental_tensor
+    returned that direction's g."""
+    with pytest.raises(InvalidParameterError, match="tangent sample needs numbers"):
+        fundamental_tensor(funk_shifted, TangentSample(x, y))
+
+
+@pytest.mark.parametrize("y", [[np.inf, 0.0], [0.3, np.nan], [[0.3, 0.4], [-np.inf, 0.1]]],
+                         ids=["inf", "nan", "stack-with-an-inf"])
+def test_a_tangent_direction_that_is_not_finite_is_named(funk_shifted, y):
+    """It used to give RuntimeWarnings and then "F = nan is not positive";
+    the bundle gate names y before any jet is built."""
+    x = np.full(np.shape(y), 0.1)
+    with pytest.raises(DegenerateMetricError, match=r"y = \[.*\] is not finite"):
+        fundamental_tensor(funk_shifted, TangentSample(x, y))
+
+
+def test_a_point_that_is_not_finite_is_still_outside_the_domain(funk_shifted):
+    """The domain check comes before the check of y."""
+    with pytest.raises(DomainError):
+        fundamental_tensor(funk_shifted, TangentSample([np.nan, 0.1], [np.inf, 0.0]))
+
+
 def test_s_curvature_refuses_a_stack_before_building_a_bundle(funk_shifted, monkeypatch):
     """S is one number per sample and takes one sample; a (K, n) stack
     used to build a K-row bundle and then fail in float()."""
@@ -653,20 +685,103 @@ def test_sphere_rule_refuses_a_malformed_dimension_or_level(n, level):
         sphere_rule(n, level)
 
 
-@pytest.mark.parametrize("n, most", [(2, 9), (3, 7), (4, 16)])
+@pytest.mark.parametrize("n, most", [(2, 9), (3, 7), (4, 4), (5, 3)])
 def test_sphere_rule_levels_stop_where_a_factor_runs_out_of_nodes(n, most):
-    """The circle's 512 nodes, the 128 Gauss nodes of S^2 and the 2^16
-    Sobol points of S^3 halve down to one node, and no further."""
+    """The circle's 512 nodes and the 128, 16 and 8 Gauss t-nodes of the
+    S^2, S^3 and S^4 rules halve down to one node, and no further."""
     points, weights = sphere_rule(n, most)
     assert len(points) >= 1 and math.isclose(weights.sum(), sphere_area(n))
     with pytest.raises(InvalidParameterError, match=f"the most is {most}"):
         sphere_rule(n, most + 1)
 
 
+@pytest.mark.parametrize("n, level, digests", [
+    (2, 0, ("09fcfd93b547652540d92075c1af4a41c725a568f992229b78679807bd2ca43e",
+            "1633b81b4f48eb6289e1ebc599d7915a70ce92af22b8621e271c6ab3747a7c82")),
+    (2, 1, ("aa5838c26beac9e717b234cd8d382c372440cfe341ce576b49e9d2e7ec43e024",
+            "fcdfa8b4b985b60c7f4c74b9c5459b14881cff6c290ded0287b1538562862fc6")),
+    (3, 0, ("d8ab3a605d56c0edb284182970bc9005266db1db05957d9fc93649f0af6d3d0b",
+            "9df2f0b531877b089a9cb958e1196880d66168e84363a44ce51fcb15ed714b58")),
+    (3, 1, ("443dd1294129f52c8aa647343f9273d0b3d993b85a0f4c3b43e16cf67476af6c",
+            "db3ff1b273abfa47e7f4ba5aaef0a9f6c4aa5dc8341047a25a58c4f71282b6a8")),
+])
+def test_circle_and_s2_rules_keep_their_bits(n, level, digests):
+    """The S^2 rule is the recursion's first step, Gauss-Legendre times the
+    level + 1 circle, and gives the points and weights the dedicated S^2
+    product rule gave, bit for bit."""
+    points, weights = sphere_rule(n, level)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (points, weights)) == digests
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_higher_sphere_rules_stay_within_2_to_the_16_nodes_and_shrink_by_level(n):
+    """Each level has fewer nodes than the one below it, so the tol=
+    comparison always reads a coarser rule."""
+    sizes = [len(sphere_rule(n, level)[1]) for level in range(2)]
+    assert sizes[0] <= 2 ** 16 and sizes[1] < sizes[0]
+
+
+def test_no_sphere_rule_above_16_dimensions():
+    """Within 2^16 nodes, S^16 would have one Gauss node a factor and no
+    level-1 rule to compare against."""
+    with pytest.raises(InvalidParameterError, match="dimension n = 17"):
+        sphere_rule(17)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_volume_density_of_a_minkowski_randers_metric_is_exact(n):
+    """For F = |y| + <b, y>, sigma_F = (1 - |b|^2)^((n+1)/2).  The Gauss
+    products resolve it to rounding for n <= 4 and to 1e-6 above; the n >= 4
+    rule they replaced missed by 2.9e-5 to 7.9e-5."""
+    b = np.zeros(n)
+    b[0], b[-1] = 0.4, 0.2
+    want = (1.0 - b @ b) ** (0.5 * (n + 1))
+    got = volume_density(zoo.make_minkowski(n, b), np.zeros(n))
+    assert got == pytest.approx(want, rel=1e-12 if n <= 4 else 1e-6, abs=0.0)
+
+
+_SPHERE_FAULTS = """
+import resource, statistics, sys
+sys.path.insert(0, {root!r})
+import numpy as np
+from finslerkit import verify, zoo
+from finslerkit.geometry import TangentSample, s_curvature
+slab = zoo.make_incomplete_slab(dimension=3)
+funk = zoo.make_funk_shifted([0.3, 0.0, 0.1], dimension=3)
+at = TangentSample([0.1, 0.2, 0.1], [0.3, -0.4, 0.5])
+dirs = verify._fit_directions(np.random.default_rng(5), 3)
+for call in (lambda: s_curvature(slab, at),
+             lambda: verify._closed_one_form_residual(funk, 0.5, at.x, dirs)):
+    call()
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(statistics.median(faults), max(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_sphere_passes_after_the_first_reuse_their_pages():
+    """In a fresh process that builds no n >= 4 rule, an S on the slab
+    and a closed-one-form residual (whose jets carry 10 coefficients)
+    re-faulted 1500 to 9000 pages per call, until the first sphere rule
+    raised glibc's mmap threshold by freeing one large array."""
+    import finslerkit
+    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
+    out = subprocess.run([sys.executable, "-c", _SPHERE_FAULTS.format(root=root)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    for line in out.stdout.splitlines():
+        median, most = map(float, line.split())
+        assert median == 0 and most < 64, out.stdout
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_volume_density_honours_quadrature_tolerance(n):
     """The level-1 comparison bounds the density's quadrature for every
-    rule, the n >= 4 Sobol rule included."""
+    rule, the n >= 4 Gegenbauer products included."""
     m = zoo.make_funk_shifted([0.3] + [0.0] * (n - 1), dimension=n)
     x = np.full(n, 0.1)
     assert volume_density(m, x, tol=1e-2) == volume_density(m, x)
