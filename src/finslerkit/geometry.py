@@ -86,7 +86,7 @@ from .errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
                      FinslerError, InvalidParameterError, OutOfOrderError, _flag,
                      _integer, _vector)
 from .jets import Jet, contract, hessian, outermost, partials, seed, value
-from .quadrature import ball_volume, on_sphere
+from .quadrature import ball_volume, on_nodes, on_sphere
 
 #: Normalized Gram-determinant threshold below which a flag is degenerate.
 FLAG_DEGENERACY_EPS = 1e-10
@@ -568,7 +568,7 @@ def volume_density(metric, x, tol=None):
     _check_domain(metric, x)
 
     def f_ball(points, weights):
-        f = np.asarray(metric.evaluate(x, list(points.T)), dtype=float)
+        f = on_nodes(lambda p: np.asarray(metric.evaluate(x, list(p.T)), dtype=float), points)
         return float(np.sum(weights * f ** (-n))) / n
 
     return ball_volume(n) / on_sphere(n, f_ball, tol=tol)
@@ -605,14 +605,22 @@ def _density_slope(metric, x, y, points, weights, jacobian=False):
     + v v^T.
 
     v is integrated once and then contracted with y, so a stack of y costs
-    no more node work than one y.  Every sum over the nodes runs on the
-    calling thread (numpy's pairwise np.sum, and einsum without `optimize`,
-    never BLAS), so the bits do not depend on the BLAS thread count.  The
-    caller's `tol`, which on_sphere checks, must be positive and finite."""
+    no more node work than one y.  On a rule of at least SPLIT_NODES nodes
+    F is evaluated on two threads, half the nodes each (quadrature.on_nodes),
+    and joined; every sum over the nodes then runs on the calling thread
+    (numpy's pairwise np.sum, and einsum without `optimize`, never BLAS), so
+    the bits depend on neither the number of F threads nor the BLAS thread
+    count.  The caller's `tol`, which on_sphere checks, must be positive and
+    finite."""
     n, order = metric.dimension, 2 if jacobian else 1
-    fj = metric.evaluate(seed(x, list(np.eye(n)), order), list(points.T))
-    if not isinstance(fj, Jet):  # metric independent of x
-        fj = Jet.constant(fj, n, order)
+
+    def f_coeffs(p):
+        fj = metric.evaluate(seed(x, list(np.eye(n)), order), list(p.T))
+        if not isinstance(fj, Jet):  # metric independent of x
+            fj = Jet.constant(fj, n, order)
+        return fj.coeffs
+
+    fj = Jet(on_nodes(f_coeffs, points), n, order)
     fvals = fj.value
     grad = fj.coeffs[1:n + 1]  # the degree-1 coefficients: the first partials
     ball = weights * fvals ** (-n)

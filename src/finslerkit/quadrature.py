@@ -22,7 +22,18 @@ Node tables are built once and cached read-only.
 The estimates that callers pass to `on_sphere` sum over the nodes with
 numpy (pairwise `np.sum`, and `einsum` without `optimize`) on the calling
 thread, never with BLAS, so no second BLAS thread spins and the bits do
-not depend on the BLAS thread count.
+not depend on the BLAS thread count.  On a rule of at least SPLIT_NODES
+nodes they evaluate F on two threads (`on_nodes`): the calling thread
+takes the first half of the nodes and one worker thread the second, in a
+copy of the caller's context (numpy keeps np.errstate there), and the
+halves are joined along the node axis before any sum.  Each node's F
+comes out as it does in the whole batch (the jets module's batch
+promise), so the bits depend on neither the split nor the thread count.
+The worker starts at the first such pass, every caller shares it, and a
+forked child starts its own.  Below the cut the hand-off costs more than
+the second core gains (the timing is at SPLIT_NODES).  Only the caller
+and one worker compute: with two pool workers peak memory rose 8 %, since
+each thread fills its own glibc malloc arena.
 
 The first rule built also frees one large untouched array, once per
 process (`_warm_heap`).  That is for glibc's malloc: freeing a chunk it
@@ -31,16 +42,37 @@ threshold to twice that, so the node-sized arrays of every later sphere
 pass come from the heap and reuse its pages.  Without it, each n = 3 S
 maps and page-faults its arrays afresh: 1500 to 2300 minor faults and
 8 to 10 ms an S, against none.  Other allocators only pay one allocation.
+
+The two threads of a split pass warm up as well.  The worker's arena is
+its own, and where the two threads' arrays and small objects land varies
+from call to call, so an n = 3 S in a fresh process faulted 108 to 248
+pages on its second call, and sometimes again later.  So the first split
+starts the worker with an empty task before it allocates anything, and
+cycles a few thousand small Python objects, whose pools both threads
+then share (`_worker`); and a half that faults _SETTLE_FAULTS pages
+or more is evaluated again, at most twice, while its previous result is
+still held (`_settled`), so each arena reaches its high-water mark, with
+that much slack, in the call that raises it.  After the first call an
+n = 3 S faults 0 to 1 pages a call, as a serial one does.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidParameterError, QuadratureToleranceError, _integer, _number
+
+try:
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no per-thread fault count: no half is repeated
+    RUSAGE_THREAD = None
 
 CIRCLE_NODES = 512
 GAUSS_NODES = 128
@@ -50,6 +82,23 @@ MOST_NODES = 2 ** 16
 # bytes of the array _warm_heap frees: after 8 MiB, a closed_one_form
 # residual on S^2 (jets of 10 coefficients) still faulted 4300 pages a call
 _WARM_BYTES = 16 << 20
+# fewest nodes whose pass on_nodes splits.  Median-of-15 times of the
+# x-seeded F jet of szabo_epsilon, shifted Funk and the slab at n = 3, split
+# over serial, two runs on 2 cores: 8192 nodes 0.92-1.97x at order 1 and
+# 0.84-1.13x at order 2; 16384 nodes 0.91-1.10x and 0.56-0.68x; 32768 nodes
+# 0.61-1.32x and 0.50-0.67x; the 65536-node n = 6 rule 0.48-0.54x
+SPLIT_NODES = 16384
+# the executor of the one thread that evaluates the second half of a split
+# pass, made by the first split (_worker): made at import, it slowed the
+# pointwise benchmark, which never splits, by 2 % in 10 of 10 pairs
+_pool = None
+_pool_lock = threading.Lock()
+# minor faults that mark a half's arena as still growing (_settled): the
+# halves of a first n = 3 S fault 860 to 920 pages, a settled half 0 to 1
+_SETTLE_FAULTS = 32
+# small objects _worker cycles: without them, 1 of 60 fresh runs of
+# an n = 3 S faulted 1 to 11 pages on three of its five later calls
+_WARM_OBJECTS = 5000
 
 
 def ball_volume(n):
@@ -137,6 +186,68 @@ def sphere_rule(n, level=0):
     points.setflags(write=False)
     weights.setflags(write=False)
     return points, weights
+
+
+def _worker():
+    """The worker's executor.  The first split pass makes it, starts its
+    thread with an empty task before the pass allocates anything, and
+    cycles _WARM_OBJECTS small tuples (see the module docstring)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="finslerkit-nodes")
+            _pool.submit(int).result()
+            spare = [(i,) * (i % 8 + 1) for i in range(_WARM_OBJECTS)]
+            del spare
+        return _pool
+
+
+def _forget_worker():
+    """In a forked child, which runs none of its parent's threads: the
+    parent's executor would queue the child's halves for a worker that
+    never takes them, and its lock may be held."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _settled(evaluate, points):
+    """`evaluate(points)`, repeated at most twice while it faults
+    _SETTLE_FAULTS pages or more; each repeat runs while the previous
+    result is still held, which leaves its arena that much slack."""
+    for repeats in (2, 1, 0):
+        before = _minor_faults()
+        result = evaluate(points)
+        if not repeats or _minor_faults() - before < _SETTLE_FAULTS:
+            return result
+
+
+def _minor_faults():
+    """Minor page faults of the calling thread so far, or 0 where the
+    system does not count them per thread."""
+    return getrusage(RUSAGE_THREAD).ru_minflt if RUSAGE_THREAD is not None else 0
+
+
+def on_nodes(evaluate, points):
+    """`evaluate(points)`: an array whose last axis runs over the (K, n)
+    `points`, each entry a function of its own point only.  For K >=
+    SPLIT_NODES the calling thread evaluates the first K // 2 points and
+    the worker thread, in a copy of the caller's context, the rest, and the
+    two are joined along that axis.  If a half raises, the other half is
+    waited for, and the first half's error is raised if it has one."""
+    if len(points) < SPLIT_NODES:
+        return evaluate(points)
+    half = len(points) // 2
+    second = _worker().submit(contextvars.copy_context().run, _settled, evaluate, points[half:])
+    try:
+        first = _settled(evaluate, points[:half])
+    except BaseException:
+        wait((second,))
+        raise
+    return np.concatenate((first, second.result()), axis=-1)
 
 
 def on_sphere(n, estimate, tol=None):

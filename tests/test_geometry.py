@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from finslerkit import flow, geometry, zoo
+from finslerkit import flow, geometry, verify, zoo
 from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
                                InvalidParameterError, OutOfOrderError,
                                QuadratureToleranceError)
@@ -591,24 +591,144 @@ def test_a_refine_flag_that_is_not_a_bool_is_refused(funk_shifted, refine):
         cartan_norm(funk_shifted, [0.1, 0.2], coarse=16, refine=refine)
 
 
+def _nodes_seen(batches, points):
+    """The distinct node batches F saw, each a (k, n) array, ordered by
+    where they start in `points` and joined.  A split pass may evaluate a
+    half again while its thread's malloc arena settles
+    (quadrature._settled), and its two threads call F in either order."""
+    distinct = []
+    for batch in batches:
+        if not any(np.array_equal(batch, seen) for seen in distinct):
+            distinct.append(batch)
+    distinct.sort(key=lambda b: np.flatnonzero((points == b[0]).all(axis=1))[0])
+    return np.concatenate(distinct)
+
+
 @pytest.mark.parametrize("fixture,nodes", [("funk_shifted", 512), ("szabo", 32768)])
 def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, nodes):
     """With tol=None, volume_density and s_curvature evaluate F on the
-    level-0 sphere rule only, never on the half-size rule."""
+    level-0 sphere rule only, never on the half-size rule: the y nodes F
+    saw are exactly the rule's points, whether or not the pass is split."""
     base = request.getfixturevalue(fixture)
+    points = sphere_rule(base.dimension)[0]
+    assert len(points) == nodes
     batches = []
 
-    def counted(x, y):
-        batches.append(max(np.size(value(c)) for c in y))
+    def recorded(x, y):
+        if np.ndim(value(y[0])) > 0:
+            batches.append(np.column_stack([value(c) for c in y]))
         return base.evaluate(x, y)
 
-    m = dataclasses.replace(base, evaluate=counted)
+    m = dataclasses.replace(base, evaluate=recorded)
     at = _sample(base, seed_=18)
     volume_density(m, at.x)
-    assert [b for b in batches if b > 1] == [nodes]
+    assert np.array_equal(_nodes_seen(batches, points), points)
     batches.clear()
     s_curvature(m, at)
-    assert [b for b in batches if b > 1] == [nodes]
+    assert np.array_equal(_nodes_seen(batches, points), points)
+
+
+def _split_metrics():
+    """Every default spec with n >= 3 and the n = 6 shifted Funk metric,
+    whose 65536-node rule is the largest."""
+    specs = [s for s in zoo.default_specs() if s.dimension >= 3]
+    return ([pytest.param(zoo.build_metric(s), id=s.kind) for s in specs]
+            + [pytest.param(zoo.make_funk_shifted([0.2, 0.1, 0.0, 0.0, 0.0, 0.1], 6),
+                            id="funk_shifted-6")])
+
+
+def _whole(evaluate, points):
+    return evaluate(points)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("metric", _split_metrics())
+def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(metric, order):
+    """Each node's x-seeded F jet is computed as it is in the whole batch,
+    so the two joined halves are the whole rule's coefficients exactly."""
+    from finslerkit.quadrature import SPLIT_NODES, on_nodes
+    points = sphere_rule(metric.dimension)[0]
+    assert len(points) >= SPLIT_NODES
+    x = _sample(metric, seed_=19).x
+    n = metric.dimension
+
+    def f_coeffs(p):
+        return metric.evaluate(seed(x, list(np.eye(n)), order), list(p.T)).coeffs
+
+    assert np.array_equal(on_nodes(f_coeffs, points), f_coeffs(points))
+
+
+@pytest.mark.parametrize("metric", _split_metrics()[:-1])
+def test_sphere_passes_give_the_bits_of_unsplit_passes(metric, monkeypatch):
+    """S, sigma_F and the closed-1-form residual (the Jacobian pass) read
+    the same floats when on_nodes is a plain whole-batch call."""
+    at = _sample(metric, seed_=20)
+    dirs = verify._fit_directions(np.random.default_rng(20), metric.dimension)
+
+    def readings():
+        return (s_curvature(metric, at), volume_density(metric, at.x),
+                verify._closed_one_form_residual(metric, 0.5, at.x, dirs))
+
+    split = readings()
+    monkeypatch.setattr(geometry, "on_nodes", _whole)
+    assert readings() == split
+
+
+def _holds_worker_node(y, n):
+    """Whether batched y nodes hold the first node of the second half of
+    the level-0 S^{n-1} rule, the half a split pass gives the worker."""
+    points = sphere_rule(n)[0]
+    return (np.ndim(value(y[0])) > 0
+            and bool(np.any((np.column_stack(y) == points[len(points) // 2]).all(axis=1))))
+
+
+def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(szabo):
+    """The worker's FinslerError reaches the caller, and the next pass on a
+    good metric returns, so no task is left behind on the worker."""
+    def failing(x, y):
+        if _holds_worker_node(y, 3):
+            raise DomainError("worker half")
+        return szabo.evaluate(x, y)
+
+    at = _sample(szabo, seed_=21)
+    with pytest.raises(DomainError, match="worker half"):
+        s_curvature(dataclasses.replace(szabo, evaluate=failing), at)
+    assert np.isfinite(s_curvature(szabo, at))
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
+def test_the_worker_half_runs_under_the_callers_errstate(szabo, monkeypatch, split):
+    """numpy keeps np.errstate in a context variable; the worker's half
+    runs in a copy of the caller's context, so a division by zero there
+    raises as it does in a serial pass."""
+    def dividing(x, y):
+        if _holds_worker_node(y, 3):
+            np.divide(1.0, np.zeros(1))
+        return szabo.evaluate(x, y)
+
+    if not split:
+        monkeypatch.setattr(geometry, "on_nodes", _whole)
+    m = dataclasses.replace(szabo, evaluate=dividing)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        volume_density(m, _sample(szabo, seed_=22).x)
+
+
+def test_threads_splitting_at_once_get_the_serial_bits(szabo, slab, monkeypatch):
+    """Callers on several threads (finslerkit suite --jobs 2 has two)
+    share the one worker, and each gets the S of an unsplit pass; four
+    callers on two cores, switching threads every 10 microseconds."""
+    from concurrent.futures import ThreadPoolExecutor
+    cases = [(szabo, _sample(szabo, seed_=23)), (slab, _sample(slab, seed_=24))] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(s_curvature, *case) for case in cases]
+            split = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(geometry, "on_nodes", _whole)
+    assert split == [s_curvature(*case) for case in cases]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True],
@@ -776,6 +896,61 @@ def test_sphere_passes_after_the_first_reuse_their_pages():
     for line in out.stdout.splitlines():
         median, most = map(float, line.split())
         assert median == 0 and most < 64, out.stdout
+
+
+_THREADS_STARTED = """
+import sys, threading
+sys.path.insert(0, {root!r})
+from finslerkit import zoo
+from finslerkit.geometry import TangentSample, s_curvature, volume_density
+funk = zoo.make_funk_shifted([0.3, 0.0])
+slab = zoo.make_incomplete_slab(dimension=3)
+s_curvature(funk, TangentSample([0.1, 0.2], [0.3, -0.4]), tol=1e-3)
+volume_density(funk, [0.1, 0.2])
+print(threading.active_count())
+s_curvature(slab, TangentSample([0.1, 0.2, 0.1], [0.3, -0.4, 0.5]))
+print(threading.active_count())
+"""
+
+
+def test_only_a_split_pass_starts_the_worker_thread():
+    """Passes below SPLIT_NODES (the 512-node circle) start no thread; the
+    first split starts one worker, and no more."""
+    import finslerkit
+    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
+    out = subprocess.run([sys.executable, "-c", _THREADS_STARTED.format(root=root)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "2"]
+
+
+_FORKED_SPLIT = """
+import os, signal, sys
+sys.path.insert(0, {root!r})
+from finslerkit import zoo
+from finslerkit.geometry import TangentSample, s_curvature
+slab = zoo.make_incomplete_slab(dimension=3)
+at = TangentSample([0.1, 0.2, 0.1], [0.3, -0.4, 0.5])
+parent = s_curvature(slab, at)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if s_curvature(slab, at) == parent else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_child_forked_after_a_split_pass_splits_its_own():
+    """A forked child runs none of its parent's threads: its split pass
+    used to queue the worker's half for the parent's worker and wait for
+    ever (the child's alarm ends it, status 14)."""
+    import finslerkit
+    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
+    out = subprocess.run([sys.executable, "-c", _FORKED_SPLIT.format(root=root)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
 
 
 @pytest.mark.parametrize("n", [3, 4])
