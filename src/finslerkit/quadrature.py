@@ -29,10 +29,13 @@ copy of the caller's context (numpy keeps np.errstate there), and the
 halves are joined along the node axis before any sum.  Each node's F
 comes out as it does in the whole batch (the jets module's batch
 promise), so the bits depend on neither the split nor the thread count.
-The worker starts at the first such pass, every caller shares it, and a
-forked child starts its own.  Below the cut the hand-off costs more than
-the second core gains (the timing is at SPLIT_NODES).  Only the caller
-and one worker compute: with two pool workers peak memory rose 8 %, since
+The worker starts at the first such pass, and a forked child starts its
+own.  Below the cut the hand-off costs more than the second core gains
+(the timing is at SPLIT_NODES).  A pass is not split either while another
+Python thread is alive (`_alone`): the claim threads of `finslerkit suite
+--jobs 2` already hold both cores of a 2-core machine, and splitting
+beside them made that suite slower in 11 of 12 runs.  Only the caller and
+one worker compute: with two pool workers peak memory rose 8 %, since
 each thread fills its own glibc malloc arena.
 
 The first rule built also frees one large untouched array, once per
@@ -43,17 +46,17 @@ pass come from the heap and reuse its pages.  Without it, each n = 3 S
 maps and page-faults its arrays afresh: 1500 to 2300 minor faults and
 8 to 10 ms an S, against none.  Other allocators only pay one allocation.
 
-The two threads of a split pass warm up as well.  The worker's arena is
-its own, and where the two threads' arrays and small objects land varies
-from call to call, so an n = 3 S in a fresh process faulted 108 to 248
-pages on its second call, and sometimes again later.  So the first split
-starts the worker with an empty task before it allocates anything, and
-cycles a few thousand small Python objects, whose pools both threads
-then share (`_worker`); and a half that faults _SETTLE_FAULTS pages
-or more is evaluated again, at most twice, while its previous result is
-still held (`_settled`), so each arena reaches its high-water mark, with
-that much slack, in the call that raises it.  After the first call an
-n = 3 S faults 0 to 1 pages a call, as a serial one does.
+The worker's malloc arena is its own and starts empty, so the small
+blocks a half allocates (numpy's shapes and strides, objects above the
+512 bytes Python's small-object allocator keeps) were carved between its
+node-sized arrays and pinned them in new places call after call: an n = 3
+S in a fresh process faulted 107 pages on its second call, and a
+closed-one-form residual 32 to 96 pages on one of its later calls in
+about a third of runs.  So the worker's first task frees _SPARE_BLOCKS
+small blocks below one it keeps for good (`_warm_worker`); the small
+blocks of every later half come from that run, below the arrays.  Then
+the worker faults 0 to 1 pages a call after the first, and an n = 3 S
+12 pages on its second call, all on the calling thread, and 0 to 1 after.
 """
 
 from __future__ import annotations
@@ -68,11 +71,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError, QuadratureToleranceError, _integer, _number
-
-try:
-    from resource import RUSAGE_THREAD, getrusage
-except ImportError:  # no per-thread fault count: no half is repeated
-    RUSAGE_THREAD = None
 
 CIRCLE_NODES = 512
 GAUSS_NODES = 128
@@ -93,12 +91,12 @@ SPLIT_NODES = 16384
 # pointwise benchmark, which never splits, by 2 % in 10 of 10 pairs
 _pool = None
 _pool_lock = threading.Lock()
-# minor faults that mark a half's arena as still growing (_settled): the
-# halves of a first n = 3 S fault 860 to 920 pages, a settled half 0 to 1
-_SETTLE_FAULTS = 32
-# small objects _worker cycles: without them, 1 of 60 fresh runs of
-# an n = 3 S faulted 1 to 11 pages on three of its five later calls
-_WARM_OBJECTS = 5000
+# bytearrays whose buffers _warm_worker frees in the worker's arena: with
+# 50 or 100 the residual's later calls still faulted a page often enough
+# to give a median of 1 in 2 of 12 and 2 of 40 fresh runs; with 150 to 800
+# in none of 20, and with 256 in none of 140
+_SPARE_BLOCKS = 256
+_kept = None
 
 
 def ball_volume(n):
@@ -189,17 +187,25 @@ def sphere_rule(n, level=0):
 
 
 def _worker():
-    """The worker's executor.  The first split pass makes it, starts its
-    thread with an empty task before the pass allocates anything, and
-    cycles _WARM_OBJECTS small tuples (see the module docstring)."""
+    """The worker's executor, made by the first split pass, which waits
+    for its first task (`_warm_worker`)."""
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="finslerkit-nodes")
-            _pool.submit(int).result()
-            spare = [(i,) * (i % 8 + 1) for i in range(_WARM_OBJECTS)]
-            del spare
+            _pool.submit(_warm_worker).result()
         return _pool
+
+
+def _warm_worker():
+    """Free the buffers of _SPARE_BLOCKS bytearrays of 600 bytes, which
+    malloc serves from the worker's own arena (Python's small-object
+    allocator takes 512 bytes at most), below one kept for good (see the
+    module docstring)."""
+    global _kept
+    spare = [bytearray(600) for _ in range(_SPARE_BLOCKS)]
+    _kept = bytearray(600)
+    del spare
 
 
 def _forget_worker():
@@ -214,36 +220,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _settled(evaluate, points):
-    """`evaluate(points)`, repeated at most twice while it faults
-    _SETTLE_FAULTS pages or more; each repeat runs while the previous
-    result is still held, which leaves its arena that much slack."""
-    for repeats in (2, 1, 0):
-        before = _minor_faults()
-        result = evaluate(points)
-        if not repeats or _minor_faults() - before < _SETTLE_FAULTS:
-            return result
-
-
-def _minor_faults():
-    """Minor page faults of the calling thread so far, or 0 where the
-    system does not count them per thread."""
-    return getrusage(RUSAGE_THREAD).ru_minflt if RUSAGE_THREAD is not None else 0
+def _alone():
+    """Whether the calling thread is the one Python thread besides the
+    worker; other threads (the claim threads of `finslerkit suite --jobs
+    2`) are taken to be using the second core."""
+    return threading.active_count() <= 1 + (_pool is not None)
 
 
 def on_nodes(evaluate, points):
     """`evaluate(points)`: an array whose last axis runs over the (K, n)
     `points`, each entry a function of its own point only.  For K >=
-    SPLIT_NODES the calling thread evaluates the first K // 2 points and
-    the worker thread, in a copy of the caller's context, the rest, and the
-    two are joined along that axis.  If a half raises, the other half is
-    waited for, and the first half's error is raised if it has one."""
-    if len(points) < SPLIT_NODES:
+    SPLIT_NODES, while no other Python thread is alive (`_alone`), the
+    calling thread evaluates the first K // 2 points and the worker thread,
+    in a copy of the caller's context, the rest, and the two are joined
+    along that axis.  If a half raises, the other half is waited for, and
+    the first half's error is raised if it has one."""
+    if len(points) < SPLIT_NODES or not _alone():
         return evaluate(points)
     half = len(points) // 2
-    second = _worker().submit(contextvars.copy_context().run, _settled, evaluate, points[half:])
+    second = _worker().submit(contextvars.copy_context().run, evaluate, points[half:])
     try:
-        first = _settled(evaluate, points[:half])
+        first = evaluate(points[:half])
     except BaseException:
         wait((second,))
         raise

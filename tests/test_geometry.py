@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from finslerkit import flow, geometry, verify, zoo
+from finslerkit import flow, geometry, quadrature, verify, zoo
 from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
                                InvalidParameterError, OutOfOrderError,
                                QuadratureToleranceError)
@@ -591,24 +591,29 @@ def test_a_refine_flag_that_is_not_a_bool_is_refused(funk_shifted, refine):
         cartan_norm(funk_shifted, [0.1, 0.2], coarse=16, refine=refine)
 
 
-def _nodes_seen(batches, points):
-    """The distinct node batches F saw, each a (k, n) array, ordered by
-    where they start in `points` and joined.  A split pass may evaluate a
-    half again while its thread's malloc arena settles
-    (quadrature._settled), and its two threads call F in either order."""
-    distinct = []
-    for batch in batches:
-        if not any(np.array_equal(batch, seen) for seen in distinct):
-            distinct.append(batch)
-    distinct.sort(key=lambda b: np.flatnonzero((points == b[0]).all(axis=1))[0])
-    return np.concatenate(distinct)
+@pytest.fixture
+def alone(monkeypatch):
+    """Split passes as a process with no other Python thread does: the
+    test process may hold idle threads of earlier tests."""
+    monkeypatch.setattr(quadrature, "_alone", lambda: True)
+
+
+def _is_the_rule_once(batches, points):
+    """Whether the node batches F saw, each a (k, n) array, are one batch
+    equal to `points`, or on a split pass exactly two whose join in one of
+    the two orders is `points` (its two threads call F in either order)."""
+    from finslerkit.quadrature import SPLIT_NODES
+    if len(batches) != (2 if len(points) >= SPLIT_NODES else 1):
+        return False
+    return any(np.array_equal(np.concatenate(order), points)
+               for order in (batches, batches[::-1]))
 
 
 @pytest.mark.parametrize("fixture,nodes", [("funk_shifted", 512), ("szabo", 32768)])
-def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, nodes):
+def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, alone, fixture, nodes):
     """With tol=None, volume_density and s_curvature evaluate F on the
     level-0 sphere rule only, never on the half-size rule: the y nodes F
-    saw are exactly the rule's points, whether or not the pass is split."""
+    saw are the rule's points, each once, whether or not the pass is split."""
     base = request.getfixturevalue(fixture)
     points = sphere_rule(base.dimension)[0]
     assert len(points) == nodes
@@ -622,10 +627,10 @@ def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, 
     m = dataclasses.replace(base, evaluate=recorded)
     at = _sample(base, seed_=18)
     volume_density(m, at.x)
-    assert np.array_equal(_nodes_seen(batches, points), points)
+    assert _is_the_rule_once(batches, points)
     batches.clear()
     s_curvature(m, at)
-    assert np.array_equal(_nodes_seen(batches, points), points)
+    assert _is_the_rule_once(batches, points)
 
 
 def _split_metrics():
@@ -643,7 +648,7 @@ def _whole(evaluate, points):
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("metric", _split_metrics())
-def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(metric, order):
+def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(alone, metric, order):
     """Each node's x-seeded F jet is computed as it is in the whole batch,
     so the two joined halves are the whole rule's coefficients exactly."""
     from finslerkit.quadrature import SPLIT_NODES, on_nodes
@@ -659,7 +664,7 @@ def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(metric, order)
 
 
 @pytest.mark.parametrize("metric", _split_metrics()[:-1])
-def test_sphere_passes_give_the_bits_of_unsplit_passes(metric, monkeypatch):
+def test_sphere_passes_give_the_bits_of_unsplit_passes(alone, metric, monkeypatch):
     """S, sigma_F and the closed-1-form residual (the Jacobian pass) read
     the same floats when on_nodes is a plain whole-batch call."""
     at = _sample(metric, seed_=20)
@@ -682,7 +687,7 @@ def _holds_worker_node(y, n):
             and bool(np.any((np.column_stack(y) == points[len(points) // 2]).all(axis=1))))
 
 
-def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(szabo):
+def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(alone, szabo):
     """The worker's FinslerError reaches the caller, and the next pass on a
     good metric returns, so no task is left behind on the worker."""
     def failing(x, y):
@@ -697,7 +702,7 @@ def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(szabo):
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
-def test_the_worker_half_runs_under_the_callers_errstate(szabo, monkeypatch, split):
+def test_the_worker_half_runs_under_the_callers_errstate(alone, szabo, monkeypatch, split):
     """numpy keeps np.errstate in a context variable; the worker's half
     runs in a copy of the caller's context, so a division by zero there
     raises as it does in a serial pass."""
@@ -713,10 +718,11 @@ def test_the_worker_half_runs_under_the_callers_errstate(szabo, monkeypatch, spl
         volume_density(m, _sample(szabo, seed_=22).x)
 
 
-def test_threads_splitting_at_once_get_the_serial_bits(szabo, slab, monkeypatch):
-    """Callers on several threads (finslerkit suite --jobs 2 has two)
-    share the one worker, and each gets the S of an unsplit pass; four
-    callers on two cores, switching threads every 10 microseconds."""
+def test_threads_splitting_at_once_get_the_serial_bits(alone, szabo, slab, monkeypatch):
+    """Callers that split on several threads at once (a thread may start
+    after a caller found itself alone) share the one worker, and each gets
+    the S of an unsplit pass; four callers on two cores, switching threads
+    every 10 microseconds."""
     from concurrent.futures import ThreadPoolExecutor
     cases = [(szabo, _sample(szabo, seed_=23)), (slab, _sample(slab, seed_=24))] * 4
     interval = sys.getswitchinterval()
@@ -729,6 +735,29 @@ def test_threads_splitting_at_once_get_the_serial_bits(szabo, slab, monkeypatch)
         sys.setswitchinterval(interval)
     monkeypatch.setattr(geometry, "on_nodes", _whole)
     assert split == [s_curvature(*case) for case in cases]
+
+
+def test_a_pass_beside_another_python_thread_is_not_split(szabo):
+    """Another Python thread (a claim thread of finslerkit suite --jobs 2)
+    is taken to hold the second core: F sees the whole rule in one batch,
+    on the calling thread."""
+    import threading
+    batches = []
+
+    def recorded(x, y):
+        if np.ndim(value(y[0])) > 0:
+            batches.append(threading.current_thread())
+        return szabo.evaluate(x, y)
+
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        s_curvature(dataclasses.replace(szabo, evaluate=recorded), _sample(szabo, seed_=25))
+    finally:
+        release.set()
+        other.join()
+    assert batches == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True],
