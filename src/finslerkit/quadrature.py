@@ -34,9 +34,9 @@ own.  Below the cut the hand-off costs more than the second core gains
 (the timing is at SPLIT_NODES).  A pass is not split either while another
 Python thread is alive (`_alone`): the claim threads of `finslerkit suite
 --jobs 2` already hold both cores of a 2-core machine, and splitting
-beside them made that suite slower in 11 of 12 runs.  Only the caller and
-one worker compute: with two pool workers peak memory rose 8 %, since
-each thread fills its own glibc malloc arena.
+beside them made that suite slower in 11 of 12 pairs of runs.  Only the
+caller and one worker compute: with two pool workers peak memory rose
+8 %, since each thread fills its own glibc malloc arena.
 
 The first rule built also frees one large untouched array, once per
 process (`_warm_heap`).  That is for glibc's malloc: freeing a chunk it

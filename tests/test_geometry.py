@@ -602,8 +602,7 @@ def _is_the_rule_once(batches, points):
     """Whether the node batches F saw, each a (k, n) array, are one batch
     equal to `points`, or on a split pass exactly two whose join in one of
     the two orders is `points` (its two threads call F in either order)."""
-    from finslerkit.quadrature import SPLIT_NODES
-    if len(batches) != (2 if len(points) >= SPLIT_NODES else 1):
+    if len(batches) != (2 if len(points) >= quadrature.SPLIT_NODES else 1):
         return False
     return any(np.array_equal(np.concatenate(order), points)
                for order in (batches, batches[::-1]))
