@@ -51,7 +51,8 @@ one sample axis: x and y of shape (K1, K2, n) are refused.
 
 A bundle passes one gate when it is built: for every sample the point
 lies in the chart, y is finite and not zero, F > 0 and g has a Cholesky
-factor, or DomainError or DegenerateMetricError.  A stack that fails is
+factor, or DomainError or DegenerateMetricError; and y's largest entry
+lies within Y_SIZE_RANGE, or InvalidParameterError.  A stack that fails is
 checked again sample by sample, so it raises exactly the error its first
 failing sample raises alone.  Jet-valued g^-1 (applied to the right-hand
 sides of G and I) comes from that factor by a finite Neumann series: with
@@ -219,6 +220,12 @@ def _phase_jets(metric, x, y, order):
     return f, f * f, js[n:]
 
 
+#: The sizes of y's largest entry that a bundle accepts.  Probed on the
+#: default spec of each zoo kind at every need: past about 1e-22 and 1e75
+#: the szabo kinds' jets under- or overflow (RuntimeWarnings, then a NaN F),
+#: and the other kinds' past 1e-44 and 1e151.
+Y_SIZE_RANGE = (1e-20, 1e70)
+
 #: need -> (seeded in the chart directions too, jet order of F^2)
 _NEEDS = {"g": (False, 2), "I": (False, 3), "G": (True, 2), "N": (True, 3),
          "R": (True, 4)}
@@ -255,12 +262,19 @@ def _gated(metric, at, need):
         points = at.x[np.r_[True, np.any(at.x[1:] != at.x[:-1], axis=1)]]
     for x in points:
         _check_domain(metric, x)
-    if not (all(map(math.isfinite, at.y.tolist())) if one else np.isfinite(at.y).all()):
+    ys = at.y.tolist() if one else at.y
+    if not (all(map(math.isfinite, ys)) if one else np.isfinite(ys).all()):
         raise DegenerateMetricError(f"tangent direction y = {at.y} is not finite",
                                     x=at.x, y=at.y)
-    if not (any(at.y.tolist()) if one else at.y.any(axis=-1).all()):
+    size = max(map(abs, ys)) if one else np.abs(ys).max(axis=-1)
+    if not (size if one else size.all()):
         raise DegenerateMetricError(f"tangent direction y = {at.y} is zero",
                                     x=at.x, y=at.y)
+    low, high = Y_SIZE_RANGE
+    if not (low <= size <= high if one else low <= size.min() and size.max() <= high):
+        raise InvalidParameterError(
+            f"tangent direction y = {at.y} has largest entry {np.max(size):.3g} in size, "
+            f"outside [{low:g}, {high:g}]")
     phase, order = _NEEDS[need]
     f, f2, ys = (_phase_jets if phase else _y_jets)(metric, at.x, at.y, order)
     lg = LocalGeometry(at=at, f=f, f2=f2, ys=ys)

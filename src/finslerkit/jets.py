@@ -37,6 +37,29 @@ coefficients: a stack of samples computes what its samples compute one at
 a time.  `contract` sums each output index's contiguous segment with
 np.add.reduceat, which rounds batched terms differently.
 
+A jet also has a degree (`Jet.degree`), the highest total order at which
+its coefficients can be nonzero: 1 for a seeded coordinate with batch
+axes, 0 for such a constant, and its order for a jet built from
+coefficients or by a composition.  Sums take the larger degree, products
+the sum (at most the order), partials one less, and scalar operations
+keep it.  Every coefficient above the degree is +-0.0 unless the jet
+holds an inf or NaN: it is a sum of terms that each take a factor above
+an operand's degree.  `_mul_table` and `_rank_table` take a's degree
+(`low`) and b's (`bound`) and then list only the terms a[i] * b[j] with i
+and j within them; output indices above the two degrees' sum have no
+terms and read +0.0.  A product of batched jets takes that bounded table
+when either degree is below the order, fewer than `_BOUNDED_BATCH` batch
+entries are in play (stacks of samples, not sphere passes) and a sum of
+each operand's coefficients is finite.  It then gives the full table's
+bits: each skipped term is +-0.0 times a finite number, so +-0.0, and a
+sum that starts from +0.0 never becomes -0.0, so adding +-0.0 changes no
+bit.  An inf or NaN coefficient would make a skipped term NaN, so then
+the full table runs.  Unbatched products always take the full table: for
+one sample the finiteness check costs more than the skipped terms save.
+So an unbatched seed or constant has its order for degree, and the
+single samples of the flows pay nothing for degrees they would not use
+(tracked there too, they made transport 6 to 11 % slower).
+
 One table, `_partials_table`, gathers partials along seeded coordinate
 axes; `deriv` is its one-direction case.  A composition (sqrt, exp, log,
 pow, reciprocal) runs its Horner sweep on coefficient arrays with the
@@ -57,19 +80,23 @@ a multi-index above a cap.  Operands of two caps meet at the tighter one:
 `contract` gathers each from its own coefficients, and the other
 operations gather the kept coefficients of the looser operand first.
 
-At MAX_ORDER, a composition whose coefficients and series terms are all
-finite runs the j-th product of its sweep at order j + 1, with its left
-operand at order j.  Each later step multiplies by h, whose value part is
-0, so a coefficient the j-th product skips would meet only h[0] = 0, and
-a term a[i] * h[0] = +-0.0 added to a sum that starts at +0.0 leaves it
-unchanged: the truncated sweep gives the full sweep's bits.  An inf or
-NaN coefficient would make those skipped terms NaN, so then the full
-sweep runs.  (Finite coefficients large enough that a skipped
-coefficient overflows would also differ; the check does not look for
-that.)  Below MAX_ORDER the full sweep always runs: at order 3 a single
-sample's truncated sweep costs more than it saves (a square root in 4
-directions, 8.9 µs against 7.8 µs), and single samples are what the
-flows' need-"N" bundles evaluate.
+At MAX_ORDER, and at order 3 with batch axes, a composition whose
+coefficients and series terms are all finite runs the j-th product of its
+sweep at order j + 1, with its left operand at order j.  Each later step
+multiplies by h, whose value part is 0, so a coefficient the j-th product
+skips would meet only h[0] = 0, and a term a[i] * h[0] = +-0.0 added to a
+sum that starts at +0.0 leaves it unchanged: the truncated sweep gives the
+full sweep's bits.  An inf or NaN coefficient would make those skipped
+terms NaN, so then the full sweep runs.  (Finite coefficients large enough
+that a skipped coefficient overflows would also differ; the check does not
+look for that.)  An unbatched order-3 composition runs the full sweep:
+there the truncated sweep costs more than it saves (a square root in 4
+directions, 8.1 µs against 6.5 µs on a 2-core Xeon), and single samples
+are what the flows' need-"N" bundles evaluate.  With batch axes it saves
+(best of 5, µs, full sweep against truncated): 68 against 56 over 33 rows
+in 4 directions capped at (2, 2), 144 against 94 over 33 rows in 6, and
+1428 against 792 over 4096 rows in 3.  Below order 3 the sweep has one
+product or none.
 """
 
 from __future__ import annotations
@@ -100,6 +127,20 @@ MAX_DIRECTIONS = 8
 # 40 at 8960), bincount wins order 4 in 4 directions, capped, at
 # 21632-23040 (109 against 144 at 23040), so no other constant does better.
 _RANK_SUM_MIN = 20480
+
+# Batch entries from which a product takes the full table whatever its
+# operands' degrees.  The stacks the package builds (verify's chunks of 32
+# samples, the scans' stacks of at most geometry.SCAN_ROWS = 4096) take
+# degree-bounded tables; the halves of sphere passes, 8192 nodes and up,
+# do not.  On sphere passes the bounded tables moved no quadrature wall
+# time measurably, and their temporaries of other sizes moved the malloc
+# layout that the first pass settles: a fresh process then re-faulted pages
+# on later passes (a median of 1 page a call, or 193 pages in one call, in
+# 6 of 40 runs of the page-reuse test's script; 0 of 30 with full tables
+# there).  Bounded tables are cut from the full one (`_mul_table`): built
+# pair by pair they made the second closed-one-form residual of that script
+# fault 193 pages in 5 of 80 runs.
+_BOUNDED_BATCH = 8192
 
 
 def _compositions(total, m):
@@ -143,20 +184,32 @@ def _num_coeffs(ndir, order, cap=None):
 
 
 @lru_cache(maxsize=None)
-def _mul_table(ndir, order, cap=None, low=None, caps=None):
+def _mul_table(ndir, order, cap=None, low=None, caps=None, bound=None):
     """The product table (ia, ib, ic, starts): one term a[ia] * b[ib] per
     pair of multi-indices whose orders sum to at most `order`, landing on
     output index ic within `cap`.  Terms are stably sorted by ic, so the
     terms of output index k are starts[k]:starts[k + 1], in the order they
-    were listed.  With `low`, a's multi-indices stop at order `low`.  With
-    `caps` = (cap_a, cap_b), each no tighter than `cap`, ia and ib are
-    positions among the coefficients of operands capped at those."""
+    were listed.  With `low`, a's multi-indices stop at order `low`, and
+    with `bound`, b's stop at order `bound`: the table keeps the full
+    table's terms within them, in its order, and output indices above
+    their sum have no terms.  With `caps` = (cap_a, cap_b), each no
+    tighter than `cap`, ia and ib are positions among the coefficients of
+    operands capped at those."""
     indices, position = _index_table(ndir, order, cap)
-    m, c = cap or (0, 0)
-    # the graded order makes the b's that fit beside an a of order d a prefix
+    # the graded order makes the multi-indices of order <= d a prefix
     fits = [_num_coeffs(ndir, d, cap) for d in range(order + 1)]
+    if low is not None or bound is not None or caps is not None:
+        ia, ib, ic, _ = _mul_table(ndir, order, cap)
+        keep = ((ia < fits[order if low is None else low])
+                & (ib < fits[order if bound is None else bound]))
+        ia, ib, ic = ia[keep], ib[keep], ic[keep]
+        if caps is not None:
+            ia = _restriction(ndir, order, caps[0], cap)[ia]
+            ib = _restriction(ndir, order, caps[1], cap)[ib]
+        return ia, ib, ic, np.searchsorted(ic, np.arange(len(indices)))
+    m, c = cap or (0, 0)
     ia, ib, ic = [], [], []
-    for i, a in enumerate(indices[:fits[order if low is None else low]]):
+    for i, a in enumerate(indices):
         da, ma = sum(a), sum(a[:m])
         for j, b in enumerate(indices[:fits[order - da]]):
             if ma + sum(b[:m]) > c:
@@ -166,22 +219,19 @@ def _mul_table(ndir, order, cap=None, low=None, caps=None):
             ic.append(position[tuple(x + y for x, y in zip(a, b))])
     perm = np.argsort(ic, kind="stable")
     ia, ib = np.asarray(ia, dtype=np.intp)[perm], np.asarray(ib, dtype=np.intp)[perm]
-    if caps is not None:
-        ia = _restriction(ndir, order, caps[0], cap)[ia]
-        ib = _restriction(ndir, order, caps[1], cap)[ib]
     ic = np.asarray(ic, dtype=np.intp)[perm]
-    # the (0, alpha) term reaches every output index, so no segment is empty
-    starts = np.searchsorted(ic, np.arange(len(indices)))
-    return ia, ib, ic, starts
+    return ia, ib, ic, np.searchsorted(ic, np.arange(len(indices)))
 
 
 @lru_cache(maxsize=None)
-def _rank_table(ndir, order, cap=None, low=None):
+def _rank_table(ndir, order, cap=None, low=None, bound=None):
     """The product table by rank: (ranks, inverse).  Output indices are
     ordered by their number of terms, most first, so those with more than
     r terms are the first m_r; ranks[r] = (m_r, ia_r, ib_r) lists their
-    r-th terms, in table order.  `inverse` restores graded order."""
-    ia, ib, _, starts = _mul_table(ndir, order, cap, low)
+    r-th terms, in table order.  `inverse` restores graded order for the
+    output indices that have terms: all of them, or with `low` and `bound`
+    those up to order low + bound, a prefix."""
+    ia, ib, _, starts = _mul_table(ndir, order, cap, low, None, bound)
     lengths = np.diff(starts, append=len(ia))
     perm = np.argsort(-lengths, kind="stable")
     ranks = []
@@ -189,7 +239,7 @@ def _rank_table(ndir, order, cap=None, low=None):
         m = int(np.count_nonzero(lengths > r))
         at = starts[perm[:m]] + r
         ranks.append((m, ia[at], ib[at]))
-    return tuple(ranks), np.argsort(perm)
+    return tuple(ranks), np.argsort(perm)[:ranks[0][0]]
 
 
 @lru_cache(maxsize=None)
@@ -249,23 +299,32 @@ def _pad(coeffs, ndim):
     return coeffs.reshape(coeffs.shape[:1] + (1,) * missing + coeffs.shape[1:])
 
 
-def _product(ca, cb, ndir, order, cap=None, low=None):
+def _product(ca, cb, ndir, order, cap=None, low=None, bound=None):
     """Coefficients of the product of two jets of `order` and `cap` over
     `ndir` directions, from coefficient arrays of one number of axes (see
-    the module docstring); with `low`, `ca` stops at order `low`."""
-    ia, ib, ic, starts = _mul_table(ndir, order, cap, low)
+    the module docstring); with `low`, only `ca`'s coefficients up to order
+    `low` are read (it may stop there), and with `bound`, only `cb`'s up to
+    order `bound`."""
+    ia, ib, ic, starts = _mul_table(ndir, order, cap, low, None, bound)
     if ca.ndim == 1:
         return np.bincount(ic, weights=ca[ia] * cb[ib], minlength=len(starts))
     # each operand is gathered before the multiply broadcasts it, so a
     # smaller operand is never copied out to the common shape
     if len(ia) * math.prod(map(max, ca.shape[1:], cb.shape[1:])) >= _RANK_SUM_MIN:
-        ranks, inverse = _rank_table(ndir, order, cap, low)
+        ranks, inverse = _rank_table(ndir, order, cap, low, bound)
         (_, ia, ib), *later = ranks
         acc = ca[ia] * cb[ib]
         acc += 0.0  # bincount sums from +0.0, so a lone -0.0 term gives +0.0
         for m, ia, ib in later:
             acc[:m] += ca[ia] * cb[ib]
-        return acc[inverse]
+        if len(inverse) == len(starts):
+            return acc[inverse]
+        # a bounded table's output indices past the sum of the degrees have
+        # no terms, and they are the last in graded order: each is +0.0
+        out = np.empty((len(starts),) + acc.shape[1:])
+        np.take(acc, inverse, axis=0, out=out[:len(inverse)])
+        out[len(inverse):] = 0.0
+        return out
     terms = ca[ia] * cb[ib]
     batch = terms.shape[1:]
     size = math.prod(batch)
@@ -274,6 +333,22 @@ def _product(ca, cb, ndir, order, cap=None, low=None):
     index = (ic[:, None] * size + np.arange(size)).ravel()
     out = np.bincount(index, weights=terms.ravel(), minlength=len(starts) * size)
     return out.reshape((len(starts),) + batch)
+
+
+def _bounds(da, db, ca, cb, order):
+    """(low, bound) for the product at `order` of jets of degrees `da` and
+    `db`, from their aligned coefficients `ca` and `cb`: each degree where
+    it is below the order, else None.  Only batched operands of fewer than
+    _BOUNDED_BATCH entries whose every coefficient is finite take a bounded
+    table (see the module docstring); the others take the full table."""
+    low = da if da < order else None
+    bound = db if db < order else None
+    if ((low is None and bound is None) or ca.ndim == 1
+            or max(ca.size // len(ca), cb.size // len(cb)) >= _BOUNDED_BATCH):
+        return None, None
+    if not math.isfinite(ca.sum() + cb.sum()):
+        return None, None
+    return low, bound
 
 
 def _finite(h, series):
@@ -295,6 +370,8 @@ class Jet:
 
     __slots__ = ("coeffs", "ndir", "order", "cap")
     __array_ufunc__ = None  # force numpy to defer to reflected operators
+    #: the degree where it is below the order, else None (see `degree`)
+    _degree = None
 
     def __init__(self, coeffs, ndir, order, cap=None):
         self.coeffs = coeffs
@@ -302,13 +379,22 @@ class Jet:
         self.order = order
         self.cap = cap
 
+    @property
+    def degree(self):
+        """The highest total order at which a coefficient can be nonzero:
+        every coefficient above it is +-0.0, or the jet holds an inf or NaN
+        coefficient (see the module docstring).  A Jet built from its
+        coefficients has its order; a degree below it is the class
+        attribute of a subclass (`_jet`)."""
+        return self.order if self._degree is None else self._degree
+
     @classmethod
     def constant(cls, value, ndir, order, cap=None):
         value = np.asarray(value, dtype=np.float64)
         cap = _cap(cap, order)
         coeffs = np.zeros((_num_coeffs(ndir, order, cap),) + value.shape)
         coeffs[0] = value
-        return cls(coeffs, ndir, order, cap)
+        return _jet(coeffs, ndir, order, cap, 0 if value.ndim else None)
 
     @property
     def value(self):
@@ -322,7 +408,8 @@ class Jet:
         if order >= self.order:
             return self
         cap = _cap(self.cap, order)
-        return Jet(self.coeffs[: _num_coeffs(self.ndir, order, cap)], self.ndir, order, cap)
+        return _jet(self.coeffs[: _num_coeffs(self.ndir, order, cap)], self.ndir, order, cap,
+                    self._degree)
 
     def _aligned(self, other):
         """(a, b, order, cap): the coefficients of this jet and of `other`
@@ -348,7 +435,9 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             ca, cb, order, cap = self._aligned(other)
-            return Jet(ca + cb, self.ndir, order, cap)
+            if self._degree is None or other._degree is None:
+                return Jet(ca + cb, self.ndir, order, cap)
+            return _jet(ca + cb, self.ndir, order, cap, max(self._degree, other._degree))
         out = self.coeffs
         if not isinstance(other, float):
             other = np.asarray(other, dtype=np.float64)
@@ -356,34 +445,42 @@ class Jet:
                 out = np.broadcast_arrays(_pad(out, other.ndim + 1), other)[0]
         out = out.copy()
         out[0] += other
-        return Jet(out, self.ndir, self.order, self.cap)
+        return type(self)(out, self.ndir, self.order, self.cap)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.coeffs, self.ndir, self.order, self.cap)
+        return type(self)(-self.coeffs, self.ndir, self.order, self.cap)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             ca, cb, order, cap = self._aligned(other)
-            return Jet(ca - cb, self.ndir, order, cap)
+            if self._degree is None or other._degree is None:
+                return Jet(ca - cb, self.ndir, order, cap)
+            return _jet(ca - cb, self.ndir, order, cap, max(self._degree, other._degree))
         return self + (-other if isinstance(other, float) else -np.asarray(other))
 
     def __rsub__(self, other):
         if isinstance(other, float):
             out = -self.coeffs
             out[0] += other
-            return Jet(out, self.ndir, self.order, self.cap)
+            return type(self)(out, self.ndir, self.order, self.cap)
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             ca, cb, order, cap = self._aligned(other)
-            return Jet(_product(ca, cb, self.ndir, order, cap), self.ndir, order, cap)
+            da, db = self._degree, other._degree
+            if da is None and db is None:
+                return Jet(_product(ca, cb, self.ndir, order, cap), self.ndir, order, cap)
+            da, db = order if da is None else da, order if db is None else db
+            coeffs = _product(ca, cb, self.ndir, order, cap, *_bounds(da, db, ca, cb, order))
+            return _jet(coeffs, self.ndir, order, cap, da + db)
         if isinstance(other, float):
-            return Jet(self.coeffs * other, self.ndir, self.order, self.cap)
+            return type(self)(self.coeffs * other, self.ndir, self.order, self.cap)
         other = np.asarray(other, dtype=np.float64)
-        return Jet(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order, self.cap)
+        return type(self)(_pad(self.coeffs, other.ndim + 1) * other, self.ndir, self.order,
+                          self.cap)
 
     __rmul__ = __mul__
 
@@ -391,9 +488,10 @@ class Jet:
         if isinstance(other, Jet):
             return self * other._reciprocal()
         if isinstance(other, float):
-            return Jet(self.coeffs / other, self.ndir, self.order, self.cap)
+            return type(self)(self.coeffs / other, self.ndir, self.order, self.cap)
         other = np.asarray(other, dtype=np.float64)
-        return Jet(_pad(self.coeffs, other.ndim + 1) / other, self.ndir, self.order, self.cap)
+        return type(self)(_pad(self.coeffs, other.ndim + 1) / other, self.ndir, self.order,
+                          self.cap)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -423,13 +521,14 @@ class Jet:
         jet, and each c_k is added into the value part in place.  At order
         0, h is zero and this reduces to c_0.
 
-        At MAX_ORDER, with every coefficient and series term finite, the
-        j-th product of the sweep runs at order j + 1 with its left operand
-        at order j (see the module docstring)."""
+        At MAX_ORDER, and at order 3 with batch axes, with every
+        coefficient and series term finite, the j-th product of the sweep
+        runs at order j + 1 with its left operand at order j (see the
+        module docstring)."""
         ndir, order, cap = self.ndir, self.order, self.cap
         h = self.coeffs.copy()
         h[0] = 0.0
-        if order == MAX_ORDER and _finite(h, series):
+        if (order == MAX_ORDER or order == 3 and h.ndim > 1) and _finite(h, series):
             r = h[:_num_coeffs(ndir, 1, _cap(cap, 1))] * series[-1]
             for top in range(2, order + 1):
                 r[0] += series[order + 1 - top]
@@ -453,6 +552,21 @@ class Jet:
         return (f"Jet(order={self.order}, ndir={self.ndir}, "
                 f"value={self.value!r})")
 
+
+#: _DEGREES[d] is the Jet subclass of degree d.  It adds no slot: a fifth
+#: slot would take every jet from 64 to 72 bytes and so into another
+#: size class of Python's small-object allocator.
+_DEGREES = tuple(type(f"_Degree{d}", (Jet,), {"__slots__": (), "_degree": d})
+                 for d in range(MAX_ORDER))
+
+
+def _jet(coeffs, ndir, order, cap, degree):
+    """A jet of `order` and `cap` whose coefficients above total order
+    `degree` are +-0.0 (see Jet.degree): a Jet for None or from the order
+    up."""
+    if degree is None or degree >= order:
+        return Jet(coeffs, ndir, order, cap)
+    return _DEGREES[degree](coeffs, ndir, order, cap)
 
 # -- seeding and extraction ----------------------------------------------
 
@@ -490,7 +604,9 @@ def seed(point, directions, order, cap=None):
     slopes = np.asarray(directions, dtype=np.float64).T
     # the graded order puts the first partials e_0 ... e_{m-1} at positions 1 ... m
     coeffs[:, 1:m + 1] = slopes.reshape(slopes.shape + (1,) * len(batch))
-    return [Jet(c, m, order, cap) for c in coeffs]
+    # an unbatched jet never takes a bounded table, so it keeps its order
+    degree = 1 if batch else None
+    return [_jet(c, m, order, cap, degree) for c in coeffs]
 
 
 def extract(jet, multi_index):
@@ -526,14 +642,14 @@ def deriv(jet, direction):
     the geometry layer seeds them); drops the truncation order by one.
     """
     d = partials(jet, (direction,))
-    return Jet(d.coeffs[..., 0], d.ndir, d.order, d.cap)
+    return type(d)(d.coeffs[..., 0], d.ndir, d.order, d.cap)
 
 
 def jwhere(mask, a, b):
     """`np.where` for two jets: `mask` (over the batch axes) picks a's or b's
     coefficients, node by node."""
     ca, cb, order, cap = a._aligned(b)
-    return Jet(np.where(mask, ca, cb), a.ndir, order, cap)
+    return _jet(np.where(mask, ca, cb), a.ndir, order, cap, max(a.degree, b.degree))
 
 
 def value(x):
@@ -553,11 +669,12 @@ def partials(jet, directions):
         raise OutOfOrderError("cannot differentiate an order-0 jet")
     src, fac, cap = _partials_table(jet.ndir, jet.order, jet.cap, tuple(directions))
     batch = jet.coeffs.ndim - 1
+    degree = None if jet._degree is None else max(jet._degree - 1, 0)
     if not batch:
-        return Jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1, cap)
+        return _jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1, cap, degree)
     coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * batch)
     axes = (0,) + tuple(range(2, coeffs.ndim)) + (1,)
-    return Jet(coeffs.transpose(axes), jet.ndir, jet.order - 1, cap)
+    return _jet(coeffs.transpose(axes), jet.ndir, jet.order - 1, cap, degree)
 
 
 def hessian(jet, directions):
@@ -606,7 +723,8 @@ def contract(subscripts, a, b):
         if count:
             gathered[k] = outermost(gathered[k], 1, count)
     terms = np.einsum(spec, *gathered)
-    return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order, cap)
+    return _jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order, cap,
+                a.degree + b.degree)
 
 
 @lru_cache(maxsize=None)

@@ -119,6 +119,15 @@ def test_riemannian_torsion_trace_vanishes():
     assert np.abs(tt.residual_of_t).max() <= 1e-8
 
 
+def test_torsion_routes_that_disagree_above_check_tol_raise(funk_shifted):
+    """The two routes to DI agree to about 2e-11 here, above a check_tol of 1e-300."""
+    tr = integrate_geodesic(funk_shifted, np.array([0.1, -0.2]), np.array([0.8, 0.5]),
+                            (0.0, 1.0), nodes=33)
+    assert 0.0 < torsion_trace(funk_shifted, tr).di_disagreement < 1e-5
+    with pytest.raises(ResolutionError, match="routes disagree"):
+        torsion_trace(funk_shifted, tr, check_tol=1e-300)
+
+
 def test_product_torsion_is_parallel(szabo):
     rng = np.random.default_rng(3)
     x0 = szabo.domain.sample_interior(rng, margin=0.2)

@@ -13,7 +13,7 @@ import pytest
 
 from finslerkit import flow, geometry, quadrature, verify, zoo
 from finslerkit.errors import (DegenerateFlagError, DegenerateMetricError, DomainError,
-                               InvalidParameterError, OutOfOrderError,
+                               FinslerError, InvalidParameterError, OutOfOrderError,
                                QuadratureToleranceError)
 from finslerkit.geometry import (TangentSample, cartan_norm, distortion,
                                  flag_curvature, fundamental_tensor,
@@ -523,6 +523,42 @@ def test_a_tangent_direction_that_is_not_finite_is_named(funk_shifted, y):
     x = np.full(np.shape(y), 0.1)
     with pytest.raises(DegenerateMetricError, match=r"y = \[.*\] is not finite"):
         fundamental_tensor(funk_shifted, TangentSample(x, y))
+
+
+@pytest.mark.parametrize("y", [[1e200, 0.0], [1e-160, 2e-160], [1e-200, 0.0],
+                               [[0.3, 0.4], [1e200, 0.0]]],
+                         ids=["huge", "tiny", "tinier", "stack-with-a-huge-row"])
+def test_a_tangent_direction_of_extreme_size_is_refused_by_name(funk_shifted, y):
+    """Each used to give overflow or invalid-value RuntimeWarnings and then
+    "F = nan is not positive", which names the wrong cause."""
+    x = np.full(np.shape(y), 0.1)
+    with pytest.raises(InvalidParameterError, match=r"y = \[.*\] has largest entry .* outside"):
+        fundamental_tensor(funk_shifted, TangentSample(x, y))
+
+
+@pytest.mark.parametrize("spec", zoo.default_specs(), ids=lambda s: s.kind)
+def test_every_kind_resolves_a_tangent_direction_at_the_ends_of_the_size_range(spec):
+    """At the ends of the accepted range every default kind gives finite
+    quantities at every need, without a RuntimeWarning (or raises a
+    FinslerError, as the implicit Funk solve does at the tiny end)."""
+    m = zoo.build_metric(spec)
+    rng = np.random.default_rng(3)
+    x = m.domain.sample_interior(rng)
+    d = rng.normal(size=m.dimension)
+    d /= np.abs(d).max()
+    for size in geometry.Y_SIZE_RANGE:
+        for need, fields in (("g", "F g g_inverse"), ("I", "I"), ("G", "G"),
+                             ("N", "N G_x"), ("R", "G_xy G_yy R J")):
+            try:
+                lg = local_geometry(m, TangentSample(x, d * size), need)
+            except FinslerError:
+                continue
+            for name in fields.split():
+                assert np.isfinite(getattr(lg, name)).all(), (size, need, name)
+    below, above = geometry.Y_SIZE_RANGE[0] * 0.5, geometry.Y_SIZE_RANGE[1] * 2.0
+    for size in (below, above):
+        with pytest.raises(InvalidParameterError, match="outside"):
+            local_geometry(m, TangentSample(x, d * size), "g")
 
 
 def test_a_point_that_is_not_finite_is_still_outside_the_domain(funk_shifted):

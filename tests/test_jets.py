@@ -142,6 +142,11 @@ def test_order_five_is_rejected():
         seed([1.0], [np.array([1.0])], 5)
 
 
+def test_more_than_eight_directions_are_rejected():
+    with pytest.raises(UnsupportedOrderError, match="9 directions"):
+        seed(np.zeros(9), np.eye(9), 2)
+
+
 def test_extract_beyond_truncation_order_is_rejected():
     (jx,) = seed([1.0], [np.array([1.0])], 2)
     with pytest.raises(OutOfOrderError):
@@ -340,6 +345,119 @@ def test_each_batch_entry_is_the_unbatched_product_of_its_coefficients(
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# -- degree-bounded product tables ---------------------------------------------
+
+def _orders(ndir, order, cap=None):
+    """The total order of each coefficient a jet keeps, in graded order."""
+    return np.array([sum(alpha) for alpha in jets._index_table(ndir, order, cap)[0]])
+
+
+def _above(jet):
+    """The coefficients of `jet` at total orders above its degree."""
+    return jet.coeffs[_orders(jet.ndir, jet.order, jet.cap) > jet.degree]
+
+
+def test_degrees_follow_the_operations():
+    """A seed has degree 1 and a constant 0; sums take the larger degree,
+    products the sum (at most the order), compositions the order, partials
+    one less, scalar operations keep it, and a jet built from coefficients
+    has its order.  Every coefficient above a degree is +-0.0."""
+    x, y = seed(np.array([[0.3, 0.5, -0.2], [0.2, -0.4, 0.7]]), np.eye(2), 4)
+    c = jets.Jet.constant(np.array([2.0, 3.0, 0.5]), 2, 4)
+    q = x * x + y * y
+    cubic = q * x - c
+    cases = [(x, 1), (c, 0), (q, 2), (cubic, 3), (q + c, 2), (q - x, 2), (-q, 2),
+             (q * 2.0, 2), (2.0 * q, 2), (q * np.array([1.0, 2.0, 3.0]), 2), (q / 2.0, 2),
+             (1.0 - q, 2), (q + 1.0, 2), (q * q, 4), (q ** 2, 4), (c * x, 1), (jsqrt(q), 4),
+             (q / c, 4), (jets.partials(q, [0, 1]), 1), (deriv(cubic, 1), 2),
+             (jets.hessian(q, [0, 1]), 0), (q.truncated(1), 1), (cubic.truncated(2), 2),
+             (jets.jwhere(np.array([True, False, True]), q, x), 2),
+             (jets.contract("...i,...i->...", jets.partials(q, [0, 1]),
+                            jets.partials(cubic, [0, 1])), 3),
+             (jets.Jet(q.coeffs, 2, 4), 4)]
+    for k, (jet, degree) in enumerate(cases):
+        assert jet.degree == degree, k
+        assert np.all(_above(jet) == 0.0), k
+
+
+_DEGREE_SHAPES = [((3,), (3,)), ((1,), (4,)), ((2, 1), (3,)), ((2048,), (2048,)),
+                  ((1,), (2048,))]
+
+
+def _of_degree(rng, ndir, order, cap, shape, degree, special):
+    """Uniform coefficients with a fifth of them +-0.0 and every one above
+    `degree` +-0.0; with `special`, one entry (anywhere, so possibly above
+    the degree too) and about 1 % more are inf, -inf or NaN."""
+    c = _special_coeffs(rng, jets._num_coeffs(ndir, order, cap), shape)
+    c[~np.isfinite(c)] = 0.5
+    above = _orders(ndir, order, cap) > degree
+    c[above] = np.copysign(0.0, rng.uniform(-1.0, 1.0, c[above].shape))
+    if special:
+        odd = rng.random(c.shape) < 0.01
+        odd.flat[rng.integers(odd.size)] = True
+        c[odd] = rng.choice([np.inf, -np.inf, np.nan], odd.sum())
+    return c
+
+
+@st.composite
+def _degree_cases(draw):
+    ndir = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 4))
+    cap = draw(st.sampled_from([None] + [(m, c) for m in range(1, ndir + 1)
+                                         for c in range(1, order)]))
+    da, db = draw(st.integers(0, order)), draw(st.integers(0, order))
+    shape_a, shape_b = draw(st.sampled_from(_DEGREE_SHAPES))
+    if draw(st.booleans()):
+        shape_a, shape_b = shape_b, shape_a
+    special = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ca = _of_degree(rng, ndir, order, cap, shape_a, da, special and draw(st.booleans()))
+    cb = _of_degree(rng, ndir, order, cap, shape_b, db, special)
+    return jets._jet(ca, ndir, order, cap, da), jets._jet(cb, ndir, order, cap, db)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_degree_cases())
+def test_degree_bounded_products_give_the_full_tables_bits(pair):
+    """A batched product of jets of degrees da and db skips the terms that
+    pair a coefficient above either degree; while every coefficient is
+    finite each such term is +-0.0, which leaves a sum from +0.0 as it is,
+    and with an inf or NaN coefficient the full table runs."""
+    a, b = pair
+    full_a, full_b = (jets.Jet(j.coeffs, j.ndir, j.order, j.cap) for j in pair)
+    for x, y, fx, fy in ((a, b, full_a, full_b), (b, a, full_b, full_a)):
+        got, want = x * y, fx * fy
+        assert got.degree == min(x.degree + y.degree, x.order)
+        _same_bits(got.coeffs, want.coeffs)
+        ca, cb, order, _ = x._aligned(y)
+        finite = np.isfinite(ca).all() and np.isfinite(cb).all()
+        bounded = jets._bounds(x.degree, y.degree, ca, cb, order) != (None, None)
+        assert bounded == (finite and min(x.degree, y.degree) < order)
+
+
+def test_degree_bounded_cases_cover_both_reducers():
+    sides = {len(jets._mul_table(ndir, order, None, da, None, db)[0])
+             * math.prod(np.broadcast_shapes(sa, sb)) >= jets._RANK_SUM_MIN
+             for ndir, order, da, db in ((2, 2, 1, 1), (4, 4, 0, 4), (4, 4, 2, 3))
+             for sa, sb in _DEGREE_SHAPES}
+    assert sides == {False, True}
+
+
+def test_unbatched_products_and_sphere_passes_keep_the_full_table():
+    """An unbatched jet is seeded at its order, so it pays nothing for
+    degrees it would never use; a batch of _BOUNDED_BATCH entries tracks
+    them but takes the full table."""
+    x, y = seed([0.3, 0.5], np.eye(2), 4)
+    assert type(x) is jets.Jet and x.degree == 4
+    assert jets.Jet.constant(0.5, 2, 4).degree == 4
+    x, y = seed(np.full((2, jets._BOUNDED_BATCH), 0.5), np.eye(2), 4)
+    assert jets._bounds(x.degree, y.degree, x.coeffs, y.coeffs, 4) == (None, None)
+    assert (x * y).degree == 2
+    x, y = seed(np.full((2, jets._BOUNDED_BATCH - 1), 0.5), np.eye(2), 4)
+    assert jets._bounds(x.degree, y.degree, x.coeffs, y.coeffs, 4) == (1, 1)
+
+
 # -- lifted primitives against 50-digit references -----------------------------
 
 _PRIMITIVES = {
@@ -520,15 +638,18 @@ def _finite_specials(rng, shape):
     return c
 
 
-@pytest.mark.parametrize("ndir, order, shape", [
-    (1, 3, ()), (3, 3, ()), (2, 3, (2048,)), (1, 4, ()), (2, 4, ()), (4, 4, ()),
-    (6, 4, ()), (3, 4, (33,)), (2, 4, (3,)), (2, 4, (2048,))])
+_SWEEP_CASES = [(1, 3, ()), (3, 3, ()), (2, 3, (2048,)), (3, 3, (33,)), (1, 4, ()), (2, 4, ()),
+                (4, 4, ()), (6, 4, ()), (3, 4, (33,)), (2, 4, (3,)), (2, 4, (2048,))]
+
+
+@pytest.mark.parametrize("ndir, order, shape", _SWEEP_CASES)
 def test_compose_at_finite_coefficients_matches_a_horner_sweep(ndir, order, shape,
                                                                monkeypatch):
-    """With every coefficient finite, an order-4 composition runs the j-th
-    product of its sweep at order j + 1, which the full sweep's skipped
-    coefficients reach only through h[0] = 0; an order-3 one runs the full
-    sweep.  Both give the bits of the sweep through the Jet operators."""
+    """With every coefficient finite, an order-4 composition, and an order-3
+    one with batch axes, runs the j-th product of its sweep at order j + 1,
+    which the full sweep's skipped coefficients reach only through h[0] = 0;
+    an unbatched order-3 one runs the full sweep.  Both give the bits of the
+    sweep through the Jet operators."""
     rng = np.random.default_rng(13 * ndir + order + len(shape))
     coeffs = _finite_specials(rng, (jets._num_coeffs(ndir, order),) + shape)
     coeffs[0] = rng.uniform(0.5, 2.0, shape)
@@ -544,16 +665,21 @@ def test_compose_at_finite_coefficients_matches_a_horner_sweep(ndir, order, shap
 
     monkeypatch.setattr(jets, "_product", recorded)
     got = x._compose(series)
-    assert orders == ([2, 3, 4] if order == 4 else [3, 3])
+    assert orders == ([2, 3, 4] if order == 4 else [2, 3] if shape else [3, 3])
     monkeypatch.undo()
     _same_bits(got.coeffs, _operator_horner(x, series).coeffs)
     assert np.array_equal(np.signbit(got.coeffs), np.signbit(_operator_horner(x, series).coeffs))
 
 
 def test_the_truncated_sweep_cases_cover_both_reducers():
-    sides = {len(jets._mul_table(ndir, top, None, top - 1)[0]) * batch >= jets._RANK_SUM_MIN
-             for ndir, batch in ((2, 2048), (3, 33)) for top in (2, 3, 4)}
-    assert sides == {False, True}
+    """The batched sweeps of each truncated order run products on both
+    sides of jets._RANK_SUM_MIN."""
+    for order in (3, 4):
+        sides = {len(jets._mul_table(ndir, top, None, top - 1)[0]) * math.prod(shape)
+                 >= jets._RANK_SUM_MIN
+                 for ndir, o, shape in _SWEEP_CASES if o == order and shape
+                 for top in range(2, order + 1)}
+        assert sides == {False, True}, order
 
 
 def _within(jet, cap):

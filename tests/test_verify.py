@@ -286,6 +286,25 @@ def test_closed_one_form_residual_of_shifted_funk_is_rounding():
     assert result.stats["max"] <= 1e-13
 
 
+def test_a_cartan_bound_on_a_metric_without_a_drift_norm_is_refused():
+    """The Randers bound needs ||beta||_x, which the Funk metric does not expose;
+    run_claim reports the refusal as the claim's failure."""
+    spec = zoo.MetricSpec("funk_ball_shifted", 2, {"a": [0.3, 0.0]})
+    at = TangentSample(np.array([0.1, 0.2]), np.array([1.0, 0.0]))
+    with pytest.raises(InvalidParameterError, match="does not expose a drift-form norm"):
+        verify._eval_cartan_bound(zoo.build_metric(spec), at, None, {})
+    report = run_claim(_claim(id="funk-cartan-bound", metric=spec, quantity="cartan_bound",
+                              target={"kind": "upper_bound", "value": 0.0},
+                              tolerance_kind="absolute", samples=SamplePlan(count=3, seed=1)))
+    assert not report.passed and "does not expose a drift-form norm" in report.detail
+
+
+def test_a_rank_deficient_fit_direction_set_is_refused(funk_shifted):
+    dirs = np.tile([[0.6, 0.8]], (6, 1))
+    with pytest.raises(InvalidParameterError, match="rank-deficient"):
+        verify._gamma_fit(funk_shifted, 0.5, np.array([0.1, 0.2]), dirs)
+
+
 def _gamma_coefficients(metric, c, x, dirs):
     """gamma's fitted coefficients at x from s_curvature and F, sample by sample."""
     n = metric.dimension

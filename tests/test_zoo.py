@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finslerkit import geometry, verify, zoo
-from finslerkit.errors import InvalidParameterError, InvalidProfileError
+from finslerkit.errors import ImplicitSolveError, InvalidParameterError, InvalidProfileError
 from finslerkit.geometry import TangentSample
 from finslerkit.jets import Jet, extract, jsqrt, seed, value
 
@@ -64,6 +64,36 @@ def test_implicit_funk_matches_closed_form():
         got = float(implicit.evaluate(x, y))
         want = float(closed.evaluate(x, y))
         assert got == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
+
+
+def test_implicit_funk_refuses_a_base_point_outside_its_phi_ball():
+    """F read straight from `evaluate`, without a bundle's domain gate."""
+    with pytest.raises(ImplicitSolveError, match="outside the phi-ball"):
+        zoo.make_funk_implicit().evaluate([0.9, 0.9], [1.0, 0.0])
+
+
+def _euclidean_phi(v):
+    return zoo.make_euclidean(2).evaluate(None, v)
+
+
+def test_an_implicit_root_that_does_not_converge_raises():
+    """One Newton pass does not reach the root at a base point off the origin."""
+    with pytest.raises(ImplicitSolveError, match="did not converge"):
+        zoo._theta_root(_euclidean_phi, [0.3, 0.1], [1.0, 0.5], max_iter=1)
+
+
+def test_jet_propagation_that_stalls_raises():
+    """A gauge whose jets are not the jets of its values: the sweeps, with
+    the slope of the values' equation, do not settle on the jets' root."""
+
+    def skewed(v):
+        out = _euclidean_phi(v)
+        return out * 1.01 if isinstance(out, Jet) and out.ndir > 1 else out
+
+    js = seed([0.3, 0.1, 1.0, 0.5], np.eye(4), 2)
+    assert value(zoo._theta_jet(_euclidean_phi, js[:2], js[2:])) > 0.0
+    with pytest.raises(ImplicitSolveError, match="stalled"):
+        zoo._theta_jet(skewed, js[:2], js[2:])
 
 
 @pytest.mark.parametrize("phi,b", [("euclidean", None), ("randers", [0.3, 0.0])])
