@@ -24,6 +24,8 @@ A jet seeded in the chart directions keeps F^2 only up to order 2 in
 them (_CHART_ORDER; a capped jet, see the jets module): G and N need
 order 1 there, G_x, G_xy and R need 2, and J needs 1 (through the
 x-gradient of I), so the coefficients past it would feed no quantity.
+A need-"G" jet, of order 2, keeps chart order 1 only: of its quantities
+G reads the most there, F^2_x and F^2_xy.
 Each partial along the chart directions lowers that cap by one, and
 extract on f2 above it raises OutOfOrderError.
 
@@ -52,14 +54,19 @@ one sample axis: x and y of shape (K1, K2, n) are refused.
 A bundle passes one gate when it is built: for every sample the point
 lies in the chart, y is finite and not zero, F > 0 and g has a Cholesky
 factor, or DomainError or DegenerateMetricError; and y's largest entry
-lies within Y_SIZE_RANGE, or InvalidParameterError.  A stack that fails is
-checked again sample by sample, so it raises exactly the error its first
-failing sample raises alone.  Jet-valued g^-1 (applied to the right-hand
-sides of G and I) comes from that factor by a finite Neumann series: with
-g = g0 + dg and dg free of a value part, dg^k vanishes past the jet
-order, so g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is
-applied through the Cholesky factor of each sample, never formed.  A stack
-is factored by one batched np.linalg.cholesky call and one sample by
+lies within Y_SIZE_RANGE, or InvalidParameterError.  A stack checks the
+chart in one vectorized pass of Domain.margins over its rows (a run of
+equal rows once); only a row that this pass does not put clearly inside
+(SURE_MARGIN) takes the per-row check of one sample, in stack order, so a
+stack accepts and refuses the points that per-row checks do and raises
+the same first error.  A stack that fails any gate is checked again
+sample by sample, so it raises exactly the error its first failing sample
+raises alone.  Jet-valued g^-1 (applied to the right-hand sides of G and
+I) comes from that factor by a finite Neumann series: with g = g0 + dg
+and dg free of a value part, dg^k vanishes past the jet order, so
+g^-1 = sum_{k <= order} (-g0^-1 dg)^k g0^-1 exactly; g0^-1 is applied
+through the Cholesky factor of each sample, never formed.  A stack is
+factored by one batched np.linalg.cholesky call and one sample by
 LAPACK's dpotrf directly, which skips numpy's Python-level checks and gives
 the same bits; scipy's LAPACK extension, which supplies dpotrf and the
 solve dpotrs, is loaded the first time a bundle factors g, without the
@@ -213,12 +220,22 @@ _CHART_ORDER = 2
 def _phase_jets(metric, x, y, order):
     """F, F^2 and the tangent coordinates as jets seeded in the 2n chart and
     tangent coordinate directions, chart directions first, capped at
-    _CHART_ORDER in the chart directions (see the module docstring)."""
+    _CHART_ORDER in the chart directions, and at 1 for order 2 (see the
+    module docstring)."""
     n = metric.dimension
-    js = seed(np.concatenate([x, y], axis=-1).T, np.eye(2 * n), order, (n, _CHART_ORDER))
+    cap = (n, min(_CHART_ORDER, max(order - 1, 1)))
+    js = seed(np.concatenate([x, y], axis=-1).T, np.eye(2 * n), order, cap)
     f = metric.evaluate(js[:n], js[n:])
     return f, f * f, js[n:]
 
+
+#: A row of a stack is inside the chart without a scalar check when its
+#: vectorized margin (Domain.margins) exceeds SURE_MARGIN times its scale,
+#: 1 + its largest entry in size: there the vectorized and the scalar margin
+#: differ by a few units in the last place of that scale, so the scalar test
+#: would pass too.  The other rows (near or past the boundary, or NaN) get
+#: the scalar test, in stack order.
+SURE_MARGIN = 1e-12
 
 #: The sizes of y's largest entry that a bundle accepts.  Probed on the
 #: default spec of each zoo kind at every need: past about 1e-22 and 1e75
@@ -257,11 +274,13 @@ def local_geometry(metric, at, need):
 
 def _gated(metric, at, need):
     one = at.x.ndim == 1  # one sample: plain scalar tests, no numpy reductions
-    points = [at.x]
-    if not one:  # a run of equal rows (a scan at one point) once
+    if one:
+        _check_domain(metric, at.x)
+    else:  # a run of equal rows (a scan at one point) once
         points = at.x[np.r_[True, np.any(at.x[1:] != at.x[:-1], axis=1)]]
-    for x in points:
-        _check_domain(metric, x)
+        sure = SURE_MARGIN * (1.0 + np.abs(points).max(axis=-1))
+        for x in points[~(metric.domain.margins(points) > sure)]:
+            _check_domain(metric, x)
     ys = at.y.tolist() if one else at.y
     if not (all(map(math.isfinite, ys)) if one else np.isfinite(ys).all()):
         raise DegenerateMetricError(f"tangent direction y = {at.y} is not finite",

@@ -129,7 +129,7 @@ MAX_DIRECTIONS = 8
 _RANK_SUM_MIN = 20480
 
 # Batch entries from which a product takes the full table whatever its
-# operands' degrees.  The stacks the package builds (verify's chunks of 32
+# operands' degrees.  The stacks the package builds (verify's chunks of 64
 # samples, the scans' stacks of at most geometry.SCAN_ROWS = 4096) take
 # degree-bounded tables; the halves of sphere passes, 8192 nodes and up,
 # do not.  On sphere passes the bounded tables moved no quadrature wall

@@ -200,6 +200,9 @@ class _PhiDomain(Domain):
     def margin(self, x):
         return float(1.0 - self.phi(list(np.asarray(x, dtype=float))))
 
+    def margins(self, xs):
+        return 1.0 - np.asarray(self.phi(list(xs.T)), dtype=float)
+
     def sample_interior(self, rng, margin=0.05):
         for _ in range(10_000):
             x = self.half_width * (2.0 * rng.random(self.dimension) - 1.0)

@@ -307,7 +307,28 @@ def test_a_phase_bundle_keeps_f2_up_to_chart_order_two(szabo, need, order):
             assert extract(f2, alpha) == extract(uncapped, alpha)
     with pytest.raises(OutOfOrderError, match="cap"):
         extract(f2, (1, 1, 1, 0, 0, 0))
-    assert geometry.local_geometry(szabo, at, "G").f2.cap is None  # order 2: nothing to drop
+    assert geometry.local_geometry(szabo, at, "G").f2.cap == (3, 1)  # G reads chart order 1
+
+
+@pytest.mark.parametrize("spec", zoo.default_specs(), ids=lambda s: s.kind)
+def test_a_need_g_bundle_capped_at_chart_order_one_keeps_the_bits(spec):
+    """A need-"G" phase jet keeps F^2 up to chart order 1 only; F, g and G
+    are the bits of the jet that keeps chart order 2, for one sample and
+    for a stack."""
+    m = zoo.build_metric(spec)
+    n = m.dimension
+    samples = _sample(m, seed_=31, count=4)
+    stack = TangentSample(np.stack([at.x for at in samples]), np.stack([at.y for at in samples]))
+    for at in (samples[0], stack):
+        lg = geometry.local_geometry(m, at, "G")
+        assert lg.f2.cap == (n, 1)
+        js = seed(np.concatenate([at.x, at.y], axis=-1).T, np.eye(2 * n), 2, (n, 2))
+        assert js[0].cap is None  # chart order 2 is all an order-2 jet has
+        f = m.evaluate(js[:n], js[n:])
+        full = geometry.LocalGeometry(at=at, f=f, f2=f * f, ys=js[n:])
+        for name in ("F", "g", "G"):
+            got, want = np.asarray(getattr(lg, name)), np.asarray(getattr(full, name))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def _sign_changing_metric():

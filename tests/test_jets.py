@@ -458,6 +458,21 @@ def test_unbatched_products_and_sphere_passes_keep_the_full_table():
     assert jets._bounds(x.degree, y.degree, x.coeffs, y.coeffs, 4) == (1, 1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_inf_above_an_operands_degree_takes_the_full_table():
+    """A skipped term reads a coefficient above an operand's degree: an inf
+    there sends the product to the full table, which keeps its inf."""
+    x, y = seed(np.full((2, 4), 0.5), np.eye(2), 4)
+    coeffs = x.coeffs.copy()
+    coeffs[-1, 0] = np.inf  # order 4, above the degree 1
+    bad = jets._jet(coeffs, 2, 4, None, 1)
+    assert jets._bounds(bad.degree, y.degree, bad.coeffs, y.coeffs, 4) == (None, None)
+    got = bad * y
+    want = jets.Jet(coeffs, 2, 4) * jets.Jet(y.coeffs, 2, 4)
+    _same_bits(got.coeffs, want.coeffs)
+    assert np.isinf(got.coeffs[-1, 0])
+
+
 # -- lifted primitives against 50-digit references -----------------------------
 
 _PRIMITIVES = {

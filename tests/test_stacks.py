@@ -2,11 +2,13 @@
 sample as it gets them alone, and the errors of the first failing sample."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from finslerkit import flow, geometry, verify, zoo
+from finslerkit.domains import Ball, Box, DiskCylinder, Domain, ProductDomain
 from finslerkit.errors import DegenerateMetricError, DomainError, FinslerError
 from finslerkit.geometry import (TangentSample, flag_curvature, fundamental_tensor,
                                  local_geometry, mean_cartan)
@@ -169,6 +171,96 @@ def test_a_stack_raises_for_the_first_failing_sample_in_stack_order():
     assert np.array_equal(err.value.y, y[1])
 
 
+class _Ellipse(Domain):
+    """A user's domain that defines only `margin`: (x^1 / 2)^2 + (x^2)^2 < 1."""
+
+    def margin(self, x):
+        return float(1.0 - np.hypot(x[0] / 2.0, x[1]))
+
+
+class _RoundedEllipse(_Ellipse):
+    """The ellipse with vectorized margins 4 units in the last place above
+    `margin`'s, as far as rounding in another summation order may take
+    them."""
+
+    def margins(self, xs):
+        return 1.0 - np.hypot(xs[:, 0] / 2.0, xs[:, 1]) + 4.0 * 2.0**-52
+
+
+#: name -> (domain, dimension)
+_DOMAINS = {
+    "ball": (Ball(3), 3),
+    "box": (Box(np.array([-1.0, -0.5]), np.array([2.0, 1.5])), 2),
+    "disk_cylinder": (DiskCylinder(3), 3),
+    "product": (ProductDomain(Ball(2), Box(np.array([-10.0]), np.array([10.0])), 2), 3),
+    "phi": (zoo.make_funk_implicit("randers", 2).domain, 2),
+    "user": (_Ellipse(), 2),
+    "user_margins": (_RoundedEllipse(), 2),
+}
+
+
+def _euclidean_on(domain, n):
+    def evaluate(x, y):
+        q = y[0] * y[0]
+        for c in y[1:]:
+            q = q + c * c
+        return jsqrt(q)
+
+    return geometry.MetricField(dimension=n, domain=domain, evaluate=evaluate, name="flat")
+
+
+def _edge_rows(domain, n, seed_):
+    """Points within about 1e-15 of the boundary, on both sides and on it:
+    along 3 rays from the origin, the last point bisection finds inside
+    scaled by 1 + k 2^-52, |k| <= 5, and a NaN point."""
+    rng = np.random.default_rng(seed_)
+    rows = []
+    for _ in range(3):
+        u = rng.standard_normal(n)
+        lo, hi = 0.0, 1.0
+        while domain.margin(hi * u) > 0.0:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if domain.margin(mid * u) > 0.0 else (lo, mid)
+        rows.extend(lo * (1.0 + k * 2.0**-52) * u for k in range(-5, 6))
+    return np.array(rows + [np.full(n, np.nan)])
+
+
+@pytest.mark.parametrize("name", _DOMAINS)
+def test_a_stack_decides_rows_at_the_chart_boundary_as_each_row_alone(name):
+    """A stack's vectorized chart check accepts and refuses each row near
+    the boundary as the per-row check does, and a stack of many such rows
+    raises the per-row error of its first refused row."""
+    domain, n = _DOMAINS[name]
+    m = _euclidean_on(domain, n)
+    rows = _edge_rows(domain, n, seed_=7)
+    inside = np.zeros(n)
+    y = np.ones(n)
+    alone = []
+    for row in rows:
+        try:
+            geometry._check_domain(m, row)
+            alone.append(None)
+        except DomainError as exc:
+            alone.append(str(exc))
+    assert None in alone and alone.count(None) < len(alone)  # both sides are reached
+    for row, want in zip(rows, alone):
+        at = TangentSample(np.stack([inside, row, inside]), np.tile(y, (3, 1)))
+        if want is None:
+            local_geometry(m, at, "g")
+        else:
+            with pytest.raises(DomainError) as err:
+                local_geometry(m, at, "g")
+            assert str(err.value) == want
+    for first, want in enumerate(alone):  # each refused row first in a stack
+        if want is not None:
+            part = rows[first:]
+            with pytest.raises(DomainError) as err:
+                local_geometry(m, TangentSample(part, np.tile(y, (len(part), 1))), "g")
+            assert str(err.value) == want
+
+
 def _flag_claim(count, seed_):
     return Claim(id="szabo-flags", metric=zoo.MetricSpec("szabo_epsilon", 3, {"eps": 0.5}),
                  quantity="flag_curvature", target={"kind": "constant", "value": -1.0},
@@ -189,14 +281,16 @@ def _reference_flags(claim, metric):
 
 
 def test_a_chunked_claim_draws_the_per_sample_flag_poles():
-    """40 samples run as stacks of 32 and 8; the values and the worst
-    sample are those of one-at-a-time evaluation with the same poles."""
-    claim = _flag_claim(40, seed_=21)
+    """_CHUNK + 8 samples run as a full stack and one of 8; the values and
+    the worst sample are those of one-at-a-time evaluation with the same
+    poles."""
+    count = verify._CHUNK + 8
+    claim = _flag_claim(count, seed_=21)
     m = zoo.build_metric(claim.metric)
     values = np.array([flag_curvature(m, at, u) for at, u in _reference_flags(claim, m)])
     assert np.ptp(values) > 0.1  # the poles matter: K is not constant here
     report = run_claim(claim)
-    assert report.count == 40
+    assert report.count == count
     for name, want in (("min", values.min()), ("max", values.max()),
                        ("mean", values.mean()), ("stddev", values.std())):
         assert report.stats[name] == pytest.approx(want, rel=1e-12, abs=1e-13)
@@ -205,10 +299,31 @@ def test_a_chunked_claim_draws_the_per_sample_flag_poles():
     assert report.worst_sample["observed"] == pytest.approx(values[worst], rel=1e-12)
 
 
+_SHIPPED_STACKED = [c for c in verify.load_claims(
+    str(Path(__file__).parents[1] / "claims" / "acceptance.yaml"))
+    if verify._QUANTITIES[c.quantity].stacked]
+
+
+@pytest.mark.parametrize("claim", _SHIPPED_STACKED, ids=lambda c: c.id)
+def test_a_shipped_stacked_claim_reports_the_same_at_every_stack_size(claim, monkeypatch):
+    """Stacks of 1 (one sample at a time), of 7 and of _CHUNK samples give
+    one report, but for its runtime."""
+    reports = []
+    for chunk in (1, 7, verify._CHUNK):
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+        report = dataclasses.asdict(run_claim(claim))
+        report.pop("runtime")
+        reports.append(report)
+    assert reports[0]["count"] == claim.samples.count
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_a_failing_chunk_reports_its_first_failing_sample(monkeypatch):
-    """run_claim names the sample a one-at-a-time loop would stop at."""
+    """run_claim names the sample a one-at-a-time loop would stop at, in a
+    claim of more than one stack."""
     m = _sign_changing_metric()
-    claim = dataclasses.replace(_flag_claim(40, seed_=4), metric=zoo.MetricSpec("euclidean", 2))
+    claim = dataclasses.replace(_flag_claim(verify._CHUNK + 8, seed_=4),
+                                metric=zoo.MetricSpec("euclidean", 2))
     expected = None
     for at, u in _reference_flags(claim, m):
         try:
