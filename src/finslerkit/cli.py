@@ -16,8 +16,8 @@ import numpy as np
 import yaml
 
 from . import flow, verify
-from .errors import DomainError, FinslerError, _vector
-from .geometry import (TangentSample, distortion, flag_curvature,
+from .errors import FinslerError, _vector
+from .geometry import (TangentSample, _check_domain, distortion, flag_curvature,
                        fundamental_tensor, mean_cartan, mean_landsberg,
                        s_curvature, spray, volume_density)
 from .zoo import KINDS, MetricSpec, build_metric, default_specs
@@ -60,8 +60,7 @@ def cmd_eval(args):
     metric = build_metric(_load_spec(args.metric))
     n = metric.dimension
     at = TangentSample(_numbers(args.x, "--x", n), _numbers(args.y, "--y", n))
-    if not metric.domain.margin(at.x) > 0.0:
-        raise DomainError(f"point {args.x} is outside the chart domain")
+    _check_domain(metric, at.x)
     if args.quantity == "K" and args.u is None:
         raise FinslerError("quantity K needs a flag edge --u")
     if args.quantity != "K" and args.u is not None:
@@ -126,7 +125,7 @@ def cmd_claim(args):
     claims = [c for c in _load_suite(args) if c.id == args.id]
     if not claims:
         raise FinslerError(f"no claim with id {args.id!r} in {args.file}")
-    report = verify.run_suite(claims, parallelism=1)
+    report = verify.run_suite(claims)
     return _emit_report(report, args)
 
 
@@ -169,7 +168,8 @@ def build_parser():
 
     p_suite = sub.add_parser("suite", help="run a claim suite")
     p_suite.add_argument("--file", required=True, help="YAML claim list")
-    p_suite.add_argument("--jobs", type=int, default=1)
+    p_suite.add_argument("--jobs", type=int, default=2,
+                         help="most threads to use, at least 1 (default %(default)s)")
     p_suite.add_argument("--seed", type=int, help="override all claim seeds")
     p_suite.add_argument("--out", help="JSON report path (default stdout)")
     p_suite.add_argument("--csv", help="also write a CSV table")

@@ -52,11 +52,12 @@ s_curvature takes one sample and volume_density one point.  A stack has
 one sample axis: x and y of shape (K1, K2, n) are refused.
 
 A bundle passes one gate when it is built: for every sample the point
-lies in the chart, y is finite and not zero, F > 0 and g has a Cholesky
-factor, or DomainError or DegenerateMetricError; and y's largest entry
-lies within Y_SIZE_RANGE, or InvalidParameterError.  A stack checks the
-chart in one vectorized pass of Domain.margins over its rows (a run of
-equal rows once); only a row that this pass does not put clearly inside
+is finite (tested first) and in the chart, y is finite and not zero,
+F > 0 and g has a Cholesky factor, or DomainError or
+DegenerateMetricError; and y's largest entry lies within Y_SIZE_RANGE, or
+InvalidParameterError.  A stack of finite points checks the chart in one
+vectorized pass of Domain.margins over its rows (a run of equal rows
+once); only a row that this pass does not put clearly inside
 (SURE_MARGIN) takes the per-row check of one sample, in stack order, so a
 stack accepts and refuses the points that per-row checks do and raises
 the same first error.  A stack that fails any gate is checked again
@@ -194,7 +195,7 @@ class CartanNormResult:
 # -- the local-geometry bundle ----------------------------------------------
 
 def _check_domain(metric, x):
-    if not metric.domain.contains(x):
+    if not (all(map(math.isfinite, x.tolist())) and metric.domain.contains(x)):
         raise DomainError(f"point {np.asarray(x)} outside chart domain of {metric.name}")
 
 
@@ -278,8 +279,10 @@ def _gated(metric, at, need):
         _check_domain(metric, at.x)
     else:  # a run of equal rows (a scan at one point) once
         points = at.x[np.r_[True, np.any(at.x[1:] != at.x[:-1], axis=1)]]
-        sure = SURE_MARGIN * (1.0 + np.abs(points).max(axis=-1))
-        for x in points[~(metric.domain.margins(points) > sure)]:
+        if np.isfinite(points).all():  # else every row takes the scalar check
+            sure = SURE_MARGIN * (1.0 + np.abs(points).max(axis=-1))
+            points = points[~(metric.domain.margins(points) > sure)]
+        for x in points:
             _check_domain(metric, x)
     ys = at.y.tolist() if one else at.y
     if not (all(map(math.isfinite, ys)) if one else np.isfinite(ys).all()):

@@ -31,11 +31,10 @@ comes out as it does in the whole batch (the jets module's batch
 promise), so the bits depend on neither the split nor the thread count.
 The worker starts at the first such pass, and a forked child starts its
 own.  Below the cut the hand-off costs more than the second core gains
-(the timing is at SPLIT_NODES).  A pass is not split either while another
-Python thread is alive (`_alone`): the claim threads of `finslerkit suite
---jobs 2` already hold both cores of a 2-core machine, and splitting
-beside them made that suite slower in 11 of 12 pairs of runs.  Only the
-caller and one worker compute: with two pool workers peak memory rose
+(the timing is at SPLIT_NODES).  No pass is split while the context caps
+finslerkit at one thread (`_threads`, which `verify.run_suite` sets from
+its `parallelism`, so `finslerkit suite --jobs 1` starts no thread).  Only
+the caller and one worker compute: with two pool workers peak memory rose
 8 %, since each thread fills its own glibc malloc arena.
 
 The first rule built also frees one large untouched array, once per
@@ -97,6 +96,9 @@ _pool_lock = threading.Lock()
 # in none of 20, and with 256 in none of 140
 _SPARE_BLOCKS = 256
 _kept = None
+# the most threads finslerkit may use in this context (verify.run_suite
+# sets it): below 2, on_nodes splits no pass
+_threads = contextvars.ContextVar("finslerkit_threads", default=2)
 
 
 def ball_volume(n):
@@ -220,22 +222,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _alone():
-    """Whether the calling thread is the one Python thread besides the
-    worker; other threads (the claim threads of `finslerkit suite --jobs
-    2`) are taken to be using the second core."""
-    return threading.active_count() <= 1 + (_pool is not None)
-
-
 def on_nodes(evaluate, points):
     """`evaluate(points)`: an array whose last axis runs over the (K, n)
     `points`, each entry a function of its own point only.  For K >=
-    SPLIT_NODES, while no other Python thread is alive (`_alone`), the
-    calling thread evaluates the first K // 2 points and the worker thread,
-    in a copy of the caller's context, the rest, and the two are joined
-    along that axis.  If a half raises, the other half is waited for, and
-    the first half's error is raised if it has one."""
-    if len(points) < SPLIT_NODES or not _alone():
+    SPLIT_NODES, unless the context caps finslerkit at one thread
+    (`_threads`), the calling thread evaluates the first K // 2 points and
+    the worker thread, in a copy of the caller's context, the rest, and the
+    two are joined along that axis.  If a half raises, the other half is
+    waited for, and the first half's error is raised if it has one."""
+    if len(points) < SPLIT_NODES or _threads.get() < 2:
         return evaluate(points)
     half = len(points) // 2
     second = _worker().submit(contextvars.copy_context().run, evaluate, points[half:])

@@ -2,7 +2,7 @@
 
 A Claim names a metric, a quantity, a target, a tolerance, and a sampling
 plan.  run_claim evaluates the quantity over the plan and compares against
-the target; run_suite executes many claims with deterministic aggregation.
+the target; run_suite runs many claims in order, deterministically.
 Each quantity is declared once, in _QUANTITIES.  A malformed claim raises
 InvalidParameterError when it is built (its own, metric, sample plan and
 target records all pass errors._check_keys); metric constructor or geometry
@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import groupby
 
@@ -34,7 +33,7 @@ from .errors import (FinslerError, InvalidParameterError, _check_keys, _integer,
 from .geometry import (TangentSample, _density_slope, _dot, _gnorm, _mv, _norm_at, _phase_jets,
                        _vmv, flag_curvature, fundamental_tensor, local_geometry, s_curvature)
 from .jets import partials
-from .quadrature import on_sphere
+from .quadrature import _threads, on_sphere
 from .zoo import MetricSpec, build_metric
 from . import flow
 
@@ -539,19 +538,20 @@ def closed_one_form_check(metric, c, samples=None, tol=1e-3):
                    residuals, worst, tol, samples.seed, start)
 
 
-def run_suite(claims, parallelism=1):
-    """Run claims (possibly in parallel), one report each, sorted by claim
-    id.  Claims that share an id, or a `parallelism` that is not an integer
-    of at least 1, raise InvalidParameterError before any claim runs."""
+def run_suite(claims, parallelism=2):
+    """Run claims in order, one report each, sorted by claim id, with
+    finslerkit capped at `parallelism` threads (see quadrature.on_nodes).
+    Claims that share an id, or a `parallelism` that is not an integer of
+    at least 1, raise InvalidParameterError before any claim runs."""
     parallelism = _integer("parallelism", parallelism, least=1)
     repeated = [i for i, same in groupby(sorted(c.id for c in claims)) if len(list(same)) > 1]
     if repeated:
         raise InvalidParameterError(f"claim ids must be unique; repeated: {repeated}")
-    if parallelism > 1 and len(claims) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(run_claim, claims))
-    else:
+    token = _threads.set(parallelism)
+    try:
         reports = [run_claim(c) for c in claims]
+    finally:
+        _threads.reset(token)
     reports.sort(key=lambda r: r.claim_id)
     return SuiteReport(reports=reports)
 

@@ -411,17 +411,63 @@ def test_an_n4_sphere_rule_and_s_curvature_import_neither_scipy_stats_nor_scipy_
     assert out == ["False", "False"], err
 
 
-def test_a_suite_on_two_threads_imports_no_scipy_linalg_package(tmp_path):
+_FIRST_BUNDLES_AT_ONCE = """
+import threading
+from finslerkit import geometry, zoo
+metric = zoo.make_funk_shifted([0.3, 0.0])
+start = threading.Barrier(2)
+factors = []
+
+def build():
+    start.wait()
+    factors.append(geometry.fundamental_tensor(
+        metric, geometry.TangentSample([0.1, 0.2], [0.5, -0.3])).g)
+
+threads = [threading.Thread(target=build) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join()
+print(len(factors), 'scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)
+"""
+
+
+def test_two_threads_building_their_first_bundles_at_once_import_no_scipy_linalg_package():
     """Both threads build their first bundle at once; the second must not
-    bind LAPACK before the first has, which would import all of
-    scipy.linalg."""
+    bind LAPACK before the first has (geometry._lapack_lock), which would
+    import all of scipy.linalg."""
+    out, err = _after_cli_import(_FIRST_BUNDLES_AT_ONCE)
+    assert out == ["2", "True", "False"], err
+
+
+S_CLAIM_YAML = """
+- id: slab-s-curvature
+  metric: {kind: incomplete_slab, dimension: 3}
+  quantity: s_curvature
+  target: {kind: zero}
+  tolerance: 1e-3
+  samples: {count: 3, seed: 109}
+"""
+
+
+def test_suite_jobs_caps_the_threads_and_keeps_the_report(tmp_path):
+    """An n = 3 S splits its 32768-node passes onto one worker thread
+    under --jobs 2 (the default), and under --jobs 1 starts no thread; the
+    reports are the same apart from `runtime`."""
     path = tmp_path / "claims.yaml"
-    path.write_text(CLAIMS_YAML)
-    argv = ["suite", "--file", str(path), "--jobs", "2", "--out", str(tmp_path / "suite.json")]
-    out, err = _after_cli_import(
-        f"code = finslerkit.cli.main({argv!r}); "
-        "print(code, 'scipy.linalg._flapack' in sys.modules, 'scipy.linalg' in sys.modules)")
-    assert out == ["0", "True", "False"], err
+    path.write_text(S_CLAIM_YAML)
+    reports = []
+    for jobs, threads in [(["--jobs", "1"], "1"), (["--jobs", "2"], "2"), ([], "2")]:
+        report = tmp_path / "suite.json"
+        argv = ["suite", "--file", str(path), *jobs, "--out", str(report)]
+        out, err = _after_cli_import(f"import threading; code = finslerkit.cli.main({argv!r}); "
+                                     "print(code, threading.active_count())")
+        assert out == ["0", threads], (jobs, err)
+        doc = json.loads(report.read_text())
+        for claim in doc["claims"]:
+            claim.pop("runtime")
+        reports.append(doc)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_cli_import_loads_no_scipy_module():

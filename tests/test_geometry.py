@@ -648,13 +648,6 @@ def test_a_refine_flag_that_is_not_a_bool_is_refused(funk_shifted, refine):
         cartan_norm(funk_shifted, [0.1, 0.2], coarse=16, refine=refine)
 
 
-@pytest.fixture
-def alone(monkeypatch):
-    """Split passes as a process with no other Python thread does: the
-    test process may hold idle threads of earlier tests."""
-    monkeypatch.setattr(quadrature, "_alone", lambda: True)
-
-
 def _is_the_rule_once(batches, points):
     """Whether the node batches F saw, each a (k, n) array, are one batch
     equal to `points`, or on a split pass exactly two whose join in one of
@@ -666,7 +659,7 @@ def _is_the_rule_once(batches, points):
 
 
 @pytest.mark.parametrize("fixture,nodes", [("funk_shifted", 512), ("szabo", 32768)])
-def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, alone, fixture, nodes):
+def test_untoleranced_quadrature_evaluates_only_the_full_rule(request, fixture, nodes):
     """With tol=None, volume_density and s_curvature evaluate F on the
     level-0 sphere rule only, never on the half-size rule: the y nodes F
     saw are the rule's points, each once, whether or not the pass is split."""
@@ -704,7 +697,7 @@ def _whole(evaluate, points):
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("metric", _split_metrics())
-def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(alone, metric, order):
+def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(metric, order):
     """Each node's x-seeded F jet is computed as it is in the whole batch,
     so the two joined halves are the whole rule's coefficients exactly."""
     from finslerkit.quadrature import SPLIT_NODES, on_nodes
@@ -720,7 +713,7 @@ def test_a_split_pass_gives_the_bits_of_one_whole_rule_evaluation(alone, metric,
 
 
 @pytest.mark.parametrize("metric", _split_metrics()[:-1])
-def test_sphere_passes_give_the_bits_of_unsplit_passes(alone, metric, monkeypatch):
+def test_sphere_passes_give_the_bits_of_unsplit_passes(metric, monkeypatch):
     """S, sigma_F and the closed-1-form residual (the Jacobian pass) read
     the same floats when on_nodes is a plain whole-batch call."""
     at = _sample(metric, seed_=20)
@@ -743,7 +736,7 @@ def _holds_worker_node(y, n):
             and bool(np.any((np.column_stack(y) == points[len(points) // 2]).all(axis=1))))
 
 
-def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(alone, szabo):
+def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(szabo):
     """The worker's FinslerError reaches the caller, and the next pass on a
     good metric returns, so no task is left behind on the worker."""
     def failing(x, y):
@@ -758,7 +751,7 @@ def test_an_error_on_the_worker_half_is_raised_and_the_worker_recovers(alone, sz
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
-def test_the_worker_half_runs_under_the_callers_errstate(alone, szabo, monkeypatch, split):
+def test_the_worker_half_runs_under_the_callers_errstate(szabo, monkeypatch, split):
     """numpy keeps np.errstate in a context variable; the worker's half
     runs in a copy of the caller's context, so a division by zero there
     raises as it does in a serial pass."""
@@ -774,7 +767,7 @@ def test_the_worker_half_runs_under_the_callers_errstate(alone, szabo, monkeypat
         volume_density(m, _sample(szabo, seed_=22).x)
 
 
-def test_threads_splitting_at_once_get_the_serial_bits(alone, szabo, slab, monkeypatch):
+def test_threads_splitting_at_once_get_the_serial_bits(szabo, slab, monkeypatch):
     """Callers that split on several threads at once (a thread may start
     after a caller found itself alone) share the one worker, and each gets
     the S of an unsplit pass; four callers on two cores, switching threads
@@ -793,10 +786,10 @@ def test_threads_splitting_at_once_get_the_serial_bits(alone, szabo, slab, monke
     assert split == [s_curvature(*case) for case in cases]
 
 
-def test_a_pass_beside_another_python_thread_is_not_split(szabo):
-    """Another Python thread (a claim thread of finslerkit suite --jobs 2)
-    is taken to hold the second core: F sees the whole rule in one batch,
-    on the calling thread."""
+def test_a_pass_beside_another_python_thread_is_split(szabo):
+    """Another Python thread no longer keeps a pass whole (IPython, for
+    one, runs a history thread): F sees one half on the calling thread
+    and the other on the worker."""
     import threading
     batches = []
 
@@ -813,7 +806,37 @@ def test_a_pass_beside_another_python_thread_is_not_split(szabo):
     finally:
         release.set()
         other.join()
+    assert len(batches) == 2 and threading.current_thread() in batches
+    assert len(set(batches)) == 2 and other not in batches
+
+
+def test_a_suite_capped_at_one_thread_splits_no_pass(szabo, monkeypatch):
+    """run_suite(claims, 1) caps finslerkit at one thread while its claims
+    run: F sees the whole rule in one batch, on the calling thread, S keeps
+    its bits, and passes after the suite split again."""
+    import threading
+    batches = []
+
+    def recorded(x, y):
+        if np.ndim(value(y[0])) > 0:
+            batches.append(threading.current_thread())
+        return szabo.evaluate(x, y)
+
+    m = dataclasses.replace(szabo, evaluate=recorded)
+    at = _sample(szabo, seed_=25)
+    readings = []
+
+    def run_claim(claim):
+        readings.append(s_curvature(m, at))
+        return verify.ClaimReport(claim.id, True, 1, {}, {}, 0.0, 0, 0.0)
+
+    monkeypatch.setattr(verify, "run_claim", run_claim)
+    claim = verify.Claim("s", zoo.MetricSpec("szabo_epsilon", 3), "s_curvature")
+    verify.run_suite([claim], parallelism=1)
     assert batches == [threading.current_thread()]
+    batches.clear()
+    assert s_curvature(m, at) == readings[0]
+    assert len(batches) == 2
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True],

@@ -261,6 +261,26 @@ def test_a_stack_decides_rows_at_the_chart_boundary_as_each_row_alone(name):
             assert str(err.value) == want
 
 
+@pytest.mark.parametrize("point", [[np.inf, np.inf], [-np.inf, 0.0], [np.nan, 0.0]],
+                         ids=["inf", "minus-inf", "nan"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+def test_a_point_that_is_not_finite_raises_domain_error_and_no_warning(point, stacked):
+    """On the Randers phi-ball, x = (inf, inf) used to raise numpy's
+    RuntimeWarning (0 * inf in the phi of the chart margin) under -W error,
+    before DomainError; a stack's vectorized margins did the same.  A
+    stack raises its first refused row's error."""
+    m = zoo.make_funk_implicit("randers", 2)
+    x = np.array(point)
+    with pytest.raises(DomainError) as alone:
+        local_geometry(m, TangentSample(x, np.array([1.0, 0.0])), "g")
+    if stacked:
+        inside = np.zeros(2)
+        at = TangentSample(np.stack([inside, x, inside, np.full(2, 5.0)]), np.ones((4, 2)))
+        with pytest.raises(DomainError) as err:
+            local_geometry(m, at, "g")
+        assert str(err.value) == str(alone.value)
+
+
 def _flag_claim(count, seed_):
     return Claim(id="szabo-flags", metric=zoo.MetricSpec("szabo_epsilon", 3, {"eps": 0.5}),
                  quantity="flag_curvature", target={"kind": "constant", "value": -1.0},
