@@ -199,18 +199,12 @@ def _check_domain(metric, x):
         raise DomainError(f"point {np.asarray(x)} outside chart domain of {metric.name}")
 
 
-def _coordinates(v):
-    """The coordinates of one sample as floats, or of a (K, n) stack as
-    arrays over the samples."""
-    return [float(c) for c in v] if v.ndim == 1 else list(v.T)
-
-
 def _y_jets(metric, x, y, order):
     """F, F^2 and the tangent coordinates as jets seeded in the n tangent
     coordinate directions."""
     n = metric.dimension
     yj = seed(y.T, np.eye(n), order)
-    f = metric.evaluate(_coordinates(x), yj)
+    f = metric.evaluate(list(x.T), yj)
     return f, f * f, yj
 
 
@@ -614,10 +608,8 @@ def distortion(metric, at, tol=None):
     """tau = ln( sqrt(det g) / sigma_F ), for one sample or, one value per
     sample, for a (K, n) stack; sigma_F takes one quadrature per point."""
     _, logdet = np.linalg.slogdet(fundamental_tensor(metric, at).g)
-    if at.x.ndim == 1:
-        return 0.5 * logdet - np.log(volume_density(metric, at.x, tol=tol))
-    density = [volume_density(metric, x, tol=tol) for x in at.x]
-    return 0.5 * logdet - np.log(density)
+    density = [volume_density(metric, x, tol=tol) for x in at.x.reshape(-1, metric.dimension)]
+    return 0.5 * logdet - np.log(np.reshape(density, at.x.shape[:-1]))
 
 
 def mean_cartan(metric, at):

@@ -39,26 +39,25 @@ np.add.reduceat, which rounds batched terms differently.
 
 A jet also has a degree (`Jet.degree`), the highest total order at which
 its coefficients can be nonzero: 1 for a seeded coordinate with batch
-axes, 0 for such a constant, and its order for a jet built from
-coefficients or by a composition.  Sums take the larger degree, products
-the sum (at most the order), partials one less, and scalar operations
-keep it.  Every coefficient above the degree is +-0.0 unless the jet
-holds an inf or NaN: it is a sum of terms that each take a factor above
-an operand's degree.  `_mul_table` and `_rank_table` take a's degree
-(`low`) and b's (`bound`) and then list only the terms a[i] * b[j] with i
-and j within them; output indices above the two degrees' sum have no
-terms and read +0.0.  A product of batched jets takes that bounded table
-when either degree is below the order, fewer than `_BOUNDED_BATCH` batch
-entries are in play (stacks of samples, not sphere passes) and a sum of
-each operand's coefficients is finite.  It then gives the full table's
-bits: each skipped term is +-0.0 times a finite number, so +-0.0, and a
-sum that starts from +0.0 never becomes -0.0, so adding +-0.0 changes no
-bit.  An inf or NaN coefficient would make a skipped term NaN, so then
-the full table runs.  Unbatched products always take the full table: for
-one sample the finiteness check costs more than the skipped terms save.
-So an unbatched seed or constant has its order for degree, and the
-single samples of the flows pay nothing for degrees they would not use
-(tracked there too, they made transport 6 to 11 % slower).
+axes.  Sums take the larger degree, products the sum (at most the order)
+and scalar operations keep it; any other jet has its order.  Every
+coefficient above the degree is +-0.0 unless the jet holds an inf or NaN:
+it is a sum of terms that each take a factor above an operand's degree.
+`_mul_table` and `_rank_table` take a's degree (`low`) and b's (`bound`)
+and then list only the terms a[i] * b[j] with i and j within them; output
+indices above the two degrees' sum have no terms and read +0.0.  A
+product of batched jets takes that bounded table when either degree is
+below the order, fewer than `_BOUNDED_BATCH` batch entries are in play
+(stacks of samples, not sphere passes) and a sum of each operand's
+coefficients is finite.  It then gives the full table's bits: each
+skipped term is +-0.0 times a finite number, so +-0.0, and a sum that
+starts from +0.0 never becomes -0.0, so adding +-0.0 changes no bit.  An
+inf or NaN coefficient would make a skipped term NaN, so then the full
+table runs.  Unbatched products always take the full table: for one
+sample the finiteness check costs more than the skipped terms save.  So
+an unbatched seed has its order for degree, and the single samples of the
+flows pay nothing for degrees they would not use (tracked there too, they
+made transport 6 to 11 % slower).
 
 One table, `_partials_table`, gathers partials along seeded coordinate
 axes; `deriv` is its one-direction case.  A composition (sqrt, exp, log,
@@ -394,7 +393,7 @@ class Jet:
         cap = _cap(cap, order)
         coeffs = np.zeros((_num_coeffs(ndir, order, cap),) + value.shape)
         coeffs[0] = value
-        return _jet(coeffs, ndir, order, cap, 0 if value.ndim else None)
+        return cls(coeffs, ndir, order, cap)
 
     @property
     def value(self):
@@ -408,8 +407,7 @@ class Jet:
         if order >= self.order:
             return self
         cap = _cap(self.cap, order)
-        return _jet(self.coeffs[: _num_coeffs(self.ndir, order, cap)], self.ndir, order, cap,
-                    self._degree)
+        return Jet(self.coeffs[: _num_coeffs(self.ndir, order, cap)], self.ndir, order, cap)
 
     def _aligned(self, other):
         """(a, b, order, cap): the coefficients of this jet and of `other`
@@ -642,14 +640,14 @@ def deriv(jet, direction):
     the geometry layer seeds them); drops the truncation order by one.
     """
     d = partials(jet, (direction,))
-    return type(d)(d.coeffs[..., 0], d.ndir, d.order, d.cap)
+    return Jet(d.coeffs[..., 0], d.ndir, d.order, d.cap)
 
 
 def jwhere(mask, a, b):
     """`np.where` for two jets: `mask` (over the batch axes) picks a's or b's
     coefficients, node by node."""
     ca, cb, order, cap = a._aligned(b)
-    return _jet(np.where(mask, ca, cb), a.ndir, order, cap, max(a.degree, b.degree))
+    return Jet(np.where(mask, ca, cb), a.ndir, order, cap)
 
 
 def value(x):
@@ -669,12 +667,11 @@ def partials(jet, directions):
         raise OutOfOrderError("cannot differentiate an order-0 jet")
     src, fac, cap = _partials_table(jet.ndir, jet.order, jet.cap, tuple(directions))
     batch = jet.coeffs.ndim - 1
-    degree = None if jet._degree is None else max(jet._degree - 1, 0)
     if not batch:
-        return _jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1, cap, degree)
+        return Jet(jet.coeffs[src] * fac, jet.ndir, jet.order - 1, cap)
     coeffs = jet.coeffs[src] * fac.reshape(fac.shape + (1,) * batch)
     axes = (0,) + tuple(range(2, coeffs.ndim)) + (1,)
-    return _jet(coeffs.transpose(axes), jet.ndir, jet.order - 1, cap, degree)
+    return Jet(coeffs.transpose(axes), jet.ndir, jet.order - 1, cap)
 
 
 def hessian(jet, directions):
@@ -723,8 +720,7 @@ def contract(subscripts, a, b):
         if count:
             gathered[k] = outermost(gathered[k], 1, count)
     terms = np.einsum(spec, *gathered)
-    return _jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order, cap,
-                a.degree + b.degree)
+    return Jet(np.add.reduceat(terms, starts, axis=0), a.ndir, order, cap)
 
 
 @lru_cache(maxsize=None)

@@ -162,8 +162,10 @@ class ClaimReport:
 
 
 def load_claims(path_or_stream):
-    """Claims from a YAML document: a list of claim records.  A document
-    that is not YAML raises InvalidParameterError, from yaml's error."""
+    """Claims from a YAML document: a list of claim records, or an empty
+    document for none.  A document that is not YAML raises
+    InvalidParameterError, from yaml's error, and so does any other
+    document, a single claim mapping or a scalar included."""
     try:
         if isinstance(path_or_stream, (str, bytes)):
             with open(path_or_stream) as stream:
@@ -172,9 +174,10 @@ def load_claims(path_or_stream):
             data = yaml.safe_load(path_or_stream)
     except yaml.YAMLError as exc:
         raise InvalidParameterError(f"claim file is not YAML: {exc}") from exc
-    if not isinstance(data, (list, dict)):  # a scalar document is one record
-        data = [] if data is None else [data]
-    return [Claim.from_dict(rec) for rec in data]
+    if not isinstance(data, (list, type(None))):
+        raise InvalidParameterError(
+            f"a claim file holds a list of claim records, not {data!r}")
+    return [Claim.from_dict(rec) for rec in data or ()]
 
 
 # -- quantities ---------------------------------------------------------------

@@ -451,8 +451,6 @@ def make_incomplete_slab(dimension=3):
         # (r - w) / c cancels catastrophically for w > 0 as c -> 0; switch
         # to the conjugate form q / (r + w) on that branch, node by node
         w_val = np.asarray(value(w))
-        if isinstance(r, Jet) and w_val.ndim == 0:  # one w: one branch to pay for
-            return q / (r + w) if w_val >= 0.0 else (r - w) / c
         with np.errstate(invalid="ignore", divide="ignore"):
             conjugate, direct = q / (r + w), (r - w) / c
         if isinstance(r, Jet):

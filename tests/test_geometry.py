@@ -7,6 +7,9 @@ import os
 import platform
 import subprocess
 import sys
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -200,6 +203,45 @@ def test_distortion_minkowski_is_position_independent():
     t1 = distortion(m, TangentSample(np.array([0.1, 0.3]), y))
     t2 = distortion(m, TangentSample(np.array([-0.6, 0.2]), y))
     assert t1 == pytest.approx(t2, abs=1e-8)
+
+
+#: One slab sample on each side of w = s v - t u = 0, inside and near the
+#: rim c = 1 - s^2 - t^2 -> 0, with sha256 digests of its F^2 jet at needs
+#: "I" and "R", frozen when one sample took only its own w's branch.
+_SLAB_BRANCHES = [
+    ((0.3, -0.2, 0.5), (0.4, 0.6, -0.2),
+     "b4424579feb331ac68dbbb19828ac7db71a1a18877a11f176c33c2bdc7452798",
+     "4cb6afabbbd9ea9610aa9c13bbc2551da4889dafb44f743380b79c5e37342b61"),
+    ((0.3, -0.2, 0.5), (-0.4, -0.6, -0.2),
+     "8d3689312650d0ca8e49985843ad46b625bc33664677c6cc11929270b2f18360",
+     "842f36d39dbff19eb046bdc8796f140ef5bdb651d6d458600bb3ad30b69781c0"),
+    ((0.6, 0.79999, 0.1), (-0.8, 0.6, 0.3),
+     "d16140d256334c29bb055fb0f9d5c1f44f2ae9dec6a05aacc30348b7c877233e",
+     "7c23ccc13aca51164ae651c0208d88a50f51d58efb64328cecd6896b07522d45"),
+    ((0.6, 0.79999, 0.1), (0.8, -0.6, 0.3),
+     "23bdfba3e23f7d3e134250cee83a27d7931fb6c5b0c94d6c968fff758779bf1a",
+     "304ac750d28a4f37648f66a8bf8fad2b51893575d59571a89e46cd313fea2c3f"),
+]
+
+
+@pytest.mark.parametrize("x, y, need_i, need_r", _SLAB_BRANCHES,
+                         ids=["w>0", "w<0", "rim-w>0", "rim-w<0"])
+def test_one_slab_sample_keeps_the_bits_of_its_own_branch(slab, x, y, need_i, need_r):
+    """One sample picks its branch by the same jwhere that a stack's rows
+    use: computing the other branch too changes no bit of its F^2 jet."""
+    for need, want in (("I", need_i), ("R", need_r)):
+        f2 = local_geometry(slab, TangentSample(x, y), need).f2
+        assert hashlib.sha256(f2.coeffs.tobytes()).hexdigest() == want, need
+
+
+def test_one_sample_distortion_is_a_float_with_its_bits(funk_shifted, slab):
+    """One sample's distortion takes the stacks' loop over points and still
+    returns one float, with the bits it had as a branch of its own."""
+    for metric, at, want in [
+            (funk_shifted, TangentSample([0.1, 0.2], [0.5, -0.3]), "0x1.3996332f8fd76p-1"),
+            (slab, TangentSample(*_SLAB_BRANCHES[2][:2]), "-0x1.36c4524c91d4ep+0")]:
+        got = distortion(metric, at)
+        assert np.ndim(got) == 0 and float(got).hex() == want
 
 
 def test_mean_cartan_riemannian_vanishes():
@@ -968,38 +1010,16 @@ def test_volume_density_of_a_minkowski_randers_metric_is_exact(n):
     assert got == pytest.approx(want, rel=1e-12 if n <= 4 else 1e-6, abs=0.0)
 
 
-_SPHERE_FAULTS = """
-import resource, statistics, sys
-sys.path.insert(0, {root!r})
-import numpy as np
-from finslerkit import verify, zoo
-from finslerkit.geometry import TangentSample, s_curvature
-slab = zoo.make_incomplete_slab(dimension=3)
-funk = zoo.make_funk_shifted([0.3, 0.0, 0.1], dimension=3)
-at = TangentSample([0.1, 0.2, 0.1], [0.3, -0.4, 0.5])
-dirs = verify._fit_directions(np.random.default_rng(5), 3)
-for call in (lambda: s_curvature(slab, at),
-             lambda: verify._closed_one_form_residual(funk, 0.5, at.x, dirs)):
-    call()
-    faults = []
-    for _ in range(5):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        call()
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    print(statistics.median(faults), max(faults))
-"""
-
-
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_sphere_passes_after_the_first_reuse_their_pages():
     """In a fresh process that builds no n >= 4 rule, an S on the slab
     and a closed-one-form residual (whose jets carry 10 coefficients)
     re-faulted 1500 to 9000 pages per call, until the first sphere rule
-    raised glibc's mmap threshold by freeing one large array."""
-    import finslerkit
-    root = os.path.dirname(os.path.dirname(finslerkit.__file__))
-    out = subprocess.run([sys.executable, "-c", _SPHERE_FAULTS.format(root=root)],
-                         capture_output=True, text=True, timeout=300)
+    raised glibc's mmap threshold by freeing one large array.  The
+    measurement is tests/sphere_faults.py, whose --runs N repeats it in N
+    fresh processes."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sphere_faults.py")
+    out = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     for line in out.stdout.splitlines():
         median, most = map(float, line.split())
@@ -1167,6 +1187,37 @@ def test_a_bundle_factors_g_through_scipy_linalg_when_the_lapack_file_does_not_l
     monkeypatch.setattr(geometry, "_flapack_spec", lambda: spec(tmp_path))
     monkeypatch.delitem(sys.modules, geometry._FLAPACK)
     assert _fields(_bundle(funk_shifted, samples)) == direct
+    assert geometry.dpotrf is lapack.dpotrf and geometry.dpotrs is lapack.dpotrs
+
+
+def test_two_threads_binding_lapack_at_once_load_it_once(monkeypatch):
+    """Two threads that find LAPACK unbound at the same moment: the one
+    that takes geometry._lapack_lock loads the extension, and the other
+    waits and finds both functions bound, so the loader runs once."""
+    loads = []
+    lapack = types.SimpleNamespace(dpotrf=object(), dpotrs=object())
+
+    def slow_flapack():
+        loads.append(threading.get_ident())
+        time.sleep(0.05)  # the other thread reaches the unbound check meanwhile
+        return lapack
+
+    monkeypatch.setattr(geometry, "dpotrf", None)
+    monkeypatch.setattr(geometry, "dpotrs", None)
+    monkeypatch.delitem(sys.modules, geometry._FLAPACK, raising=False)
+    monkeypatch.setattr(geometry, "_flapack", slow_flapack)
+    start = threading.Barrier(2)
+
+    def bind():
+        start.wait()
+        geometry._load_lapack()
+
+    threads = [threading.Thread(target=bind) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(loads) == 1
     assert geometry.dpotrf is lapack.dpotrf and geometry.dpotrs is lapack.dpotrs
 
 

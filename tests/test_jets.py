@@ -358,20 +358,21 @@ def _above(jet):
 
 
 def test_degrees_follow_the_operations():
-    """A seed has degree 1 and a constant 0; sums take the larger degree,
-    products the sum (at most the order), compositions the order, partials
-    one less, scalar operations keep it, and a jet built from coefficients
-    has its order.  Every coefficient above a degree is +-0.0."""
+    """A seed has degree 1; sums take the larger degree, products the sum
+    (at most the order) and scalar operations keep it.  Every other jet, a
+    constant, a composition, a truncation, a partial, a contraction, a
+    jwhere or a jet built from coefficients, has its order.  Every
+    coefficient above a degree is +-0.0."""
     x, y = seed(np.array([[0.3, 0.5, -0.2], [0.2, -0.4, 0.7]]), np.eye(2), 4)
     c = jets.Jet.constant(np.array([2.0, 3.0, 0.5]), 2, 4)
     q = x * x + y * y
     cubic = q * x - c
-    cases = [(x, 1), (c, 0), (q, 2), (cubic, 3), (q + c, 2), (q - x, 2), (-q, 2),
+    cases = [(x, 1), (c, 4), (q, 2), (cubic, 4), (q + c, 4), (q - x, 2), (-q, 2),
              (q * 2.0, 2), (2.0 * q, 2), (q * np.array([1.0, 2.0, 3.0]), 2), (q / 2.0, 2),
-             (1.0 - q, 2), (q + 1.0, 2), (q * q, 4), (q ** 2, 4), (c * x, 1), (jsqrt(q), 4),
-             (q / c, 4), (jets.partials(q, [0, 1]), 1), (deriv(cubic, 1), 2),
-             (jets.hessian(q, [0, 1]), 0), (q.truncated(1), 1), (cubic.truncated(2), 2),
-             (jets.jwhere(np.array([True, False, True]), q, x), 2),
+             (1.0 - q, 2), (q + 1.0, 2), (q * q, 4), (q ** 2, 4), (c * x, 4), (jsqrt(q), 4),
+             (q / c, 4), (jets.partials(q, [0, 1]), 3), (deriv(cubic, 1), 3),
+             (jets.hessian(q, [0, 1]), 2), (q.truncated(1), 1), (cubic.truncated(2), 2),
+             (jets.jwhere(np.array([True, False, True]), q, x), 4),
              (jets.contract("...i,...i->...", jets.partials(q, [0, 1]),
                             jets.partials(cubic, [0, 1])), 3),
              (jets.Jet(q.coeffs, 2, 4), 4)]

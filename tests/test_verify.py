@@ -221,18 +221,33 @@ def test_a_claim_file_that_is_not_yaml_is_an_invalid_parameter(document):
     assert isinstance(err.value.__cause__, yaml.YAMLError)
 
 
+@pytest.mark.parametrize("document", [yaml.safe_dump(["flat-cartan"])],
+                         ids=["bare-string-record"])
+def test_a_claim_that_is_not_a_mapping_is_refused_as_such(document):
+    """A claim file is a list of mappings: a bare-string record is refused
+    so."""
+    with pytest.raises(InvalidParameterError, match="claim must be a mapping"):
+        load_claims(io.StringIO(document))
+
+
 @pytest.mark.parametrize("document", [
     yaml.safe_dump({"id": "flat-cartan", "quantity": "mean_cartan",
                     "metric": {"kind": "euclidean", "dimension": 2}}, sort_keys=False),
-    yaml.safe_dump(["flat-cartan"]),
     "5\n",
-], ids=["top-level-mapping", "bare-string-record", "scalar-document"])
-def test_a_claim_that_is_not_a_mapping_is_refused_as_such(document):
-    """A claim file is a list of mappings.  A mapping document, whose records
-    are then its keys, a bare-string record and a scalar document, read as
-    one record, are refused so."""
-    with pytest.raises(InvalidParameterError, match="claim must be a mapping"):
+    "flat-cartan\n",
+], ids=["one-claim-mapping", "number", "string"])
+def test_a_claim_file_that_is_not_a_list_is_refused_as_such(document):
+    """A document of one claim mapping was read as records named by its
+    keys ("claim must be a mapping, not 'id'"), and a scalar document as
+    one record; each is refused for what the file must hold."""
+    with pytest.raises(InvalidParameterError,
+                       match="a claim file holds a list of claim records"):
         load_claims(io.StringIO(document))
+
+
+def test_an_empty_claim_file_holds_no_claim():
+    assert load_claims(io.StringIO("")) == []
+    assert load_claims(io.StringIO("[]\n")) == []
 
 
 def test_the_shipped_claims_pass_the_checks_made_when_a_claim_is_built():
