@@ -20,6 +20,13 @@ bundle (see geometry.py).  Every solve logs its method, right-hand-side
 evaluations, accepted steps and status at DEBUG level on the
 ``finslerkit.flow`` logger.
 
+Both pairs run on this module's own stepper, a port of scipy 1.17's
+solve_ivp for RK45 and DOP853 that keeps its bits (see `_rk_solve`), so a
+flow imports no scipy.integrate, and with it no scipy.linalg, optimize or
+sparse package.  It reads two scipy files, each loaded alone on first use:
+the DOP853 coefficients, and the C root finder behind
+scipy.optimize.brentq, which places a chart exit.
+
 A trace is evaluated as one (K, n) stack of its nodes: one bundle (see
 geometry.py) for `torsion_trace` or `connection_along`, one evaluation of
 F for the speed check, each node bit for bit as alone.
@@ -27,6 +34,7 @@ F for the speed check, each node bit for bit as alone.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -35,7 +43,7 @@ import numpy as np
 from .errors import (DomainError, InvalidParameterError, ResolutionError, _flag, _integer,
                      _number, _vector)
 from .geometry import (TangentSample, _cartan_norms, _check_domain, _gnorm, _mv, _scan_size,
-                       local_geometry)
+                       _scipy_module, local_geometry)
 
 #: Dense-output nodes per trace; odd so the grid nests once for error checks.
 TRACE_NODES = 257
@@ -54,12 +62,380 @@ RHS_BUDGET = 10_000
 _log = logging.getLogger(__name__)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first solve: the import
-    costs about half a second that commands without a flow need not pay."""
-    from scipy import integrate
+# -- explicit Runge-Kutta pairs ----------------------------------------------
+#
+# scipy 1.17's solve_ivp for RK45 and DOP853, written once as a generator
+# with the same numpy calls in the same order, so every step, right-hand
+# side, interpolant and event root has scipy's bits.  The function names
+# in the comments are scipy's.
 
-    return integrate.solve_ivp(*args, **kwargs)
+#: Step-size control of scipy's RungeKutta: safety factor, and the least
+#: and largest factor by which one step may change the next.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+
+EPS = np.finfo(float).eps
+
+#: The DOP853 coefficients (numpy alone), loaded at the first DOP853 solve,
+#: and the C root finder behind scipy.optimize.brentq, at the first event
+#: root; neither imports its scipy package.
+_DOP853_COEFFICIENTS = "scipy.integrate._ivp.dop853_coefficients"
+_ZEROS = "scipy.optimize._zeros"
+
+_MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+             1: "A termination event occurred.",
+             -1: "Required step size is less than spacing between numbers."}
+
+
+def _rms(x):
+    """scipy's `norm`."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class _RK45:
+    """The 5(4) pair of Dormand & Prince, "A family of embedded Runge-Kutta
+    formulae", J. Comput. Appl. Math. 6 (1980), with Shampine's quartic
+    interpolant; the rationals as scipy's RK45 writes them, so they round
+    to the same floats."""
+    n_stages = 6
+    error_order = 4
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    #: stages computed for the interpolant alone: none
+    A_EXTRA = C_EXTRA = ()
+    rows = n_stages + 1
+
+    def error_norm(self, K, h, scale):
+        return _rms(np.dot(K.T, self.E) * h / scale)
+
+    def interpolant(self, K, t_old, t, y_old, y, f, h):
+        return _RkInterpolant(t_old, t, y_old, K.T.dot(self.P))
+
+
+class _DOP853:
+    """The 8(5,3) pair of Hairer, Norsett & Wanner, with its 7th-degree
+    interpolant, which takes three more stages; the coefficients are
+    scipy's."""
+    error_order = 7
+
+    def __init__(self, coefficients):
+        n = self.n_stages = coefficients.N_STAGES
+        self.A = coefficients.A[:n, :n]
+        self.B = coefficients.B
+        self.C = coefficients.C[:n]
+        self.E3, self.E5, self.D = coefficients.E3, coefficients.E5, coefficients.D
+        self.A_EXTRA = coefficients.A[n + 1:]
+        self.C_EXTRA = coefficients.C[n + 1:]
+        self.rows = coefficients.N_STAGES_EXTENDED
+        self.power = coefficients.INTERPOLATOR_POWER
+
+    def error_norm(self, K, h, scale):
+        K = K[:self.n_stages + 1]
+        err5 = np.dot(K.T, self.E5) / scale
+        err3 = np.dot(K.T, self.E3) / scale
+        err5_norm_2 = np.linalg.norm(err5)**2
+        err3_norm_2 = np.linalg.norm(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def interpolant(self, K, t_old, t, y_old, y, f, h):
+        F = np.empty((self.power, len(y_old)))
+        f_old = K[0]
+        delta_y = y - y_old
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (f + f_old)
+        F[3:] = h * np.dot(self.D, K)
+        return _Dop853Interpolant(t_old, t, y_old, F)
+
+
+class _RkInterpolant:
+    """RkDenseOutput: y(t) on one step, at a time or a 1-D array of them."""
+
+    def __init__(self, t_old, t, y_old, Q):
+        self.t_old, self.h, self.Q, self.y_old = t_old, t - t_old, Q, y_old
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        order = self.Q.shape[1] - 1
+        if t.ndim == 0:
+            p = np.cumprod(np.tile(x, order + 1))
+        else:
+            p = np.cumprod(np.tile(x, (order + 1, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        if y.ndim == 2:
+            y += self.y_old[:, None]
+        else:
+            y += self.y_old
+        return y
+
+
+class _Dop853Interpolant:
+    """Dop853DenseOutput: y(t) on one step, at a time or a 1-D array of
+    them."""
+
+    def __init__(self, t_old, t, y_old, F):
+        self.t_old, self.h, self.F, self.y_old = t_old, t - t_old, F, y_old
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        if t.ndim == 0:
+            y = np.zeros_like(self.y_old)
+        else:
+            x = x[:, None]
+            y = np.zeros((len(x), len(self.y_old)))
+        for i, f in enumerate(reversed(self.F)):
+            y += f
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old
+        return y.T
+
+
+class _OdeSolution:
+    """OdeSolution: the step interpolants joined, evaluated at a 1-D array
+    of times, each group of times that falls in one step at once."""
+
+    def __init__(self, ts, interpolants):
+        self.interpolants = interpolants
+        self.ascending = ts[-1] >= ts[0]
+        self.side = "left" if self.ascending else "right"
+        self.ts_sorted = ts if self.ascending else ts[::-1]
+
+    def __call__(self, t):
+        t = np.asarray(t)
+        last = len(self.interpolants) - 1
+        order = np.argsort(t)
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        t_sorted = t[order]
+        segments = np.clip(np.searchsorted(self.ts_sorted, t_sorted, side=self.side) - 1,
+                           0, last)
+        if not self.ascending:
+            segments = last - segments
+        ys = []
+        group_start = 0
+        for segment, group in itertools.groupby(segments):
+            group_end = group_start + len(list(group))
+            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
+            group_start = group_end
+        return np.hstack(ys)[:, reverse]
+
+
+@dataclass
+class _OdeResult:
+    t: np.ndarray
+    y: np.ndarray
+    sol: _OdeSolution   # None without dense output
+    t_events: list      # [the event's times as an array], or None without an event
+    status: int         # 0 at the end of t_span, 1 at a terminal event, -1 failed
+    message: str
+    nfev: int = 0
+
+
+def _select_initial_step(t0, y0, t_bound, f0, direction, order, rtol, atol):
+    """select_initial_step (Hairer, Norsett & Wanner, II.4), asking for its
+    one right-hand side."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = yield t0 + h0 * direction, y1
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk_step(pair, t, y, f, h, K):
+    """rk_step: y and f at t + h, asking for each stage's right-hand side;
+    the stages are left in K."""
+    A, B, C = pair.A, pair.B, pair.C
+    K[0] = f
+    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = yield t + c * h, y + dy
+    y_new = y + h * np.dot(K[:pair.n_stages].T, B)
+    f_new = yield t + h, y_new
+    K[pair.n_stages] = f_new
+    return y_new, f_new
+
+
+def _dense_output(pair, K, t_old, t, y_old, y, f, h):
+    """The interpolant of the step from t_old to t, asking first for the
+    right-hand sides of the pair's extra stages (DOP853's three)."""
+    for s, (a, c) in enumerate(zip(pair.A_EXTRA, pair.C_EXTRA), start=pair.n_stages + 1):
+        dy = np.dot(K[:s].T, a[:s]) * h
+        K[s] = yield t_old + c * h, y_old + dy
+    return pair.interpolant(K, t_old, t, y_old, y, f, h)
+
+
+def _event_root(event, sol, t_old, t):
+    """solve_event_equation: scipy.optimize.brentq's C search for the event's
+    zero on the step, behind brentq's check for a NaN value."""
+    zeros = _scipy_module(_ZEROS)
+
+    def checked(s):
+        value = event(s, sol(s))
+        if np.isnan(value):
+            raise ValueError(f"The function value at x={s} is NaN; solver cannot continue.")
+        return value
+
+    return zeros._brentq(checked, t_old, t, 4 * EPS, 4 * EPS, 100, (), False, True)
+
+
+def _rk_solve(t_span, y0, method, rtol, atol, dense_output, event):
+    """solve_ivp's loop over an RK45 or DOP853 solver, as a generator: it
+    yields each (t, y) whose right-hand side it needs and is sent that
+    right-hand side as a float array; it returns the _OdeResult, whose
+    `nfev` the caller fills in.
+
+    `t_span` is two distinct numbers; `rtol` is at least 100 EPS, and
+    `atol` a number; `event` is None or one event function, with scipy's
+    optional `direction` and a `terminal` that stops the solve at its
+    first root.
+    """
+    pair = _RK45() if method == "RK45" else _DOP853(_scipy_module(_DOP853_COEFFICIENTS))
+    t0, t_bound = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    direction = np.sign(t_bound - t0)
+    t = t0
+    f = yield t, y
+    h_abs = yield from _select_initial_step(t, y, t_bound, f, direction, pair.error_order,
+                                            rtol, atol)
+    K = np.empty((pair.rows, y.size))
+    error_exponent = -1 / (pair.error_order + 1)
+    ts, ys, interpolants = [t0], [y0], []
+    if event is not None:
+        g = event(t0, y0)
+        event_dir = getattr(event, "direction", 0)
+        t_events = []
+    status = None
+    while status is None:
+        # RungeKutta._step_impl
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = yield from _rk_step(pair, t, y, f, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = pair.error_norm(K, h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** error_exponent)
+            step_rejected = True
+        if status == -1:
+            break
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if direction * (t - t_bound) >= 0:
+            status = 0
+        # solve_ivp's loop: the step's interpolant, events, and the trace
+        sol = None
+        if dense_output:
+            sol = yield from _dense_output(pair, K, t_old, t, y_old, y, f, h)
+            interpolants.append(sol)
+        t_end, y_end = t, y
+        if event is not None:
+            g_new = event(t, y)
+            # find_active_events
+            up = g <= 0 and g_new >= 0
+            down = g >= 0 and g_new <= 0
+            if (up and event_dir > 0 or down and event_dir < 0
+                    or (up or down) and event_dir == 0):
+                if sol is None:
+                    sol = yield from _dense_output(pair, K, t_old, t, y_old, y, f, h)
+                root = _event_root(event, sol, t_old, t)
+                t_events.append(root)
+                if getattr(event, "terminal", False):
+                    status = 1
+                    t_end = root
+                    y_end = sol(t_end)
+            g = g_new
+        if len(ts) > 1 and ts[-1] == t_end and dense_output:
+            interpolants.pop()
+        else:
+            ts.append(t_end)
+            ys.append(y_end)
+    ts = np.array(ts)
+    return _OdeResult(t=ts, y=np.vstack(ys).T,
+                      sol=_OdeSolution(ts, interpolants) if dense_output else None,
+                      t_events=None if event is None else [np.asarray(t_events)],
+                      status=status, message=_MESSAGES[status])
+
+
+def solve_ivp(fun, t_span, y0, method="RK45", rtol=1e-3, atol=1e-6, dense_output=False,
+              events=None):
+    """scipy.integrate.solve_ivp for the arguments finslerkit passes, with
+    the same bits: `method` "RK45" or "DOP853", `events` None or one event
+    function, and no `t_eval`, `max_step` or `first_step`.  The result has
+    scipy's `t`, `y`, `sol`, `t_events`, `status`, `message` and `nfev`."""
+    if method not in ("RK45", "DOP853"):
+        raise InvalidParameterError(f"solve_ivp: method {method!r} is not RK45 or DOP853")
+    steps = _rk_solve(t_span, y0, method, rtol, atol, dense_output, events)
+    nfev = 0
+    try:
+        t, y = next(steps)
+        while True:
+            nfev += 1
+            t, y = steps.send(np.asarray(fun(t, y), dtype=float))
+    except StopIteration as done:
+        result = done.value
+    result.nfev = nfev
+    return result
 
 
 def _solver_tol(tol):

@@ -105,35 +105,42 @@ dpotrf = dpotrs = None
 _lapack_lock = threading.Lock()
 #: The extension module that scipy.linalg.lapack takes them from.
 _FLAPACK = "scipy.linalg._flapack"
+#: Held by the one thread that loads a scipy module for all (_scipy_module).
+_module_lock = threading.Lock()
 
 
-def _flapack_spec():
-    """The spec of scipy's LAPACK extension, found without importing scipy,
-    or None."""
+def _scipy_spec(name):
+    """The spec of scipy's module `name`, found without importing scipy or
+    the packages above the module, or None."""
     scipy = importlib.util.find_spec("scipy")
     if scipy is None or not scipy.submodule_search_locations:
         return None
+    packages = name.split(".")[1:-1]
     return importlib.machinery.PathFinder.find_spec(
-        _FLAPACK, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+        name, [os.path.join(path, *packages) for path in scipy.submodule_search_locations])
 
 
-def _flapack():
-    """scipy's LAPACK extension, loaded from its file and registered under
-    its own name, so a later `import scipy.linalg` reuses it; or
-    scipy.linalg.lapack when the file is not found or does not load."""
-    spec = _flapack_spec()
-    if spec is not None:
-        try:
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except ImportError:
-            pass
-        else:
-            sys.modules[_FLAPACK] = module
+def _scipy_module(name):
+    """scipy's module `name`: the one already imported, or one loaded from
+    its file and registered under its own name, so a later import of its
+    package reuses it; or, when the file is not found or does not load,
+    the module imported with its packages.  One thread loads it while the
+    others wait."""
+    with _module_lock:
+        module = sys.modules.get(name)
+        if module is not None:
             return module
-    from scipy.linalg import lapack
-
-    return lapack
+        spec = _scipy_spec(name)
+        if spec is not None:
+            try:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except ImportError:
+                pass
+            else:
+                sys.modules[name] = module
+                return module
+        return importlib.import_module(name)
 
 
 def _load_lapack():
@@ -146,7 +153,7 @@ def _load_lapack():
     if dpotrs is None:
         with _lapack_lock:
             if dpotrs is None:
-                lapack = sys.modules.get(_FLAPACK) or _flapack()
+                lapack = _scipy_module(_FLAPACK)
                 dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
 
 
@@ -777,18 +784,92 @@ def _cartan_norms(metric, points, coarse, refine):
 def _angle_ascent(metric, x, angle, coarse, best_dir, best_val):
     """The n = 2 ascent: a bounded search over the angle within one scan
     spacing of `angle`; the scanned best unless it finds a higher value."""
-    from scipy.optimize import minimize_scalar
-
     def on_circle(angle):
         return np.array([np.cos(angle), np.sin(angle)])
 
     spacing = 2.0 * np.pi / coarse
-    res = minimize_scalar(lambda a: -_norm_at(metric, x, on_circle(a)), method="bounded",
-                          bounds=(angle - spacing, angle + spacing),
-                          options={"xatol": 1e-10})
-    if -res.fun > best_val:
-        return on_circle(res.x), -res.fun
+    a, value, _ = _bounded_minimum(lambda a: -_norm_at(metric, x, on_circle(a)),
+                                   angle - spacing, angle + spacing)
+    if -value > best_val:
+        return on_circle(a), -value
     return best_dir, best_val
+
+
+def _bounded_minimum(func, a, b, xatol=1e-10, maxiter=500):
+    """Brent's bounded minimisation of a scalar `func` on [a, b] (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), as
+    scipy.optimize.minimize_scalar(method="bounded") runs it, with the same
+    bits: the point, its value and the number of evaluations."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # a parabolic step where one fits
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        # else a golden-section step
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean*e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
 
 
 def _compass_ascent(metric, x, h, best_dir, best_val):

@@ -380,22 +380,46 @@ def _after_cli_import(code):
     return out.stdout.split(), out.stderr
 
 
-@pytest.mark.parametrize("module,absent,first_use", [
-    ("scipy.integrate", None,
+@pytest.mark.parametrize("module,loaded,absent,first_use", [
+    ("scipy.integrate", False, None,
      "from finslerkit import flow, zoo; flow.integrate_geodesic("
      "zoo.make_funk_shifted([0.3, 0.0]), [0.1, 0.2], [0.5, -0.3], (0, 0.1))"),
-    ("scipy.linalg._flapack", "scipy.linalg",
+    ("scipy.linalg._flapack", True, "scipy.linalg",
      "from finslerkit import geometry, zoo; geometry.fundamental_tensor("
      "zoo.make_funk_shifted([0.3, 0.0]), geometry.TangentSample([0.1, 0.2], [0.5, -0.3]))"),
 ], ids=["scipy.integrate", "scipy.linalg"])
-def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, absent, first_use):
-    """scipy.integrate (a third of a second or more to import) is loaded
-    only when a flow first solves, not when the CLI starts.  A bundle that
-    factors g loads scipy's LAPACK extension alone, and never the
-    scipy.linalg package (`absent`)."""
+def test_cli_import_leaves_a_slow_scipy_module_to_its_first_user(module, loaded, absent,
+                                                                 first_use):
+    """A geodesic solves with finslerkit's own Runge-Kutta pairs, so it
+    never loads scipy.integrate (a third of a second or more to import).
+    A bundle that factors g loads scipy's LAPACK extension alone, and never
+    the scipy.linalg package (`absent`)."""
     out, err = _after_cli_import(f"print({module!r} in sys.modules); {first_use}; "
                                  f"print({module!r} in sys.modules, {absent!r} in sys.modules)")
-    assert out == ["False", "True", "False"], err
+    assert out == ["False", str(loaded), "False"], err
+
+
+_FLOWS = """
+from finslerkit import flow, geometry, zoo
+funk = zoo.make_funk_shifted([0.3, 0.0])
+trace = flow.integrate_geodesic(funk, [0.1, 0.2], [0.5, -0.3], (0, 0.1))
+flow.jacobi_propagate(funk, trace, [0.0, 1.0], [0.3, 0.2])
+geometry.cartan_norm(funk, [0.1, 0.2])
+flows = set(sys.modules)
+slab = flow.integrate_geodesic(zoo.make_incomplete_slab(), [0, 0, 0], [1, 0.2, 0.1], (0, 5))
+print(slab.exit, ','.join(sorted(set(sys.modules) - flows)) or '-')
+print(','.join(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg')
+               if m in sys.modules) or '-')
+"""
+
+
+def test_flows_import_no_scipy_integrate_optimize_sparse_or_linalg_package():
+    """A geodesic, a Jacobi field and an n = 2 Cartan norm run on
+    finslerkit's own Runge-Kutta pairs and bounded search.  A geodesic that
+    leaves the chart adds scipy's C root finder alone, loaded from its
+    file."""
+    out, err = _after_cli_import(_FLOWS)
+    assert out == ["True", "scipy.optimize._zeros", "-"], err
 
 
 def test_an_n4_sphere_rule_and_s_curvature_import_neither_scipy_stats_nor_scipy_linalg():

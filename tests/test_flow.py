@@ -11,7 +11,7 @@ import pytest
 from conftest import deadline
 from scipy.integrate import solve_ivp
 
-from finslerkit import flow, zoo
+from finslerkit import flow, geometry, zoo
 from finslerkit.errors import DomainError, InvalidParameterError, ResolutionError
 from finslerkit.flow import (covariant_derivative_along, growth_estimate,
                              integrate_geodesic, jacobi_propagate,
@@ -603,3 +603,159 @@ def test_trace_csv_refuses_what_is_not_a_trace(trace):
     """Each raised a bare AttributeError."""
     with pytest.raises(InvalidParameterError, match="trace_to_csv"):
         flow.trace_to_csv(trace, io.StringIO())
+
+
+def _same_solve(mine, ref):
+    """The owned solve_ivp's result has scipy's bits: steps, states, work,
+    status, message, event times and the dense output at trace nodes."""
+    assert np.array_equal(mine.t, ref.t)
+    assert np.array_equal(mine.y, ref.y)
+    assert (mine.nfev, mine.status, mine.message) == (ref.nfev, ref.status, ref.message)
+    if len(ref.t) > 1:
+        nodes = flow.chebyshev_nodes(ref.t[0], ref.t[-1], 33)
+        assert np.array_equal(mine.sol(nodes), ref.sol(nodes))
+    if ref.t_events is None:
+        assert mine.t_events is None
+    else:
+        assert len(mine.t_events) == len(ref.t_events)
+        assert all(np.array_equal(a, b) for a, b in zip(mine.t_events, ref.t_events))
+
+
+@pytest.fixture
+def against_scipy(monkeypatch):
+    """Each flow solve runs the owned solver and scipy's on the same
+    right-hand side and events, at the requested tolerance itself; the
+    results are checked equal and collected, and the owned one is used."""
+    solves = []
+    owned = flow.solve_ivp
+
+    def both(fun, t_span, y0, **kwargs):
+        mine = owned(fun, t_span, y0, **kwargs)
+        ref = solve_ivp(fun, t_span, y0, **kwargs)
+        _same_solve(mine, ref)
+        solves.append(mine)
+        return mine
+
+    monkeypatch.setattr(flow, "solve_ivp", both)
+    monkeypatch.setattr(flow, "_solver_tol", lambda tol: tol)
+    return solves
+
+
+BIT_STARTS = 8
+
+
+@pytest.mark.parametrize("kind,t_end", [("funk_ball_shifted", 0.5), ("szabo_epsilon", 0.5),
+                                        ("incomplete_slab", 1.0)])
+def test_owned_runge_kutta_gives_scipys_bits(zoo_metrics, against_scipy, kind, t_end):
+    """Seeded starts, each at one of three tolerances; the first runs
+    backwards.  Geodesics (RK45 with the chart-exit event) and, on three
+    starts, Jacobi fields (DOP853) agree with scipy.integrate.solve_ivp bit
+    for bit, also where they stop short.  Most slab geodesics leave the
+    chart through the event."""
+    metric = zoo_metrics[kind]
+    rng = np.random.default_rng(33)
+    exits = 0
+    for k in range(BIT_STARTS):
+        x0 = metric.domain.sample_interior(rng, margin=0.2)
+        y0 = rng.standard_normal(metric.dimension)
+        y0 /= float(metric.evaluate(x0, y0))
+        tol = (1e-6, 1e-10, 1e-13)[k % 3]
+        span = (0.0, -t_end) if k == 0 else (0.0, t_end)
+        trace = integrate_geodesic(metric, x0, y0, span, tol=tol, nodes=9)
+        exits += trace.exit
+        if k < 3:
+            V0, DV0 = rng.standard_normal((2, metric.dimension))
+            try:
+                jacobi_propagate(metric, trace, V0, DV0, tol=tol)
+            except ResolutionError:
+                # both solvers stopped alike: the last stages of a field to
+                # a chart exit may fall outside the chart
+                assert trace.exit
+    assert len(against_scipy) == BIT_STARTS + 3
+    if kind == "incomplete_slab":
+        assert exits >= BIT_STARTS // 2
+        assert sum(s.status == 1 for s in against_scipy) == exits
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_owned_runge_kutta_fails_on_a_nan_right_hand_side_as_scipy_does(funk_shifted,
+                                                                        method):
+    """A right-hand side that turns NaN part way stops both solvers with
+    the same too-small step, at the same time, after the same work."""
+    def rhs(t, state):
+        try:
+            if t > 0.5:
+                raise DomainError("poisoned")
+            lg = local_geometry(funk_shifted, TangentSample(state[:2], state[2:]), "G")
+        except DomainError:  # as integrate_geodesic's right-hand side does
+            return np.full_like(state, np.nan)
+        return np.concatenate([state[2:], -2.0 * lg.G])
+
+    state0 = np.array([0.1, -0.2, 0.4, 0.25])
+    kwargs = dict(method=method, rtol=1e-10, atol=1e-10, dense_output=True)
+    mine = flow.solve_ivp(rhs, (0.0, 1.0), state0, **kwargs)
+    _same_solve(mine, solve_ivp(rhs, (0.0, 1.0), state0, **kwargs))
+    assert mine.status == -1
+
+
+def test_owned_tableaus_are_scipys():
+    """RK45's rationals round to scipy's floats, and the DOP853
+    coefficients loaded from scipy's file are the ones scipy's DOP853
+    holds."""
+    import importlib.util
+
+    from scipy.integrate._ivp import rk
+
+    for name in "ABCEP":
+        assert np.array_equal(getattr(flow._RK45, name), getattr(rk.RK45, name)), name
+    spec = geometry._scipy_spec(flow._DOP853_COEFFICIENTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pair = flow._DOP853(module)
+    assert (pair.n_stages, pair.error_order) == (rk.DOP853.n_stages,
+                                                 rk.DOP853.error_estimator_order)
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        assert np.array_equal(getattr(pair, name), getattr(rk.DOP853, name)), name
+
+
+_FLOW_BITS = """
+import hashlib, sys
+sys.path.insert(0, {root!r})
+from finslerkit import flow, geometry, zoo
+if {module!r}:
+    found = geometry._scipy_spec
+    geometry._scipy_spec = lambda name: None if name == {module!r} else found(name)
+slab = flow.integrate_geodesic(zoo.make_incomplete_slab(), [0, 0, 0], [1, 0.2, 0.1], (0, 5))
+funk = zoo.make_funk_shifted([0.3, 0.0])
+trace = flow.integrate_geodesic(funk, [0.1, -0.2], [0.8, 0.5], (0.0, 1.0), nodes=33)
+V = flow.jacobi_propagate(funk, trace, [0.0, 1.0], [0.3, 0.2], tol=1e-6)
+print(slab.exit_time.hex(), hashlib.sha256(V.tobytes()).hexdigest(),
+      {module!r}.rpartition('.')[0] in sys.modules)
+"""
+
+
+def _flow_bits(module):
+    """An exiting slab geodesic's exit time, a hash of a DOP853 Jacobi
+    field's bits, and whether the package of `module` was imported, from a
+    fresh interpreter in which the file of `module` is not found."""
+    root = os.path.dirname(os.path.dirname(flow.__file__))
+    out = subprocess.run([sys.executable, "-c", _FLOW_BITS.format(root=root, module=module)],
+                         capture_output=True, text=True, timeout=120)
+    assert len(out.stdout.split()) == 3, out.stderr
+    return out.stdout.split()
+
+
+@pytest.fixture(scope="module")
+def flow_bits_from_files():
+    return _flow_bits("")
+
+
+@pytest.mark.parametrize("module", ["scipy.integrate._ivp.dop853_coefficients",
+                                    "scipy.optimize._zeros"], ids=["dop853", "zeros"])
+def test_a_flow_takes_a_scipy_module_from_its_package_when_its_file_is_not_found(
+        flow_bits_from_files, module):
+    """Without the file of the DOP853 coefficients or of the root finder,
+    the module comes with its scipy package; an exiting geodesic's exit
+    time and a DOP853 Jacobi field keep their bits."""
+    assert flow_bits_from_files[2] == "False"
+    assert _flow_bits(module) == flow_bits_from_files[:2] + ["True"]

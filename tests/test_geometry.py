@@ -471,6 +471,51 @@ def test_cartan_norm_refines_along_the_angle(funk_shifted, monkeypatch, x, want)
     assert np.linalg.norm(result.direction) == pytest.approx(1.0, abs=1e-14)
 
 
+ANGLE_POINTS = 60
+
+
+@pytest.mark.parametrize("kind", [s.kind for s in zoo.default_specs() if s.dimension == 2])
+def test_angle_ascent_is_scipys_bounded_search_bit_for_bit(zoo_metrics, monkeypatch, kind):
+    """The n = 2 ascent's own port of Brent's bounded search gives
+    scipy.optimize.minimize_scalar(method="bounded")'s point, value and
+    number of evaluations, and the ascent returns that point and value.
+    The norm is memoised, so the second search pays only for points the
+    first did not take."""
+    from scipy.optimize import minimize_scalar
+
+    metric = zoo_metrics[kind]
+    rng = np.random.default_rng(60)
+    evaluations, memo = [], {}
+    real = geometry._norm_at
+
+    def norm_at(metric, x, direction):
+        evaluations.append(1)
+        key = (x.tobytes(), direction.tobytes())
+        return memo[key] if key in memo else memo.setdefault(key, real(metric, x, direction))
+
+    searches = []
+    bounded_minimum = geometry._bounded_minimum
+    monkeypatch.setattr(geometry, "_norm_at", norm_at)
+    monkeypatch.setattr(geometry, "_bounded_minimum",
+                        lambda *args: searches.append(bounded_minimum(*args)) or searches[-1])
+    for _ in range(ANGLE_POINTS):
+        x = metric.domain.sample_interior(rng, margin=0.1)
+        angle, coarse = rng.uniform(0.0, 2.0 * np.pi), 96
+        spacing = 2.0 * np.pi / coarse
+        evaluations.clear()
+        want = minimize_scalar(
+            lambda a: -geometry._norm_at(metric, x, np.array([np.cos(a), np.sin(a)])),
+            method="bounded", bounds=(angle - spacing, angle + spacing),
+            options={"xatol": 1e-10})
+        assert len(evaluations) == want.nfev
+        evaluations.clear()
+        direction, value = geometry._angle_ascent(metric, x, angle, coarse, None, -np.inf)
+        assert searches.pop() == (want.x, want.fun, want.nfev)
+        assert len(evaluations) == want.nfev
+        assert np.array_equal(direction, [np.cos(want.x), np.sin(want.x)])
+        assert value == -want.fun
+
+
 def _nelder_mead_cartan_norm(metric, x):
     """The n >= 3 ascent cartan_norm used before its compass search, kept
     as a reference: Nelder-Mead on an unnormalised vector d from the best
@@ -1158,18 +1203,18 @@ def _bundle(m, samples):
     return local_geometry(m, at, "R")
 
 
-def _not_found(tmp_path):
+def _not_found(tmp_path, name):
     return None
 
 
-def _fails_to_load(tmp_path):
+def _fails_to_load(tmp_path, name):
     """A spec for a file that is no extension module: loading it raises
     ImportError."""
     import importlib.util
 
-    path = tmp_path / "_flapack.so"
+    path = tmp_path / (name.rpartition(".")[2] + ".so")
     path.write_bytes(b"not a shared object")
-    return importlib.util.spec_from_file_location(geometry._FLAPACK, path)
+    return importlib.util.spec_from_file_location(name, path)
 
 
 @pytest.mark.parametrize("spec", [_not_found, _fails_to_load],
@@ -1177,14 +1222,15 @@ def _fails_to_load(tmp_path):
 @pytest.mark.parametrize("samples", [1, 3])
 def test_a_bundle_factors_g_through_scipy_linalg_when_the_lapack_file_does_not_load(
         funk_shifted, monkeypatch, tmp_path, spec, samples):
-    """Without the extension's file, dpotrf and dpotrs come from
-    scipy.linalg.lapack, and every field has the same bits."""
+    """Without the extension's file, dpotrf and dpotrs come from the
+    extension imported with scipy.linalg, and every field has the same
+    bits."""
     from scipy.linalg import lapack
 
     direct = _fields(_bundle(funk_shifted, samples))
     monkeypatch.setattr(geometry, "dpotrf", None)
     monkeypatch.setattr(geometry, "dpotrs", None)
-    monkeypatch.setattr(geometry, "_flapack_spec", lambda: spec(tmp_path))
+    monkeypatch.setattr(geometry, "_scipy_spec", lambda name: spec(tmp_path, name))
     monkeypatch.delitem(sys.modules, geometry._FLAPACK)
     assert _fields(_bundle(funk_shifted, samples)) == direct
     assert geometry.dpotrf is lapack.dpotrf and geometry.dpotrs is lapack.dpotrs
@@ -1197,7 +1243,7 @@ def test_two_threads_binding_lapack_at_once_load_it_once(monkeypatch):
     loads = []
     lapack = types.SimpleNamespace(dpotrf=object(), dpotrs=object())
 
-    def slow_flapack():
+    def slow_flapack(name):
         loads.append(threading.get_ident())
         time.sleep(0.05)  # the other thread reaches the unbound check meanwhile
         return lapack
@@ -1205,7 +1251,7 @@ def test_two_threads_binding_lapack_at_once_load_it_once(monkeypatch):
     monkeypatch.setattr(geometry, "dpotrf", None)
     monkeypatch.setattr(geometry, "dpotrs", None)
     monkeypatch.delitem(sys.modules, geometry._FLAPACK, raising=False)
-    monkeypatch.setattr(geometry, "_flapack", slow_flapack)
+    monkeypatch.setattr(geometry, "_scipy_module", slow_flapack)
     start = threading.Barrier(2)
 
     def bind():
